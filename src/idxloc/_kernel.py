@@ -1,19 +1,21 @@
-"""Pure-Python search kernel.
+"""Search kernel.
 
 Hot primitives shared by the brute-force min-rank solver and the
 exhaustive encoder searches.  Column vectors are passed around as base-q
 integer codes: digit ``r`` of a code is the entry at (0-based) row ``r``,
 with row 0 in the least significant position.  For q = 2 the routines run
-on plain int bitmasks; odd primes use digit lists.  Semantics are
-identical for both paths and must match the compiled backend exactly,
-including enumeration order and tie-breaking.
+on plain int bitmasks; odd primes use digit lists and the elimination of
+``linalg``.  Results, including enumeration order and tie-breaking, are
+the same for both paths.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-BACKEND = "python"
+from .linalg import _eliminate
+
+__all__ = ["min_query_sets", "minrank_dfs"]
 
 
 def decode_column(code: int, mn: int, q: int) -> tuple[int, ...]:
@@ -25,15 +27,9 @@ def decode_column(code: int, mn: int, q: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def encode_column(digits, q: int) -> int:
-    code = 0
-    for d in reversed(list(digits)):
-        code = code * q + d
-    return code
-
-
 def _rank_bits(vectors) -> int:
-    # Greedy GF(2) elimination keyed by highest set bit.
+    # Greedy GF(2) elimination keyed by highest set bit; on int bitmasks
+    # it is far faster than the digit-list elimination of linalg.
     pivots: dict[int, int] = {}
     rank = 0
     for v in vectors:
@@ -46,54 +42,6 @@ def _rank_bits(vectors) -> int:
                 rank += 1
                 break
     return rank
-
-
-def _rank_rows_mod(rows: list[list[int]], q: int) -> int:
-    # In-place Gaussian elimination on a list of row lists (mod q).
-    if not rows:
-        return 0
-    n_cols = len(rows[0])
-    rank = 0
-    row = 0
-    m = len(rows)
-    for col in range(n_cols):
-        if row >= m:
-            break
-        piv = None
-        for r in range(row, m):
-            if rows[r][col] % q:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        inv = pow(rows[row][col], -1, q)
-        rows[row] = [(x * inv) % q for x in rows[row]]
-        for r in range(m):
-            if r != row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % q for a, b in zip(rows[r], rows[row])]
-        rank += 1
-        row += 1
-    return rank
-
-
-def rank_fq(entries, rows: int, cols: int, q: int) -> int:
-    """Rank of a dense row-major matrix over F_q."""
-    if rows == 0 or cols == 0:
-        return 0
-    if q == 2:
-        packed = []
-        for i in range(rows):
-            v = 0
-            base = i * cols
-            for j in range(cols):
-                if entries[base + j] & 1:
-                    v |= 1 << j
-            packed.append(v)
-        return _rank_bits(packed)
-    mat = [[entries[i * cols + j] % q for j in range(cols)] for i in range(rows)]
-    return _rank_rows_mod(mat, q)
 
 
 def _project_bits(code: int, keep_rows) -> int:
@@ -133,10 +81,8 @@ class _ReceiverView:
             ra = _rank_bits([self.proj_a[k] for k in subset])
             rb = _rank_bits([self.proj_b[k] for k in subset])
         else:
-            cols_a = [list(self.proj_a[k]) for k in subset]
-            cols_b = [list(self.proj_b[k]) for k in subset]
-            ra = _rank_rows_mod(cols_a, self.q) if cols_a else 0
-            rb = _rank_rows_mod(cols_b, self.q) if cols_b else 0
+            ra = len(_eliminate([self.proj_a[k] for k in subset], self.q))
+            rb = len(_eliminate([self.proj_b[k] for k in subset], self.q))
         return ra - rb == self.n_dem
 
 
@@ -206,6 +152,8 @@ def minrank_dfs(n: int, q: int, free_rows, stop_at: int = 1):
     best_cols: tuple[int, ...] = ()
     col_codes = [0] * n
 
+    # An incremental basis, pushed and popped along the DFS, costs one
+    # reduction per column instead of re-eliminating the whole prefix.
     if q == 2:
         pivots: dict[int, int] = {}
 

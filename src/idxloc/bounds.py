@@ -9,6 +9,7 @@ integer arithmetic; no floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -42,7 +43,8 @@ class BudgetExceededError(RuntimeError):
 
 
 def kernel_backend() -> str:
-    return _kernel.backend
+    """Name of the search kernel; it is pure Python, so always "python"."""
+    return "python"
 
 
 def minrank_bruteforce(
@@ -69,19 +71,11 @@ def minrank_bruteforce(
         tuple(sorted(j - 1 for j in g.side_info(i))) for i in range(1, g.n + 1)
     )
     value, col_codes = _kernel.minrank_dfs(g.n, q, free_rows)
-    columns = [_kernel_column(code, g.n, q) for code in col_codes]
+    columns = [_kernel.decode_column(code, g.n, q) for code in col_codes]
     witness = FittingMatrix(FqMatrix.from_columns(columns, g.n, q))
     if not witness.fits(g):
         raise AssertionError("witness does not fit the graph")
     return value, witness
-
-
-def _kernel_column(code: int, mn: int, q: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(mn):
-        digits.append(code % q)
-        code //= q
-    return tuple(digits)
 
 
 def cycle_tradeoff(n: int, r: Fraction | int) -> Fraction:
@@ -213,12 +207,15 @@ def _search(
     require_prime(q)
     if m < 1 or ell < 1:
         raise ValueError("m and ell must be positive")
-    space = q ** (m * g.n * ell)
-    if space > budget:
-        raise BudgetExceededError(
-            f"encoder space q^{m * g.n * ell} exceeds budget {budget}"
-        )
     mn = m * g.n
+    # The encoders enumerated below are the multisets of ell normalized
+    # columns, of which there are (q^mn - 1)/(q - 1); counting them in
+    # closed form refuses an oversized search before listing the columns.
+    encoders = math.comb((q**mn - 1) // (q - 1) + ell - 1, ell)
+    if encoders > budget:
+        raise BudgetExceededError(
+            f"search enumerates {encoders} encoders, exceeding budget {budget}"
+        )
     exp = expand_indices(g, m)
     demands = tuple(
         tuple(sorted(j - 1 for j in exp.demands[i])) for i in range(g.n)
@@ -258,7 +255,7 @@ def _search(
 
     points = []
     for mx, sm, cols, masks in frontier:
-        columns = [_kernel_column(c, mn, q) for c in cols]
+        columns = [_kernel.decode_column(c, mn, q) for c in cols]
         matrix = FqMatrix.from_columns(columns, mn, q)
         queries = tuple(
             frozenset(k + 1 for k in range(ell) if mask >> k & 1) for mask in masks
@@ -293,6 +290,10 @@ def exhaustive_scalar_search(
     queries.  Every receiver gets its minimum-size query set by subset
     search in increasing cardinality, so the reported profile is the best
     achievable for that encoder.  Deterministic output.
+
+    Refuses to start (BudgetExceededError) when the number of encoders it
+    would enumerate, C(K + ell - 1, ell) for the K = (q^N - 1)/(q - 1)
+    normalized columns, exceeds the budget.
     """
     budget = DEFAULT_SCALAR_SEARCH_BUDGET if budget is None else budget
     return _search(g, q, 1, ell, locality_cap, budget)
@@ -307,7 +308,8 @@ def exhaustive_vector_search(
     budget: int | None = None,
 ) -> list[ParetoPoint]:
     """Pareto frontier over vector codes of message length m and length
-    exactly ell; same contract as the scalar search."""
+    exactly ell; same contract as the scalar search, with M*N rows, so
+    the budget bounds C(K + ell - 1, ell) for K = (q^(M*N) - 1)/(q - 1)."""
     budget = DEFAULT_VECTOR_SEARCH_BUDGET if budget is None else budget
     return _search(g, q, m, ell, locality_cap, budget)
 

@@ -50,9 +50,6 @@ class SideInformationGraph:
             for j in sorted(self.side[i - 1]):
                 yield (i, j)
 
-    def edge_count(self) -> int:
-        return sum(len(k) for k in self.side)
-
 
 def graph_from_side_info(side: Iterable[Iterable[int]]) -> SideInformationGraph:
     side_t = tuple(frozenset(k) for k in side)

@@ -164,6 +164,42 @@ def vector_matrix(x: Sequence[int], m: FqMatrix) -> Vector:
     return tuple(v % q for v in out)
 
 
+def _eliminate(rows: list[Sequence[int]], q: int) -> list[int]:
+    """Gauss-Jordan elimination over F_q of a list of rows, in place.
+
+    Entries must lie in [0, q).  Rewrites the list into reduced row-echelon
+    form, replacing rows rather than mutating them, and returns the pivot
+    column indices (0-based, ascending); their number is the rank.  Shared
+    by rref and the search kernel.
+    """
+    pivots: list[int] = []
+    if not rows:
+        return pivots
+    n_rows = len(rows)
+    row = 0
+    for col in range(len(rows[0])):
+        for r in range(row, n_rows):
+            if rows[r][col]:
+                break
+        else:
+            continue
+        pivot = rows[r]
+        rows[r] = rows[row]
+        inv = pow(pivot[col], -1, q)
+        if inv != 1:
+            pivot = [(e * inv) % q for e in pivot]
+        rows[row] = pivot
+        for r in range(n_rows):
+            f = rows[r][col]
+            if f and r != row:
+                rows[r] = [(a - f * b) % q for a, b in zip(rows[r], pivot)]
+        pivots.append(col)
+        row += 1
+        if row == n_rows:
+            break
+    return pivots
+
+
 def rref(m: FqMatrix) -> tuple[FqMatrix, tuple[int, ...]]:
     """Reduced row-echelon form of m.
 
@@ -171,31 +207,10 @@ def rref(m: FqMatrix) -> tuple[FqMatrix, tuple[int, ...]]:
     (0-based, ascending).  The row space is preserved and the number of
     pivots equals the rank.
     """
-    q = m.q
-    work = [list(m.row(i)) for i in range(m.rows)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(m.cols):
-        if row >= m.rows:
-            break
-        piv = None
-        for r in range(row, m.rows):
-            if work[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        inv = pow(work[row][col], -1, q)
-        work[row] = [(e * inv) % q for e in work[row]]
-        for r in range(m.rows):
-            if r != row and work[r][col]:
-                f = work[r][col]
-                work[r] = [(a - f * b) % q for a, b in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
+    work = m.row_list()
+    pivots = _eliminate(work, m.q)
     flat = tuple(e for r in work for e in r)
-    return FqMatrix(m.rows, m.cols, q, flat), tuple(pivots)
+    return FqMatrix(m.rows, m.cols, m.q, flat), tuple(pivots)
 
 
 def rank(m: FqMatrix) -> int:
@@ -257,18 +272,6 @@ def solve_in_span(
 
 def in_span(generators: Sequence[Sequence[int]], target: Sequence[int], q: int) -> bool:
     return solve_in_span(generators, target, q) is not None
-
-
-def vec_add(a: Sequence[int], b: Sequence[int], q: int) -> Vector:
-    return tuple((x + y) % q for x, y in zip(a, b))
-
-
-def vec_sub(a: Sequence[int], b: Sequence[int], q: int) -> Vector:
-    return tuple((x - y) % q for x, y in zip(a, b))
-
-
-def vec_scale(c: int, a: Sequence[int], q: int) -> Vector:
-    return tuple((c * x) % q for x in a)
 
 
 def unit_vector(n: int, position: int, q: int = 2) -> Vector:

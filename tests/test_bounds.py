@@ -178,6 +178,16 @@ def test_scalar_search_budget_error():
         exhaustive_scalar_search(directed_cycle(4), 2, 4, budget=2**10)
 
 
+@pytest.mark.parametrize("q, ell, encoders", [(2, 3, 84), (3, 2, 91)])
+def test_scalar_search_budget_counts_encoders(q, ell, encoders):
+    # C(K + ell - 1, ell) multisets of the K = (q^3 - 1)/(q - 1) normalized
+    # columns: C(9, 3) = 84 over F_2, C(14, 2) = 91 over F_3.
+    g = directed_cycle(3)
+    assert exhaustive_scalar_search(g, q, ell, budget=encoders)
+    with pytest.raises(BudgetExceededError, match=f"{encoders} encoders"):
+        exhaustive_scalar_search(g, q, ell, budget=encoders - 1)
+
+
 def test_scalar_search_locality_cap_filters():
     pts = exhaustive_scalar_search(directed_cycle(3), 2, 3, locality_cap=1)
     assert [(p.beta, p.r, p.r_avg) for p in pts] == [(3, 1, 1)]

@@ -1,35 +1,13 @@
-"""Both kernel backends must agree bit for bit."""
+"""The search kernel against linalg and against its own contract."""
 
 import random
+from itertools import combinations
 
-import pytest
-
-from idxloc._kernel import _pycore
+from idxloc import _kernel
 from idxloc.graphs import expand_indices
-from idxloc.linalg import FqMatrix, rank
+from idxloc.linalg import FqMatrix, rank, solve_in_span, unit_vector
 
-from helpers import random_graph, random_matrix
-
-fastcore = pytest.importorskip(
-    "idxloc._kernel._fastcore", reason="compiled kernel not built"
-)
-
-
-def test_backend_markers():
-    assert _pycore.BACKEND == "python"
-    assert fastcore.BACKEND == "compiled"
-
-
-def test_rank_backends_match_reference():
-    rng = random.Random(31)
-    for _ in range(120):
-        q = rng.choice([2, 3, 5])
-        rows = rng.randint(1, 7)
-        cols = rng.randint(1, 7)
-        m = random_matrix(rng, rows, cols, q)
-        want = rank(m)
-        assert _pycore.rank_fq(m.entries, rows, cols, q) == want
-        assert fastcore.rank_fq(m.entries, rows, cols, q) == want
+from helpers import random_graph
 
 
 def _search_instance(rng):
@@ -46,17 +24,40 @@ def _search_instance(rng):
     return cols, mn, q, demands, side, ell
 
 
-def test_min_query_sets_backends_agree():
+def _first_decoding_subset(cols, mn, q, demand_rows, side_rows):
+    """First query set in (size, lexicographic) order from which every
+    demanded symbol lies in the span of the queried columns and the
+    side-information unit vectors, or None."""
+    columns = [tuple(c // q**r % q for r in range(mn)) for c in cols]
+    known = [unit_vector(mn, s, q) for s in side_rows]
+    for size in range(len(cols) + 1):
+        for subset in combinations(range(len(cols)), size):
+            gens = [columns[k] for k in subset] + known
+            if all(
+                solve_in_span(gens, unit_vector(mn, d, q), q) is not None
+                for d in demand_rows
+            ):
+                return subset
+    return None
+
+
+def test_min_query_sets_matches_linalg():
     rng = random.Random(57)
-    agreements = 0
+    decodable = 0
     for _ in range(250):
         cols, mn, q, demands, side, ell = _search_instance(rng)
-        a = _pycore.min_query_sets(cols, mn, q, demands, side, ell)
-        b = fastcore.min_query_sets(cols, mn, q, demands, side, ell)
-        assert a == b
-        if a is not None:
-            agreements += 1
-    assert agreements > 10
+        firsts = [
+            _first_decoding_subset(cols, mn, q, d, s) for d, s in zip(demands, side)
+        ]
+        for cap in range(1, ell + 1):
+            got = _kernel.min_query_sets(cols, mn, q, demands, side, cap)
+            if any(t is None or len(t) > cap for t in firsts):
+                assert got is None
+            else:
+                assert got == tuple(sum(1 << k for k in t) for t in firsts)
+        if all(t is not None for t in firsts):
+            decodable += 1
+    assert decodable > 10
 
 
 def test_min_query_sets_respects_cap():
@@ -64,25 +65,9 @@ def test_min_query_sets_respects_cap():
     for _ in range(80):
         cols, mn, q, demands, side, ell = _search_instance(rng)
         cap = rng.randint(1, ell)
-        a = _pycore.min_query_sets(cols, mn, q, demands, side, cap)
-        b = fastcore.min_query_sets(cols, mn, q, demands, side, cap)
-        assert a == b
+        a = _kernel.min_query_sets(cols, mn, q, demands, side, cap)
         if a is not None:
             assert all(bin(mask).count("1") <= cap for mask in a)
-
-
-def test_minrank_dfs_backends_agree():
-    rng = random.Random(77)
-    for _ in range(60):
-        n = rng.randint(1, 5)
-        q = rng.choice([2, 3])
-        g = random_graph(rng, n)
-        free = tuple(
-            tuple(sorted(j - 1 for j in g.side_info(i))) for i in range(1, n + 1)
-        )
-        a = _pycore.minrank_dfs(n, q, free)
-        b = fastcore.minrank_dfs(n, q, free)
-        assert a == b
 
 
 def test_minrank_dfs_witness_rank_matches():
@@ -94,7 +79,7 @@ def test_minrank_dfs_witness_rank_matches():
         free = tuple(
             tuple(sorted(j - 1 for j in g.side_info(i))) for i in range(1, n + 1)
         )
-        value, cols = _pycore.minrank_dfs(n, q, free)
+        value, cols = _kernel.minrank_dfs(n, q, free)
         columns = []
         for code in cols:
             digits = []
