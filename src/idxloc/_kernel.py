@@ -7,6 +7,13 @@ with row 0 in the least significant position.  For q = 2 the routines run
 on plain int bitmasks; odd primes use digit lists and the elimination of
 ``linalg``.  Results, including enumeration order and tie-breaking, are
 the same for both paths.
+
+``decodable_encoders`` enumerates the encoders of a search depth-first
+with one incremental echelon basis per receiver and projection, and skips
+every column prefix that no completion can make decodable;
+``min_query_sets`` then finds the query sets of each encoder it yields.
+``minrank_dfs`` fills fitting matrices column by column on the same
+incremental basis.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from itertools import combinations
 
 from .linalg import _eliminate
 
-__all__ = ["min_query_sets", "minrank_dfs"]
+__all__ = ["decodable_encoders", "min_query_sets", "minrank_dfs"]
 
 
 def decode_column(code: int, mn: int, q: int) -> tuple[int, ...]:
@@ -42,6 +49,68 @@ def _rank_bits(vectors) -> int:
                 rank += 1
                 break
     return rank
+
+
+class _BitBasis:
+    """Incremental GF(2) echelon basis on int bitmasks, keyed by highest
+    set bit.  ``push`` returns a token, or None when the vector is already
+    in the span; ``pop(token)`` undoes the latest push not yet undone."""
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        self.pivots: dict[int, int] = {}
+
+    def push(self, v: int):
+        pivots = self.pivots
+        while v:
+            h = v.bit_length() - 1
+            b = pivots.get(h)
+            if b is None:
+                pivots[h] = v
+                return h
+            v ^= b
+        return None
+
+    def pop(self, token) -> None:
+        if token is not None:
+            del self.pivots[token]
+
+
+class _DigitBasis:
+    """Incremental F_q echelon basis on digit sequences, same contract as
+    ``_BitBasis``.  Every basis vector has pivot entry 1 and zeros at the
+    pivots of the vectors pushed before it, so one pass in push order
+    reduces a new vector."""
+
+    __slots__ = ("q", "rows")
+
+    def __init__(self, q: int):
+        self.q = q
+        self.rows = []  # (vector, pivot) in push order
+
+    def push(self, vec):
+        q = self.q
+        for bvec, bp in self.rows:
+            f = vec[bp]
+            if f:
+                vec = [(a - f * b) % q for a, b in zip(vec, bvec)]
+        for piv, x in enumerate(vec):
+            if x:
+                if x != 1:
+                    inv = pow(x, -1, q)
+                    vec = [(y * inv) % q for y in vec]
+                self.rows.append((vec, piv))
+                return piv
+        return None
+
+    def pop(self, token) -> None:
+        if token is not None:
+            self.rows.pop()
+
+
+def _new_basis(q: int):
+    return _BitBasis() if q == 2 else _DigitBasis(q)
 
 
 def _project_bits(code: int, keep_rows) -> int:
@@ -84,6 +153,64 @@ class _ReceiverView:
             ra = len(_eliminate([self.proj_a[k] for k in subset], self.q))
             rb = len(_eliminate([self.proj_b[k] for k in subset], self.q))
         return ra - rb == self.n_dem
+
+
+def decodable_encoders(codes, ell, mn, q, demands, side):
+    """Yield the encoders from which every receiver decodes its demands.
+
+    codes: base-q codes of the candidate columns; an encoder is a
+    multiset of ell of them.  demands/side: per receiver, tuples of
+    0-based row indices.  Yields exactly the tuples of
+    ``combinations_with_replacement(codes, ell)`` on which the full
+    column set passes the decodability test of ``min_query_sets``, in
+    that order.
+
+    Columns are chosen depth-first, each receiver keeping one incremental
+    basis of the chosen columns off its side rows (A) and one off its
+    side and demand rows (B).  Its gap |demands| - (rank A - rank B)
+    never rises as columns are added and falls by at most one per column,
+    so a prefix leaving some gap above the number of columns still to
+    choose has no decodable completion and is skipped.
+    """
+    digits = list(codes) if q == 2 else [decode_column(c, mn, q) for c in codes]
+    receivers = []
+    for demand_rows, side_rows in zip(demands, side):
+        view = _ReceiverView(digits, mn, q, demand_rows, side_rows)
+        receivers.append((view.proj_a, view.proj_b, _new_basis(q), _new_basis(q)))
+    gaps = [len(d) for d in demands]
+    chosen = [0] * ell
+    n_codes = len(codes)
+
+    def extend(depth, start):
+        left = ell - depth - 1  # columns still to choose after this one
+        for k in range(start, n_codes):
+            pushed = []
+            viable = True
+            for i, (proj_a, proj_b, basis_a, basis_b) in enumerate(receivers):
+                ta = basis_a.push(proj_a[k])
+                # B is a projection of A, so a column already in span A
+                # is in span B too and leaves both ranks unchanged.
+                tb = None if ta is None else basis_b.push(proj_b[k])
+                pushed.append((ta, tb))
+                if ta is not None and tb is None:
+                    gaps[i] -= 1
+                if gaps[i] > left:
+                    viable = False
+                    break
+            if viable:
+                chosen[depth] = codes[k]
+                if left:
+                    yield from extend(depth + 1, k)
+                else:
+                    yield tuple(chosen)
+            for i, (ta, tb) in enumerate(pushed):
+                _, _, basis_a, basis_b = receivers[i]
+                basis_a.pop(ta)
+                basis_b.pop(tb)
+                if ta is not None and tb is None:
+                    gaps[i] += 1
+
+    yield from extend(0, 0)
 
 
 def min_query_sets(col_codes, mn, q, demands, side, max_size):
@@ -154,48 +281,15 @@ def minrank_dfs(n: int, q: int, free_rows, stop_at: int = 1):
 
     # An incremental basis, pushed and popped along the DFS, costs one
     # reduction per column instead of re-eliminating the whole prefix.
+    basis = _new_basis(q)
     if q == 2:
-        pivots: dict[int, int] = {}
-
-        def push(code: int):
-            v = code
-            while v:
-                h = v.bit_length() - 1
-                if h in pivots:
-                    v ^= pivots[h]
-                else:
-                    pivots[h] = v
-                    return h
-            return None
-
-        def pop(h):
-            if h is not None:
-                del pivots[h]
-
+        push = basis.push
     else:
-        basis: list[tuple[list[int], int]] = []
 
         def push(code: int):
-            vec = list(decode_column(code, n, q))
-            for bvec, bp in basis:
-                if vec[bp]:
-                    f = vec[bp]
-                    vec = [(a - f * b) % q for a, b in zip(vec, bvec)]
-            piv = None
-            for r in range(n):
-                if vec[r]:
-                    piv = r
-                    break
-            if piv is None:
-                return None
-            inv = pow(vec[piv], -1, q)
-            vec = [(x * inv) % q for x in vec]
-            basis.append((vec, piv))
-            return len(basis) - 1
+            return basis.push(decode_column(code, n, q))
 
-        def pop(h):
-            if h is not None:
-                basis.pop()
+    pop = basis.pop
 
     def dfs(depth: int, partial_rank: int):
         nonlocal best, best_cols

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from . import _kernel
 from .codes import (
@@ -208,9 +208,11 @@ def _search(
     if m < 1 or ell < 1:
         raise ValueError("m and ell must be positive")
     mn = m * g.n
-    # The encoders enumerated below are the multisets of ell normalized
-    # columns, of which there are (q^mn - 1)/(q - 1); counting them in
-    # closed form refuses an oversized search before listing the columns.
+    # The search space is the multisets of ell normalized columns, of
+    # which there are (q^mn - 1)/(q - 1); counting them in closed form
+    # refuses an oversized search before listing the columns.  The budget
+    # counts every multiset, although prefixes that cannot decode are
+    # skipped without being enumerated.
     encoders = math.comb((q**mn - 1) // (q - 1) + ell - 1, ell)
     if encoders > budget:
         raise BudgetExceededError(
@@ -235,7 +237,7 @@ def _search(
     # Frontier bookkeeping on integer profiles (max |R_i|, sum |R_i|);
     # beta is constant within one call so dominance reduces to these two.
     frontier: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
-    for cols in combinations_with_replacement(codes, ell):
+    for cols in _kernel.decodable_encoders(codes, ell, mn, q, demands, side):
         masks = _kernel.min_query_sets(cols, mn, q, demands, side, max_size)
         if masks is None:
             continue
@@ -287,13 +289,18 @@ def exhaustive_scalar_search(
     Enumerates encoders column by column over one representative per
     scaling class (first nonzero entry 1), skipping zero columns; column
     order is fixed to nondecreasing codes since permutations only relabel
-    queries.  Every receiver gets its minimum-size query set by subset
-    search in increasing cardinality, so the reported profile is the best
-    achievable for that encoder.  Deterministic output.
+    queries.  Columns are chosen depth-first, and a column prefix from
+    which some receiver cannot decode with the columns still to come is
+    skipped with all its completions, so only decodable encoders are
+    tested further.  Every receiver gets its minimum-size query set by
+    subset search in increasing cardinality, so the reported profile is
+    the best achievable for that encoder.  Deterministic output: the
+    first encoder found in nondecreasing order wins a tie.
 
-    Refuses to start (BudgetExceededError) when the number of encoders it
-    would enumerate, C(K + ell - 1, ell) for the K = (q^N - 1)/(q - 1)
-    normalized columns, exceeds the budget.
+    Refuses to start (BudgetExceededError) when the size of the search
+    space, C(K + ell - 1, ell) encoders for the K = (q^N - 1)/(q - 1)
+    normalized columns, exceeds the budget; the pruning does not change
+    this count.
     """
     budget = DEFAULT_SCALAR_SEARCH_BUDGET if budget is None else budget
     return _search(g, q, 1, ell, locality_cap, budget)
@@ -308,8 +315,9 @@ def exhaustive_vector_search(
     budget: int | None = None,
 ) -> list[ParetoPoint]:
     """Pareto frontier over vector codes of message length m and length
-    exactly ell; same contract as the scalar search, with M*N rows, so
-    the budget bounds C(K + ell - 1, ell) for K = (q^(M*N) - 1)/(q - 1)."""
+    exactly ell; same contract as the scalar search, including the
+    pruning of prefixes that cannot decode, with M*N rows, so the budget
+    bounds C(K + ell - 1, ell) for K = (q^(M*N) - 1)/(q - 1)."""
     budget = DEFAULT_VECTOR_SEARCH_BUDGET if budget is None else budget
     return _search(g, q, m, ell, locality_cap, budget)
 

@@ -12,6 +12,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -311,7 +312,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls;
+    parsing leaves it unchanged."""
     parser = _Parser(
         prog="idxloc",
         description="Locally decodable index codes: construct, verify, bound.",

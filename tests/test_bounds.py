@@ -318,6 +318,20 @@ def test_message_length_limits_cycle3():
     assert all(p.r != Fraction(4, 3) for p in pts)
 
 
+def test_vector_converse_witness_cycle3():
+    # The paper's vector converse: one point, and the witness of the first
+    # optimal encoder in nondecreasing column order, which pins both the
+    # enumeration order and the tie-breaking of the search.
+    pts = exhaustive_vector_search(directed_cycle(3), 2, 2, 4)
+    assert [p.profile() for p in pts] == [(2, Fraction(3, 2), Fraction(4, 3))]
+    w = pts[0].witness.matrix
+    assert [list(w.row(r)) for r in range(w.rows)] == [
+        [1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0],
+        [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1],
+    ]
+    assert [sorted(r) for r in pts[0].witness.queries] == [[1, 2], [1, 3, 4], [2, 3, 4]]
+
+
 def test_scalar_constructions_meet_curve():
     # The two scalar endpoints realize the closed form exactly:
     # uncoded at (1, n) and the cycle code at (2, n-1).

@@ -1,9 +1,14 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import idxloc
 from idxloc.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
 from idxloc.codes import load_code, locality_profile, require_plan, save_code
 from idxloc.constructions import cycle_scalar_code
@@ -279,3 +284,29 @@ def test_rejects_composite_field(cycle3_file, tmp_path):
 
 def test_usage_error_is_input_exit():
     assert main(["bogus-command"]) == EXIT_INPUT
+
+
+def _fresh_process(argv):
+    """Exit code and stderr of the same command in a new interpreter."""
+    env = dict(os.environ)
+    src = str(Path(idxloc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "idxloc.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    return proc.returncode, proc.stderr
+
+
+def test_shared_parser_answers_like_a_fresh_process(cycle4_file, capsys):
+    # The parser is built once per process; a rejected command must leave
+    # nothing behind that changes how a later command is parsed.
+    bad = ["oracle", "--graph", str(cycle4_file), "--q", "two", "--ell", "2"]
+    good = ["tradeoff", "--graph", str(cycle4_file)]
+    calls = []
+    for argv in (bad, good, bad):
+        code = main(argv)
+        calls.append((argv, code, capsys.readouterr().err))
+    assert [code for _, code, _ in calls] == [EXIT_INPUT, EXIT_OK, EXIT_INPUT]
+    for argv, code, err in calls:
+        assert (code, err) == _fresh_process(argv)

@@ -1,9 +1,10 @@
 """The search kernel against linalg and against its own contract."""
 
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from idxloc import _kernel
+from idxloc.bounds import _normalized_column_codes
 from idxloc.graphs import expand_indices
 from idxloc.linalg import FqMatrix, rank, solve_in_span, unit_vector
 
@@ -58,6 +59,36 @@ def test_min_query_sets_matches_linalg():
         if all(t is not None for t in firsts):
             decodable += 1
     assert decodable > 10
+
+
+def test_decodable_encoders_yields_the_decodable_multisets_in_order():
+    # The pruned enumeration must skip exactly the undecodable encoders
+    # and keep combinations_with_replacement order, which fixes the
+    # searches' tie-breaking.
+    rng = random.Random(59)
+    seen = {2: 0, 3: 0, 5: 0}
+    yielded = 0
+    for _ in range(60):
+        q = rng.choice([2, 3, 5])
+        n = rng.randint(2, 3)
+        m = rng.randint(1, 2) if q**n <= 27 else 1
+        mn = m * n
+        ell = rng.randint(1, 4 if q**mn <= 27 else 2)
+        g = random_graph(rng, n)
+        exp = expand_indices(g, m)
+        demands = tuple(tuple(sorted(j - 1 for j in exp.demands[i])) for i in range(n))
+        side = tuple(tuple(sorted(s - 1 for s in exp.side_info[i])) for i in range(n))
+        codes = _normalized_column_codes(mn, q)
+        want = [
+            cols
+            for cols in combinations_with_replacement(codes, ell)
+            if _kernel.min_query_sets(cols, mn, q, demands, side, ell) is not None
+        ]
+        got = list(_kernel.decodable_encoders(codes, ell, mn, q, demands, side))
+        assert got == want
+        seen[q] += 1
+        yielded += len(got)
+    assert all(seen.values()) and yielded > 100
 
 
 def test_min_query_sets_respects_cap():
