@@ -62,6 +62,6 @@ from .graphs import (
     parse_graph,
     shortest_directed_cycle,
 )
-from .linalg import FqMatrix, PrimeField, null_space_basis, rank, rref, solve_in_span
+from .linalg import FqMatrix, null_space_basis, rank, rref, solve_in_span
 
 __version__ = "0.1.0"

@@ -4,25 +4,21 @@ Hot primitives shared by the brute-force min-rank solver and the
 exhaustive encoder searches.  Column vectors are passed around as base-q
 integer codes: digit ``r`` of a code is the entry at (0-based) row ``r``,
 with row 0 in the least significant position.  For q = 2 the routines run
-on plain int bitmasks; odd primes use digit lists and the elimination of
-``linalg``.  Results, including enumeration order and tie-breaking, are
-the same for both paths.
+on plain int bitmasks, for odd primes on digit sequences; results,
+including enumeration order and tie-breaking, are the same for both.
 
-``decodable_encoders`` enumerates the encoders of a search depth-first
-with one incremental echelon basis per receiver and projection, and skips
-every column prefix that no completion can make decodable;
-``min_query_sets`` then finds the query sets of each encoder it yields.
-``minrank_dfs`` fills fitting matrices column by column on the same
-incremental basis.
+Decodability has one test, an incremental echelon basis per receiver and
+projection.  ``receiver_tables`` projects the candidate columns once per
+search; ``decodable_encoders`` enumerates column sets depth-first on
+those tables and skips every prefix that no completion can make
+decodable, both for the encoders of a search and, in ``min_query_sets``,
+for the query sets of one encoder.  ``minrank_dfs`` fills fitting
+matrices column by column on the same incremental basis.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .linalg import _eliminate
-
-__all__ = ["decodable_encoders", "min_query_sets", "minrank_dfs"]
+__all__ = ["decodable_encoders", "min_query_sets", "minrank_dfs", "receiver_tables"]
 
 
 def decode_column(code: int, mn: int, q: int) -> tuple[int, ...]:
@@ -32,23 +28,6 @@ def decode_column(code: int, mn: int, q: int) -> tuple[int, ...]:
         digits.append(code % q)
         code //= q
     return tuple(digits)
-
-
-def _rank_bits(vectors) -> int:
-    # Greedy GF(2) elimination keyed by highest set bit; on int bitmasks
-    # it is far faster than the digit-list elimination of linalg.
-    pivots: dict[int, int] = {}
-    rank = 0
-    for v in vectors:
-        while v:
-            h = v.bit_length() - 1
-            if h in pivots:
-                v ^= pivots[h]
-            else:
-                pivots[h] = v
-                rank += 1
-                break
-    return rank
 
 
 class _BitBasis:
@@ -121,69 +100,61 @@ def _project_bits(code: int, keep_rows) -> int:
     return v
 
 
-class _ReceiverView:
-    """Per-receiver projections used by the decodability test.
+def receiver_tables(codes, mn, q, demands, side):
+    """Per receiver, (|demands|, proj_a, proj_b) over the candidate columns.
 
-    Receiver i can decode from query set T iff
-    rank(L_T restricted off its side rows)
-      - rank(L_T restricted off side and demand rows) == |demands|.
-    """
-
-    __slots__ = ("n_dem", "proj_a", "proj_b", "q")
-
-    def __init__(self, col_digits, mn, q, demand_rows, side_rows):
-        side = set(side_rows)
-        dem = set(demand_rows)
-        keep_a = [r for r in range(mn) if r not in side]
-        keep_b = [r for r in keep_a if r not in dem]
-        self.n_dem = len(demand_rows)
-        self.q = q
-        if q == 2:
-            self.proj_a = [_project_bits(c, keep_a) for c in col_digits]
-            self.proj_b = [_project_bits(c, keep_b) for c in col_digits]
-        else:
-            self.proj_a = [tuple(c[r] for r in keep_a) for c in col_digits]
-            self.proj_b = [tuple(c[r] for r in keep_b) for c in col_digits]
-
-    def decodable(self, subset) -> bool:
-        if self.q == 2:
-            ra = _rank_bits([self.proj_a[k] for k in subset])
-            rb = _rank_bits([self.proj_b[k] for k in subset])
-        else:
-            ra = len(_eliminate([self.proj_a[k] for k in subset], self.q))
-            rb = len(_eliminate([self.proj_b[k] for k in subset], self.q))
-        return ra - rb == self.n_dem
-
-
-def decodable_encoders(codes, ell, mn, q, demands, side):
-    """Yield the encoders from which every receiver decodes its demands.
-
-    codes: base-q codes of the candidate columns; an encoder is a
-    multiset of ell of them.  demands/side: per receiver, tuples of
-    0-based row indices.  Yields exactly the tuples of
-    ``combinations_with_replacement(codes, ell)`` on which the full
-    column set passes the decodability test of ``min_query_sets``, in
-    that order.
-
-    Columns are chosen depth-first, each receiver keeping one incremental
-    basis of the chosen columns off its side rows (A) and one off its
-    side and demand rows (B).  Its gap |demands| - (rank A - rank B)
-    never rises as columns are added and falls by at most one per column,
-    so a prefix leaving some gap above the number of columns still to
-    choose has no decodable completion and is skipped.
+    codes: base-q codes of the candidate columns.  demands/side: per
+    receiver, tuples of 0-based row indices.  proj_a[k] is column k with
+    the receiver's side rows removed, proj_b[k] with its side and demand
+    rows removed: int bitmasks for q = 2, digit tuples otherwise.
+    Receiver i decodes from a column set T iff
+    rank(proj_a[T]) - rank(proj_b[T]) == |demands|.
     """
     digits = list(codes) if q == 2 else [decode_column(c, mn, q) for c in codes]
-    receivers = []
+    tables = []
     for demand_rows, side_rows in zip(demands, side):
-        view = _ReceiverView(digits, mn, q, demand_rows, side_rows)
-        receivers.append((view.proj_a, view.proj_b, _new_basis(q), _new_basis(q)))
-    gaps = [len(d) for d in demands]
-    chosen = [0] * ell
-    n_codes = len(codes)
+        keep_a = [r for r in range(mn) if r not in side_rows]
+        keep_b = [r for r in keep_a if r not in demand_rows]
+        if q == 2:
+            proj_a = [_project_bits(c, keep_a) for c in digits]
+            proj_b = [_project_bits(c, keep_b) for c in digits]
+        else:
+            proj_a = [tuple(c[r] for r in keep_a) for c in digits]
+            proj_b = [tuple(c[r] for r in keep_b) for c in digits]
+        tables.append((len(demand_rows), proj_a, proj_b))
+    return tables
+
+
+def decodable_encoders(tables, candidates, size, q, repeat):
+    """Yield the column sets from which every receiver of ``tables``
+    decodes its demands.
+
+    candidates: indices into the tables' columns; size >= 1.  Yields tuples
+    of positions into ``candidates``, in lexicographic order:
+    nondecreasing when ``repeat`` (the tuples of
+    ``combinations_with_replacement(range(len(candidates)), size)``, the
+    encoders of a search) and strictly increasing otherwise (those of
+    ``combinations``, the query sets of one encoder), keeping only the
+    tuples whose columns pass the test of ``receiver_tables``.
+
+    Columns are chosen depth-first, each receiver keeping one incremental
+    basis of its proj_a columns (A) and one of its proj_b columns (B).
+    Its gap |demands| - (rank A - rank B) never rises as columns are
+    added and falls by at most one per column, so a prefix leaving some
+    gap above the number of columns still to choose has no decodable
+    completion and is skipped.
+    """
+    receivers = [
+        (proj_a, proj_b, _new_basis(q), _new_basis(q)) for _, proj_a, proj_b in tables
+    ]
+    gaps = [n_dem for n_dem, _, _ in tables]
+    chosen = [0] * size
+    n_cand = len(candidates)
 
     def extend(depth, start):
-        left = ell - depth - 1  # columns still to choose after this one
-        for k in range(start, n_codes):
+        left = size - depth - 1  # columns still to choose after this one
+        for pos in range(start, n_cand if repeat else n_cand - left):
+            k = candidates[pos]
             pushed = []
             viable = True
             for i, (proj_a, proj_b, basis_a, basis_b) in enumerate(receivers):
@@ -198,9 +169,9 @@ def decodable_encoders(codes, ell, mn, q, demands, side):
                     viable = False
                     break
             if viable:
-                chosen[depth] = codes[k]
+                chosen[depth] = pos
                 if left:
-                    yield from extend(depth + 1, k)
+                    yield from extend(depth + 1, pos if repeat else pos + 1)
                 else:
                     yield tuple(chosen)
             for i, (ta, tb) in enumerate(pushed):
@@ -213,41 +184,27 @@ def decodable_encoders(codes, ell, mn, q, demands, side):
     yield from extend(0, 0)
 
 
-def min_query_sets(col_codes, mn, q, demands, side, max_size):
+def min_query_sets(tables, ks, q, max_size):
     """Smallest query set per receiver for one encoder, or None.
 
-    col_codes: base-q codes of the encoder columns.
-    demands/side: per receiver, tuples of 0-based row indices.
-    max_size: upper bound on |R_i| (locality cap); the full column set is
-    still used for the fast infeasibility test.
+    tables: from ``receiver_tables``; ks: the encoder's columns, as
+    indices into the tables.  max_size: upper bound on |R_i| (locality
+    cap).
 
-    Returns one bitmask per receiver (bit k = column k queried), choosing
-    for each receiver the first feasible subset in (size, lexicographic)
-    order, or None if some receiver has no feasible subset within the cap.
+    Returns one bitmask per receiver (bit p = column ks[p] queried),
+    choosing for each receiver the first decodable subset in (size,
+    lexicographic) order, or None if some receiver has no decodable
+    subset within the cap.
     """
-    ell = len(col_codes)
-    if q == 2:
-        digits = list(col_codes)
-    else:
-        digits = [decode_column(c, mn, q) for c in col_codes]
-    full = range(ell)
     out = []
-    for demand_rows, side_rows in zip(demands, side):
-        view = _ReceiverView(digits, mn, q, demand_rows, side_rows)
-        if not view.decodable(full):
-            return None
-        found = None
-        lo = len(demand_rows)
-        for size in range(lo, min(max_size, ell) + 1):
-            for subset in combinations(full, size):
-                if view.decodable(subset):
-                    found = sum(1 << k for k in subset)
-                    break
-            if found is not None:
+    for table in tables:
+        for size in range(table[0], min(max_size, len(ks)) + 1):
+            first = next(decodable_encoders([table], ks, size, q, False), None)
+            if first is not None:
+                out.append(sum(1 << pos for pos in first))
                 break
-        if found is None:
+        else:
             return None
-        out.append(found)
     return tuple(out)
 
 

@@ -233,12 +233,13 @@ def _search(
             raise ValueError("locality cap below 1 admits no code")
         max_size = min(ell, int(cap * m))
     codes = _normalized_column_codes(mn, q)
+    tables = _kernel.receiver_tables(codes, mn, q, demands, side)
 
     # Frontier bookkeeping on integer profiles (max |R_i|, sum |R_i|);
     # beta is constant within one call so dominance reduces to these two.
     frontier: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
-    for cols in _kernel.decodable_encoders(codes, ell, mn, q, demands, side):
-        masks = _kernel.min_query_sets(cols, mn, q, demands, side, max_size)
+    for ks in _kernel.decodable_encoders(tables, range(len(codes)), ell, q, True):
+        masks = _kernel.min_query_sets(tables, ks, q, max_size)
         if masks is None:
             continue
         sizes = [bin(mask).count("1") for mask in masks]
@@ -253,11 +254,11 @@ def _search(
         frontier = [
             entry for entry in frontier if not (mx <= entry[0] and sm <= entry[1])
         ]
-        frontier.append((mx, sm, cols, masks))
+        frontier.append((mx, sm, ks, masks))
 
     points = []
-    for mx, sm, cols, masks in frontier:
-        columns = [_kernel.decode_column(c, mn, q) for c in cols]
+    for mx, sm, ks, masks in frontier:
+        columns = [_kernel.decode_column(codes[k], mn, q) for k in ks]
         matrix = FqMatrix.from_columns(columns, mn, q)
         queries = tuple(
             frozenset(k + 1 for k in range(ell) if mask >> k & 1) for mask in masks

@@ -85,6 +85,8 @@ class RunConfig:
             raise CliError(f"--q must be prime, got {self.q}")
         if self.m < 1:
             raise CliError("--M must be at least 1")
+        if self.ell is not None and self.ell < 1:
+            raise CliError("--ell must be at least 1")
         if self.r is not None and self.r < 1:
             raise CliError("--r must be at least 1")
         if self.budget is not None and self.budget <= 0:
@@ -162,15 +164,16 @@ def cmd_construct(config: RunConfig) -> int:
     if config.output_path is None:
         raise CliError("construct needs --out for the code JSON")
     n_cycle = cycle_length_if_cycle(g)
+    if config.scheme.startswith("cycle-") and (n_cycle is None or n_cycle < 3):
+        raise CliError(
+            f"scheme '{config.scheme}' needs a directed cycle on at least "
+            "3 vertices"
+        )
     if config.scheme == "uncoded":
         code = uncoded(g, config.m, config.q)
     elif config.scheme == "cycle-scalar":
-        if n_cycle is None:
-            raise CliError("scheme 'cycle-scalar' needs a directed-cycle graph")
         code = cycle_scalar_code(n_cycle, config.q, anchor=1)
     elif config.scheme == "cycle-vector":
-        if n_cycle is None:
-            raise CliError("scheme 'cycle-vector' needs a directed-cycle graph")
         code = cycle_vector_code(n_cycle, config.q, config.m)
     else:
         try:

@@ -161,12 +161,6 @@ class FittingMatrix:
             if self.matrix.entry(i, i) != 1:
                 raise ValueError("fitting matrix needs a unit diagonal")
 
-    def rank(self) -> int:
-        return rank(self.matrix)
-
-    def null_space_basis(self) -> list[Vector]:
-        return null_space_basis(self.matrix)
-
     def fits(self, g: SideInformationGraph) -> bool:
         if self.matrix.rows != g.n:
             return False

@@ -36,40 +36,6 @@ def require_prime(q: int) -> None:
 
 
 @dataclass(frozen=True)
-class PrimeField:
-    """Arithmetic in the prime field F_q.
-
-    Composite moduli are rejected at construction; all nonzero elements
-    are invertible.
-    """
-
-    q: int
-
-    def __post_init__(self) -> None:
-        require_prime(self.q)
-
-    def element(self, a: int) -> int:
-        return a % self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return pow(a, -1, self.q)
-
-
-@dataclass(frozen=True)
 class FqMatrix:
     """Immutable dense matrix over F_q, stored row-major."""
 
@@ -164,20 +130,18 @@ def vector_matrix(x: Sequence[int], m: FqMatrix) -> Vector:
     return tuple(v % q for v in out)
 
 
-def _eliminate(rows: list[Sequence[int]], q: int) -> list[int]:
-    """Gauss-Jordan elimination over F_q of a list of rows, in place.
+def rref(m: FqMatrix) -> tuple[FqMatrix, tuple[int, ...]]:
+    """Reduced row-echelon form of m, by Gauss-Jordan elimination.
 
-    Entries must lie in [0, q).  Rewrites the list into reduced row-echelon
-    form, replacing rows rather than mutating them, and returns the pivot
-    column indices (0-based, ascending); their number is the rank.  Shared
-    by rref and the search kernel.
+    Returns the reduced matrix together with the pivot column indices
+    (0-based, ascending).  The row space is preserved and the number of
+    pivots equals the rank.
     """
+    q, n_rows = m.q, m.rows
+    rows = m.row_list()
     pivots: list[int] = []
-    if not rows:
-        return pivots
-    n_rows = len(rows)
     row = 0
-    for col in range(len(rows[0])):
+    for col in range(m.cols):
         for r in range(row, n_rows):
             if rows[r][col]:
                 break
@@ -197,20 +161,8 @@ def _eliminate(rows: list[Sequence[int]], q: int) -> list[int]:
         row += 1
         if row == n_rows:
             break
-    return pivots
-
-
-def rref(m: FqMatrix) -> tuple[FqMatrix, tuple[int, ...]]:
-    """Reduced row-echelon form of m.
-
-    Returns the reduced matrix together with the pivot column indices
-    (0-based, ascending).  The row space is preserved and the number of
-    pivots equals the rank.
-    """
-    work = m.row_list()
-    pivots = _eliminate(work, m.q)
-    flat = tuple(e for r in work for e in r)
-    return FqMatrix(m.rows, m.cols, m.q, flat), tuple(pivots)
+    flat = tuple(e for r in rows for e in r)
+    return FqMatrix(n_rows, m.cols, q, flat), tuple(pivots)
 
 
 def rank(m: FqMatrix) -> int:
@@ -279,8 +231,3 @@ def unit_vector(n: int, position: int, q: int = 2) -> Vector:
     if not 0 <= position < n:
         raise ValueError("unit vector position out of range")
     return tuple(1 if i == position else 0 for i in range(n))
-
-
-def support(v: Sequence[int]) -> frozenset[int]:
-    """0-based indices of the nonzero coordinates."""
-    return frozenset(i for i, x in enumerate(v) if x)

@@ -111,6 +111,19 @@ def test_construct_scheme_graph_mismatch(tmp_path):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("scheme", ["cycle-scalar", "cycle-vector"])
+def test_construct_cycle_scheme_rejects_two_cycle(tmp_path, capsys, scheme):
+    path = tmp_path / "two.txt"
+    path.write_text("N=2\n1: 2\n2: 1\n", encoding="utf-8")
+    code = main(
+        ["construct", "--graph", str(path), "--scheme", scheme,
+         "--out", str(tmp_path / "c.json")]
+    )
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_verify_pass_and_checks(cycle4_file, tmp_path, capsys):
     code_path = tmp_path / "c.json"
     save_code(cycle_scalar_code(4, 2, 1), code_path)
@@ -222,6 +235,18 @@ def test_oracle_budget_exit(cycle4_file, tmp_path):
          "--ell", "4", "--budget", "16", "--out", str(tmp_path / "p.csv")]
     )
     assert code == EXIT_BUDGET
+
+
+def test_oracle_rejects_ell_below_one(cycle3_file, tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    code = main(
+        ["oracle", "--graph", str(cycle3_file), "--ell", "0", "--out", str(out)]
+    )
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --ell must be at least 1\n"
+    assert not out.exists()
 
 
 def test_oracle_deterministic(cycle3_file, tmp_path):

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from idxloc.linalg import (
     FqMatrix,
-    PrimeField,
     null_space_basis,
     rank,
+    require_prime,
     rref,
     solve_in_span,
     unit_vector,
@@ -18,23 +18,11 @@ from helpers import oracle_null_space, oracle_rank, oracle_solve_in_span
 
 
 def test_prime_field_rejects_composites():
-    PrimeField(2)
-    PrimeField(13)
+    require_prime(2)
+    require_prime(13)
     for bad in (0, 1, 4, 6, 9, 15):
         with pytest.raises(ValueError):
-            PrimeField(bad)
-
-
-def test_prime_field_arithmetic():
-    f = PrimeField(5)
-    assert f.add(3, 4) == 2
-    assert f.sub(1, 3) == 3
-    assert f.mul(2, 4) == 3
-    assert f.neg(2) == 3
-    for a in range(1, 5):
-        assert f.mul(a, f.inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
+            require_prime(bad)
 
 
 def test_matrix_validation():
