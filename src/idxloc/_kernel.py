@@ -11,14 +11,23 @@ Decodability has one test, an incremental echelon basis per receiver and
 projection.  ``receiver_tables`` projects the candidate columns once per
 search; ``decodable_encoders`` enumerates column sets depth-first on
 those tables and skips every prefix that no completion can make
-decodable, both for the encoders of a search and, in ``min_query_sets``,
-for the query sets of one encoder.  ``minrank_dfs`` fills fitting
-matrices column by column on the same incremental basis.
+decodable, both for the encoders of a search and, in
+``first_query_set``, for the query sets of one receiver.  A search sizes
+each receiver's least query set with ``first_query_set`` and builds the
+witness masks with ``min_query_sets`` only for the encoders it keeps.
+``minrank_dfs`` fills fitting matrices column by column on the same
+incremental basis.
 """
 
 from __future__ import annotations
 
-__all__ = ["decodable_encoders", "min_query_sets", "minrank_dfs", "receiver_tables"]
+__all__ = [
+    "decodable_encoders",
+    "first_query_set",
+    "min_query_sets",
+    "minrank_dfs",
+    "receiver_tables",
+]
 
 
 def decode_column(code: int, mn: int, q: int) -> tuple[int, ...]:
@@ -184,6 +193,23 @@ def decodable_encoders(tables, candidates, size, q, repeat):
     yield from extend(0, 0)
 
 
+def first_query_set(table, ks, q, max_size):
+    """First query set in (size, lexicographic) order from which the
+    receiver of ``table`` decodes, or None.
+
+    table: one entry of ``receiver_tables``; ks: the encoder's columns,
+    as indices into the table.  Returns a tuple of positions into ks of
+    at most ``max_size`` columns, or None if every decoding query set is
+    larger.  The answer depends only on the multiset of the receiver's
+    proj_a columns, because proj_b is a projection of proj_a.
+    """
+    for size in range(table[0], min(max_size, len(ks)) + 1):
+        first = next(decodable_encoders([table], ks, size, q, False), None)
+        if first is not None:
+            return first
+    return None
+
+
 def min_query_sets(tables, ks, q, max_size):
     """Smallest query set per receiver for one encoder, or None.
 
@@ -192,19 +218,15 @@ def min_query_sets(tables, ks, q, max_size):
     cap).
 
     Returns one bitmask per receiver (bit p = column ks[p] queried),
-    choosing for each receiver the first decodable subset in (size,
-    lexicographic) order, or None if some receiver has no decodable
-    subset within the cap.
+    choosing for each receiver its ``first_query_set``, or None if some
+    receiver has no decodable subset within the cap.
     """
     out = []
     for table in tables:
-        for size in range(table[0], min(max_size, len(ks)) + 1):
-            first = next(decodable_encoders([table], ks, size, q, False), None)
-            if first is not None:
-                out.append(sum(1 << pos for pos in first))
-                break
-        else:
+        first = first_query_set(table, ks, q, max_size)
+        if first is None:
             return None
+        out.append(sum(1 << pos for pos in first))
     return tuple(out)
 
 

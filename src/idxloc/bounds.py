@@ -27,6 +27,7 @@ from .codes import (
 from .graphs import (
     SideInformationGraph,
     expand_indices,
+    has_directed_cycle,
     induced_subgraph,
     shortest_directed_cycle,
 )
@@ -232,32 +233,56 @@ def _search(
         if cap < 1:
             raise ValueError("locality cap below 1 admits no code")
         max_size = min(ell, int(cap * m))
+    # Any decodable code has ell >= m|S| for every induced acyclic vertex
+    # set S (the MAIS bound of Bar-Yossef, Birk, Jayram and Kol), so one
+    # acyclic set of ell // m + 1 vertices leaves nothing to search.
+    # Past the budget check there are few such sets.
+    n_acyclic = ell // m + 1
+    if n_acyclic <= g.n and any(
+        not has_directed_cycle(induced_subgraph(g, vs)[0])
+        for vs in combinations(range(1, g.n + 1), n_acyclic)
+    ):
+        return []
     codes = _normalized_column_codes(mn, q)
     tables = _kernel.receiver_tables(codes, mn, q, demands, side)
 
     # Frontier bookkeeping on integer profiles (max |R_i|, sum |R_i|);
     # beta is constant within one call so dominance reduces to these two.
-    frontier: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
+    # Only sizes are needed here: receiver i's least |R_i| depends only on
+    # the multiset of its proj_a columns, so it is memoized on them, and
+    # the witness masks are built for the final frontier alone.  Every
+    # receiver needs at least its m demanded columns, so a receiver not
+    # yet sized counts m, and (m, m*N) is the best possible profile.
+    best = (m, m * g.n)
+    memos = [{} for _ in tables]
+    frontier: list[tuple[int, int, tuple[int, ...]]] = []
     for ks in _kernel.decodable_encoders(tables, range(len(codes)), ell, q, True):
-        masks = _kernel.min_query_sets(tables, ks, q, max_size)
-        if masks is None:
-            continue
-        sizes = [bin(mask).count("1") for mask in masks]
-        mx, sm = max(sizes), sum(sizes)
-        dominated = False
-        for fmx, fsm, _, _ in frontier:
-            if fmx <= mx and fsm <= sm:
-                dominated = True
+        mx, sm = best
+        for table, memo in zip(tables, memos):
+            key = tuple(sorted([table[1][k] for k in ks]))
+            least = memo.get(key, 0)  # 0: not sized yet; sizes are >= m
+            if least == 0:
+                first = _kernel.first_query_set(table, ks, q, max_size)
+                least = memo[key] = None if first is None else len(first)
+            if least is None:
                 break
-        if dominated:
-            continue
-        frontier = [
-            entry for entry in frontier if not (mx <= entry[0] and sm <= entry[1])
-        ]
-        frontier.append((mx, sm, ks, masks))
+            mx = max(mx, least)
+            sm += least - m
+            # A profile dominated or equalled by a frontier entry stays so
+            # as more receivers are sized; the earlier encoder keeps a tie.
+            if any(fmx <= mx and fsm <= sm for fmx, fsm, _ in frontier):
+                break
+        else:
+            frontier = [
+                entry for entry in frontier if not (mx <= entry[0] and sm <= entry[1])
+            ]
+            frontier.append((mx, sm, ks))
+            if (mx, sm) == best:
+                break
 
     points = []
-    for mx, sm, ks, masks in frontier:
+    for mx, sm, ks in frontier:
+        masks = _kernel.min_query_sets(tables, ks, q, max_size)
         columns = [_kernel.decode_column(codes[k], mn, q) for k in ks]
         matrix = FqMatrix.from_columns(columns, mn, q)
         queries = tuple(
@@ -293,15 +318,22 @@ def exhaustive_scalar_search(
     queries.  Columns are chosen depth-first, and a column prefix from
     which some receiver cannot decode with the columns still to come is
     skipped with all its completions, so only decodable encoders are
-    tested further.  Every receiver gets its minimum-size query set by
-    subset search in increasing cardinality, so the reported profile is
-    the best achievable for that encoder.  Deterministic output: the
-    first encoder found in nondecreasing order wins a tie.
+    tested further.  Each receiver's least query-set size comes from a
+    subset search in increasing cardinality, memoized on the receiver's
+    view of the encoder's columns, so the reported profile is the best
+    achievable for that encoder.  Sizing stops once an encoder's
+    profile can no longer enter the frontier, the search ends once the
+    frontier holds the best possible profile (every |R_i| = 1), and
+    the query sets themselves are built only for the frontier's
+    encoders.  Deterministic output: the first encoder found in
+    nondecreasing order wins a tie.
 
     Refuses to start (BudgetExceededError) when the size of the search
     space, C(K + ell - 1, ell) encoders for the K = (q^N - 1)/(q - 1)
     normalized columns, exceeds the budget; the pruning does not change
-    this count.
+    this count.  Past that check, a length below the acyclic-set bound
+    (ell < |S| for an induced acyclic vertex set S) returns an empty
+    frontier without enumerating any encoder.
     """
     budget = DEFAULT_SCALAR_SEARCH_BUDGET if budget is None else budget
     return _search(g, q, 1, ell, locality_cap, budget)
@@ -318,7 +350,9 @@ def exhaustive_vector_search(
     """Pareto frontier over vector codes of message length m and length
     exactly ell; same contract as the scalar search, including the
     pruning of prefixes that cannot decode, with M*N rows, so the budget
-    bounds C(K + ell - 1, ell) for K = (q^(M*N) - 1)/(q - 1)."""
+    bounds C(K + ell - 1, ell) for K = (q^(M*N) - 1)/(q - 1), the best
+    possible profile has every |R_i| = m, and the acyclic-set bound
+    reads ell < m|S|."""
     budget = DEFAULT_VECTOR_SEARCH_BUDGET if budget is None else budget
     return _search(g, q, m, ell, locality_cap, budget)
 
@@ -357,13 +391,20 @@ class ConverseReport:
         return [c for c in self.checks if c.name == name]
 
 
-def _null_supports(fm: FittingMatrix, q: int) -> list[frozenset[int]]:
+def _null_supports(
+    fm: FittingMatrix, q: int
+) -> tuple[list[frozenset[int]], tuple[int, int] | None]:
     """Distinct supports of nonzero null vectors of the fitting matrix,
     enumerated exhaustively when q^nullity is small and sampled from the
-    basis (plus pairwise sums) otherwise.  1-based receiver indices."""
+    basis (plus pairwise sums) otherwise.  1-based receiver indices.
+
+    Also returns None when the enumeration was exhaustive, else the pair
+    (null vectors sampled, q^nullity - 1 nonzero null vectors).
+    """
     basis = null_space_basis(fm.matrix)
     if not basis:
-        return []
+        return [], None
+    sampled = None
     supports: set[frozenset[int]] = set()
     n = fm.matrix.rows
     if q ** len(basis) <= NULL_ENUMERATION_LIMIT:
@@ -387,7 +428,8 @@ def _null_supports(fm: FittingMatrix, q: int) -> list[frozenset[int]]:
         for vec in sample:
             if any(vec):
                 supports.add(frozenset(t + 1 for t in range(n) if vec[t]))
-    return sorted(supports, key=lambda s: (len(s), sorted(s)))
+        sampled = (len(sample), q ** len(basis) - 1)
+    return sorted(supports, key=lambda s: (len(s), sorted(s))), sampled
 
 
 def converse_checks(
@@ -406,7 +448,10 @@ def converse_checks(
     the code length equals minrank(G); G_S containing a directed cycle;
     and minrank(G_S) >= |S| - 1 when minrank(G) = n - 1.  Preconditions
     that fail (including search budgets) yield "not_applicable" entries,
-    never spurious violations.
+    never spurious violations.  When q^nullity exceeds
+    NULL_ENUMERATION_LIMIT the supports come from a sample of null
+    vectors, and a "not_applicable" null_support_family entry names its
+    size.
     """
     from .codes import fitting_matrix_from_plan  # local to avoid cycle noise
 
@@ -456,7 +501,20 @@ def converse_checks(
     length_optimal = minrank_g is not None and code.ell == minrank_g
     deficit_one = minrank_g is not None and minrank_g == g.n - 1
 
-    for s in _null_supports(fm, code.q):
+    supports, sampled = _null_supports(fm, code.q)
+    if sampled is not None:
+        checks.append(
+            CheckResult(
+                name="null_support_family",
+                context="",
+                status="not_applicable",
+                note=(
+                    f"supports sampled from {sampled[0]} of the {sampled[1]}"
+                    " nonzero null vectors"
+                ),
+            )
+        )
+    for s in supports:
         ctx = "S={" + ",".join(str(v) for v in sorted(s)) + "}"
         sub, _ = induced_subgraph(g, s)
         union_queries = set().union(*(code.queries[i - 1] for i in sorted(s)))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .graphs import IndexExpansion, SideInformationGraph, expand_indices
+from .graphs import SideInformationGraph, expand_indices, side_indices
 from .linalg import (
     FqMatrix,
     Vector,
@@ -172,10 +172,9 @@ class FittingMatrix:
         return True
 
 
-def _check_structure(g: SideInformationGraph, code: IndexCode) -> IndexExpansion:
+def _check_structure(g: SideInformationGraph, code: IndexCode) -> None:
     if code.n != g.n:
         raise ValueError(f"code has {code.n} receivers but graph has {g.n}")
-    return expand_indices(g, code.m)
 
 
 def verify_decodable(
@@ -190,7 +189,8 @@ def verify_decodable(
     undecodable (receiver, symbol) pair.  Structural mismatches between
     graph and code raise ValueError instead.
     """
-    exp = _check_structure(g, code)
+    _check_structure(g, code)
+    exp = expand_indices(g, code.m)
     mn = code.m * code.n
     q = code.q
     failures: list[tuple[int, int]] = []
@@ -246,7 +246,7 @@ def decode_receiver(
     Returns the m demanded symbols in ascending index order; they equal
     the true symbols whenever the inputs come from an encoded message.
     """
-    exp = _check_structure(g, code)
+    _check_structure(g, code)
     if plan.q != code.q or plan.m != code.m or plan.n != code.n:
         raise ValueError("plan does not belong to this code")
     if not 1 <= i <= code.n:
@@ -254,7 +254,7 @@ def decode_receiver(
     r_list = code.query_list(i)
     if len(queried) != len(r_list):
         raise ValueError(f"receiver {i} expects {len(r_list)} queried symbols")
-    side_idx = sorted(exp.side_info[i - 1])
+    side_idx = side_indices(g, code.m, i)
     if len(side_values) != len(side_idx):
         raise ValueError(f"receiver {i} expects {len(side_idx)} side-info symbols")
     entries = plan.entries(i)

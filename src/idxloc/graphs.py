@@ -244,13 +244,16 @@ def expand_indices(g: SideInformationGraph, m: int) -> IndexExpansion:
     demands = tuple(
         frozenset(range((i - 1) * m + 1, i * m + 1)) for i in range(1, g.n + 1)
     )
-    side = tuple(
-        frozenset(
-            (j - 1) * m + t for j in g.side_info(i) for t in range(1, m + 1)
-        )
-        for i in range(1, g.n + 1)
-    )
+    side = tuple(frozenset(side_indices(g, m, i)) for i in range(1, g.n + 1))
     return IndexExpansion(m, demands, side)
+
+
+def side_indices(g: SideInformationGraph, m: int, i: int) -> tuple[int, ...]:
+    """Sorted side-information indices of receiver i in the length-m vector
+    problem: (j-1)*m + t for j in K_i and t = 1..m."""
+    return tuple(
+        (j - 1) * m + t for j in sorted(g.side_info(i)) for t in range(1, m + 1)
+    )
 
 
 def cycle_length_if_cycle(g: SideInformationGraph) -> int | None:

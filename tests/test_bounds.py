@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from idxloc import _kernel
 from idxloc.bounds import (
     BudgetExceededError,
     converse_checks,
@@ -17,10 +18,10 @@ from idxloc.bounds import (
     pareto_merge,
     scalar_bounds_minrank_deficit,
 )
-from idxloc.codes import locality_profile, require_plan
+from idxloc.codes import IndexCode, locality_profile, require_plan
 from idxloc.constructions import cycle_scalar_code, minrank_deficit_code, uncoded
 from idxloc.graphs import directed_cycle, graph_from_side_info
-from idxloc.linalg import rank
+from idxloc.linalg import FqMatrix, rank
 
 from helpers import random_graph
 
@@ -152,6 +153,47 @@ def test_converse_checks_vector_code_limits_to_rate_bound():
     report = converse_checks(g, code, plan)
     assert report.all_ok
     assert report.by_name("null_support_family")
+
+
+def test_converse_checks_say_when_null_supports_are_sampled():
+    # One all-ones column on the complete graph K_14 over F_2: the fitting
+    # matrix is all ones, so its nullity is 13 and 2^13 exceeds the
+    # enumeration limit; the supports come from the 13 basis vectors and
+    # their 78 pairwise sums.
+    n = 14
+    g = graph_from_side_info([set(range(1, n + 1)) - {i} for i in range(1, n + 1)])
+    code = IndexCode(
+        q=2, m=1, n=n, matrix=FqMatrix.from_columns([(1,) * n], n, 2),
+        queries=(frozenset({1}),) * n,
+    )
+    report = converse_checks(g, code, require_plan(g, code))
+    assert report.all_ok
+    (check,) = report.by_name("null_support_family")
+    assert check.status == "not_applicable"
+    assert check.note == "supports sampled from 91 of the 8191 nonzero null vectors"
+    # Below the limit the enumeration is exhaustive and says nothing.
+    g4 = directed_cycle(4)
+    code4 = cycle_scalar_code(4, 2, 1)
+    assert not converse_checks(g4, code4, require_plan(g4, code4)).by_name(
+        "null_support_family"
+    )
+
+
+def test_search_skips_lengths_below_the_acyclic_set_bound(monkeypatch):
+    # ell < m * |S| for an induced acyclic set S proves the frontier empty,
+    # so the search returns before enumerating any encoder.
+    def refuse(*args):
+        raise AssertionError("enumerated a length the acyclic-set bound rules out")
+
+    monkeypatch.setattr(_kernel, "decodable_encoders", refuse)
+    certified = graph_from_side_info([{2}, {3}, {1, 4}, {2}])  # acyclic {1, 2, 4}
+    assert exhaustive_vector_search(directed_cycle(3), 2, 2, 3) == []
+    assert exhaustive_scalar_search(certified, 2, 2) == []
+    # At ell = m * (largest acyclic set) the search must run.
+    with pytest.raises(AssertionError, match="acyclic-set bound"):
+        exhaustive_vector_search(directed_cycle(3), 2, 2, 4)
+    with pytest.raises(AssertionError, match="acyclic-set bound"):
+        exhaustive_scalar_search(certified, 2, 3)
 
 
 def test_scalar_search_cycle3_len2():

@@ -10,9 +10,10 @@ import pytest
 
 import idxloc
 from idxloc.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
-from idxloc.codes import load_code, locality_profile, require_plan, save_code
+from idxloc.codes import IndexCode, load_code, locality_profile, require_plan, save_code
 from idxloc.constructions import cycle_scalar_code
 from idxloc.graphs import directed_cycle, format_graph, graph_from_side_info, parse_graph
+from idxloc.linalg import FqMatrix
 
 
 @pytest.fixture
@@ -133,6 +134,27 @@ def test_verify_pass_and_checks(cycle4_file, tmp_path, capsys):
     assert out.startswith("PASS")
     assert "single_query_lower_bound" in out
     assert "slack=0" in out
+
+
+def test_verify_prints_sampled_null_supports(tmp_path, capsys):
+    # K_14 with one all-ones column over F_2 has fitting-matrix nullity 13,
+    # above the exhaustive enumeration limit.
+    n = 14
+    g = graph_from_side_info([set(range(1, n + 1)) - {i} for i in range(1, n + 1)])
+    graph_path = tmp_path / "k14.txt"
+    graph_path.write_text(format_graph(g), encoding="utf-8")
+    code_path = tmp_path / "ones.json"
+    save_code(
+        IndexCode(q=2, m=1, n=n, matrix=FqMatrix.from_columns([(1,) * n], n, 2),
+                  queries=(frozenset({1}),) * n),
+        code_path,
+    )
+    code = main(["verify", "--graph", str(graph_path), "--code", str(code_path)])
+    assert code == EXIT_OK
+    assert (
+        "check null_support_family: not applicable (supports sampled from 91"
+        " of the 8191 nonzero null vectors)"
+    ) in capsys.readouterr().out.splitlines()
 
 
 def test_verify_fail_lists_pairs(cycle4_file, tmp_path, capsys):

@@ -120,6 +120,19 @@ def test_decode_wrong_plan_rejected():
         decode_receiver(g, other, plan, 1, [0], [0])
 
 
+def test_decode_rejects_mismatched_inputs():
+    g, code = cycle4()
+    plan = require_plan(g, code)
+    with pytest.raises(ValueError, match="receivers but graph has"):
+        decode_receiver(directed_cycle(3), code, plan, 1, [0], [0])
+    with pytest.raises(ValueError, match="out of range"):
+        decode_receiver(g, code, plan, 5, [0], [0])
+    with pytest.raises(ValueError, match="queried symbols"):
+        decode_receiver(g, code, plan, 1, [0, 0], [0])
+    with pytest.raises(ValueError, match="side-info symbols"):
+        decode_receiver(g, code, plan, 1, [0], [0, 0])
+
+
 def roundtrip_all_messages(g, code, limit=4096, rng_seed=11):
     """Encode-decode identity for every receiver, exhaustively when the
     message space is small and on 1000 random messages otherwise."""
