@@ -230,7 +230,7 @@ def min_query_sets(tables, ks, q, max_size):
     return tuple(out)
 
 
-def minrank_dfs(n: int, q: int, free_rows, stop_at: int = 1):
+def minrank_dfs(n: int, q: int, free_rows):
     """Minimum rank over all matrices with unit diagonal and free entries
     confined to the given rows per column; everything else is zero.
 
@@ -238,7 +238,8 @@ def minrank_dfs(n: int, q: int, free_rows, stop_at: int = 1):
     take arbitrary values.  Columns are filled in ascending order, each
     column's free digits enumerated as an ascending base-q counter with
     the smallest free row in the least significant digit.  Branches whose
-    partial column rank already reaches the best known rank are pruned.
+    partial column rank already reaches the best known rank are pruned,
+    and the search ends at rank 1, the least a unit diagonal allows.
 
     Returns (minrank, witness column codes).
     """
@@ -272,7 +273,7 @@ def minrank_dfs(n: int, q: int, free_rows, stop_at: int = 1):
 
     def dfs(depth: int, partial_rank: int):
         nonlocal best, best_cols
-        if best <= stop_at:
+        if best <= 1:
             return
         if partial_rank >= best:
             return
@@ -287,7 +288,7 @@ def minrank_dfs(n: int, q: int, free_rows, stop_at: int = 1):
             h = push(code)
             dfs(depth + 1, partial_rank + (0 if h is None else 1))
             pop(h)
-            if best <= stop_at:
+            if best <= 1:
                 return
 
     dfs(0, 0)

@@ -20,6 +20,7 @@ from .codes import (
     FittingMatrix,
     IndexCode,
     column_space_contained,
+    fitting_matrix_from_plan,
     locality_profile,
     query_partition,
     require_plan,
@@ -410,11 +411,8 @@ def _null_supports(
     if q ** len(basis) <= NULL_ENUMERATION_LIMIT:
         total = q ** len(basis)
         for counter in range(1, total):
-            v = counter
             vec = [0] * n
-            for b in basis:
-                c = v % q
-                v //= q
+            for c, b in zip(_kernel.decode_column(counter, len(basis), q), basis):
                 if c:
                     for t in range(n):
                         vec[t] = (vec[t] + c * b[t]) % q
@@ -430,6 +428,20 @@ def _null_supports(
                 supports.add(frozenset(t + 1 for t in range(n) if vec[t]))
         sampled = (len(sample), q ** len(basis) - 1)
     return sorted(supports, key=lambda s: (len(s), sorted(s))), sampled
+
+
+def _inequality(
+    name: str, ctx: str, lhs, rhs, skip: str | None = None
+) -> CheckResult:
+    """The check lhs >= rhs, or "not_applicable" with the note skip when
+    its precondition fails (lhs and rhs are then ignored)."""
+    if skip is not None:
+        return CheckResult(name=name, context=ctx, status="not_applicable", note=skip)
+    lhs, rhs = Fraction(lhs), Fraction(rhs)
+    return CheckResult(
+        name=name, context=ctx, status="ok" if lhs >= rhs else "violated",
+        lhs=lhs, rhs=rhs,
+    )
 
 
 def converse_checks(
@@ -453,40 +465,22 @@ def converse_checks(
     vectors, and a "not_applicable" null_support_family entry names its
     size.
     """
-    from .codes import fitting_matrix_from_plan  # local to avoid cycle noise
-
     checks: list[CheckResult] = []
     profile = locality_profile(code)
     part = query_partition(code)
-    queried_all = part.unique_all | part.shared_all
-    single_query_rhs = code.m * (2 * profile.beta - code.n * profile.r_avg)
-    if len(queried_all) == code.ell:
-        ok = Fraction(len(part.unique_all)) >= single_query_rhs
-        checks.append(
-            CheckResult(
-                name="single_query_lower_bound",
-                context="all receivers",
-                status="ok" if ok else "violated",
-                lhs=Fraction(len(part.unique_all)),
-                rhs=single_query_rhs,
-            )
+    checks.append(
+        _inequality(
+            "single_query_lower_bound", "all receivers",
+            len(part.unique_all), code.m * (2 * profile.beta - code.n * profile.r_avg),
+            None if len(part.unique_all | part.shared_all) == code.ell
+            else "some codeword symbols are never queried",
         )
-    else:
-        checks.append(
-            CheckResult(
-                name="single_query_lower_bound",
-                context="all receivers",
-                status="not_applicable",
-                note="some codeword symbols are never queried",
-            )
-        )
+    )
 
     if code.m != 1:
         checks.append(
             CheckResult(
-                name="null_support_family",
-                context="",
-                status="not_applicable",
+                "null_support_family", "", "not_applicable",
                 note="fitting-matrix checks need a scalar code",
             )
         )
@@ -498,20 +492,22 @@ def converse_checks(
         minrank_g, _ = minrank_bruteforce(g, code.q, budget)
     except BudgetExceededError:
         minrank_g = None
-    length_optimal = minrank_g is not None and code.ell == minrank_g
-    deficit_one = minrank_g is not None and minrank_g == g.n - 1
+    length_note = (
+        None if minrank_g is not None and code.ell == minrank_g
+        else "code length differs from the instance min-rank"
+    )
+    deficit_note = (
+        None if minrank_g is not None and minrank_g == g.n - 1
+        else "instance min-rank is not n-1"
+    )
 
     supports, sampled = _null_supports(fm, code.q)
     if sampled is not None:
         checks.append(
             CheckResult(
-                name="null_support_family",
-                context="",
-                status="not_applicable",
-                note=(
-                    f"supports sampled from {sampled[0]} of the {sampled[1]}"
-                    " nonzero null vectors"
-                ),
+                "null_support_family", "", "not_applicable",
+                note=f"supports sampled from {sampled[0]} of the {sampled[1]}"
+                " nonzero null vectors",
             )
         )
     for s in supports:
@@ -520,80 +516,30 @@ def converse_checks(
         union_queries = set().union(*(code.queries[i - 1] for i in sorted(s)))
         try:
             minrank_s, _ = minrank_bruteforce(sub, code.q, budget)
+            no_minrank = None
         except BudgetExceededError:
-            minrank_s = None
-
-        if minrank_s is None:
-            checks.append(
-                CheckResult(
-                    name="query_union_minrank", context=ctx,
-                    status="not_applicable", note="min-rank budget exceeded",
-                )
-            )
-        else:
-            lhs = Fraction(len(union_queries))
-            rhs = Fraction(minrank_s)
-            checks.append(
-                CheckResult(
-                    name="query_union_minrank", context=ctx,
-                    status="ok" if lhs >= rhs else "violated", lhs=lhs, rhs=rhs,
-                )
-            )
-
-        if minrank_s is None or not length_optimal:
-            note = (
-                "min-rank budget exceeded"
-                if minrank_s is None
-                else "code length differs from the instance min-rank"
-            )
-            checks.append(
-                CheckResult(
-                    name="sum_locality_minrank", context=ctx,
-                    status="not_applicable", note=note,
-                )
-            )
-        else:
-            lhs = sum(
-                (profile.per_receiver[i - 1] for i in sorted(s)), Fraction(0)
-            )
-            rhs = Fraction(2 * minrank_s)
-            checks.append(
-                CheckResult(
-                    name="sum_locality_minrank", context=ctx,
-                    status="ok" if lhs >= rhs else "violated", lhs=lhs, rhs=rhs,
-                )
-            )
-
-        has_cycle = shortest_directed_cycle(sub) is not None
+            minrank_s, no_minrank = 0, "min-rank budget exceeded"
         checks.append(
-            CheckResult(
-                name="null_support_cycle", context=ctx,
-                status="ok" if has_cycle else "violated",
-                lhs=Fraction(1 if has_cycle else 0), rhs=Fraction(1),
+            _inequality(
+                "query_union_minrank", ctx, len(union_queries), minrank_s,
+                no_minrank,
             )
         )
-
-        if minrank_s is None or not deficit_one:
-            note = (
-                "min-rank budget exceeded"
-                if minrank_s is None
-                else "instance min-rank is not n-1"
+        checks.append(
+            _inequality(
+                "sum_locality_minrank", ctx,
+                sum((profile.per_receiver[i - 1] for i in sorted(s)), Fraction(0)),
+                2 * minrank_s, no_minrank or length_note,
             )
-            checks.append(
-                CheckResult(
-                    name="induced_minrank_deficit", context=ctx,
-                    status="not_applicable", note=note,
-                )
+        )
+        has_cycle = shortest_directed_cycle(sub) is not None
+        checks.append(_inequality("null_support_cycle", ctx, int(has_cycle), 1))
+        checks.append(
+            _inequality(
+                "induced_minrank_deficit", ctx, minrank_s, len(s) - 1,
+                no_minrank or deficit_note,
             )
-        else:
-            lhs = Fraction(minrank_s)
-            rhs = Fraction(len(s) - 1)
-            checks.append(
-                CheckResult(
-                    name="induced_minrank_deficit", context=ctx,
-                    status="ok" if lhs >= rhs else "violated", lhs=lhs, rhs=rhs,
-                )
-            )
+        )
 
     if not column_space_contained(code.matrix, fm.matrix):
         checks.append(

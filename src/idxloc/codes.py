@@ -25,9 +25,7 @@ from .linalg import (
     FqMatrix,
     Vector,
     in_span,
-    null_space_basis,
     rank,
-    rref,
     solve_in_span,
     unit_vector,
     vector_matrix,
@@ -296,26 +294,22 @@ def query_partition(code: IndexCode) -> QueryPartition:
 def prune_queries(g: SideInformationGraph, code: IndexCode) -> IndexCode:
     """Drop redundant queries, then columns nobody reads.
 
-    Repeatedly removes, receiver by receiver in ascending order and
-    columns in ascending order, a queried column lying in the span of the
-    receiver's other queried columns; afterwards every query set indexes
-    linearly independent columns.  Unqueried columns are then deleted and
-    the remaining ones renumbered.  Requires a decodable input and
-    preserves decodability; neither the rate nor any |R_i| increases.
+    Receiver by receiver, one pass in ascending column order removes
+    each queried column lying in the span of the receiver's other
+    remaining queried columns.  A removal keeps that span, so a column
+    kept once stays needed and every query set ends up indexing linearly
+    independent columns.  Unqueried columns are then deleted and the
+    remaining ones renumbered.  Requires a decodable input and preserves
+    decodability; neither the rate nor any |R_i| increases.
     """
     require_plan(g, code)
     new_queries = []
     for i in range(1, code.n + 1):
         current = set(code.queries[i - 1])
-        changed = True
-        while changed:
-            changed = False
-            for k in sorted(current):
-                others = [code.column_vector(t) for t in sorted(current - {k})]
-                if in_span(others, code.column_vector(k), code.q):
-                    current.remove(k)
-                    changed = True
-                    break
+        for k in sorted(current):
+            others = [code.column_vector(t) for t in sorted(current - {k})]
+            if in_span(others, code.column_vector(k), code.q):
+                current.remove(k)
         new_queries.append(frozenset(current))
 
     used = sorted(set().union(*new_queries)) if new_queries else []
@@ -324,34 +318,6 @@ def prune_queries(g: SideInformationGraph, code: IndexCode) -> IndexCode:
     matrix = FqMatrix.from_columns(columns, code.m * code.n, code.q)
     queries = tuple(frozenset(renumber[k] for k in r) for r in new_queries)
     return IndexCode(q=code.q, m=code.m, n=code.n, matrix=matrix, queries=queries)
-
-
-def _space_basis(vectors: list[Vector], q: int) -> list[Vector]:
-    """Reduce a spanning set to an independent one (RREF rows)."""
-    if not vectors:
-        return []
-    reduced, pivots = rref(FqMatrix.from_rows(vectors, q))
-    return [reduced.row(t) for t in range(len(pivots))]
-
-
-def _intersect_with_coordinates(
-    gens: list[Vector], coord_idx: list[int], q: int, length: int
-) -> list[Vector]:
-    """Basis of span(gens) intersected with the span of unit vectors e_t,
-    t in coord_idx (0-based), computed from the null space of the stacked
-    generator matrix."""
-    coord_vecs = [unit_vector(length, t, q) for t in coord_idx]
-    if not gens:
-        return []
-    stacked = FqMatrix.from_columns(gens + coord_vecs, length, q)
-    inter: list[Vector] = []
-    for nv in null_space_basis(stacked):
-        combo = [0] * length
-        for c, t in zip(nv[len(gens) :], coord_idx):
-            combo[t] = (combo[t] + c) % q
-        if any(combo):
-            inter.append(tuple(combo))
-    return _space_basis(inter, q)
 
 
 def normalize_unique_columns(
@@ -384,11 +350,11 @@ def normalize_unique_columns(
         demand_rows = [j - 1 for j in sorted(exp.demands[i - 1])]
         side_rows = [s - 1 for s in sorted(exp.side_info[i - 1])]
         shared_cols = [code.column_vector(k) for k in sorted(part.shared[i - 1])]
-        gens = shared_cols + [unit_vector(mn, t, q) for t in side_rows]
-        inside = _intersect_with_coordinates(gens, demand_rows, q, mn)
-
+        # Extend greedily against W = span(shared + side coordinates)
+        # itself: for v and C inside the demand subspace D,
+        # v in (W ∩ D) + span C iff v in W + span C.
+        current = shared_cols + [unit_vector(mn, t, q) for t in side_rows]
         extension: list[Vector] = []
-        current = list(inside)
         for t in demand_rows:
             candidate = unit_vector(mn, t, q)
             if not in_span(current, candidate, q):

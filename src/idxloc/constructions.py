@@ -15,7 +15,7 @@ from .graphs import (
     expand_indices,
     shortest_directed_cycle,
 )
-from .linalg import FqMatrix, Vector, require_prime
+from .linalg import FqMatrix, Vector, require_prime, unit_vector
 
 
 def uncoded(g: SideInformationGraph, m: int = 1, q: int = 2) -> IndexCode:
@@ -38,6 +38,26 @@ def uncoded(g: SideInformationGraph, m: int = 1, q: int = 2) -> IndexCode:
     )
 
 
+def _cycle_part(
+    vertices: tuple[int, ...], n: int
+) -> tuple[list[Vector], list[set[int]]]:
+    """The cycle code laid on the cycle v_1 -> ... -> v_c of an
+    n-receiver instance: columns e_{v_1} + e_{v_k} for k = 2..c over n
+    rows, and per receiver its query set.  Receiver v_t reads columns
+    t-1 and t where they exist; every other receiver reads nothing."""
+    c = len(vertices)
+    columns: list[Vector] = []
+    for v in vertices[1:]:
+        col = [0] * n
+        col[vertices[0] - 1] = 1
+        col[v - 1] = 1
+        columns.append(tuple(col))
+    queries: list[set[int]] = [set() for _ in range(n)]
+    for t, v in enumerate(vertices, start=1):
+        queries[v - 1] = {k for k in (t - 1, t) if 1 <= k < c}
+    return columns, queries
+
+
 def cycle_scalar_code(n: int, q: int, anchor: int = 1) -> IndexCode:
     """Scalar code of length n-1 for the directed n-cycle.
 
@@ -53,38 +73,12 @@ def cycle_scalar_code(n: int, q: int, anchor: int = 1) -> IndexCode:
                          "minrank_deficit_code)")
     if not 1 <= anchor <= n:
         raise ValueError(f"anchor must lie in [1, {n}]")
-
-    # Base construction for anchor 1, built column by column.
-    def base_column(k: int) -> list[int]:
-        col = [0] * n
-        col[0] = 1
-        col[k] = 1  # row k (0-based) is message k+1
-        return col
-
-    base_cols = [base_column(k) for k in range(1, n)]
-    base_queries: list[frozenset[int]] = []
-    for i in range(1, n + 1):
-        if i == 1:
-            base_queries.append(frozenset({1}))
-        elif i == n:
-            base_queries.append(frozenset({n - 1}))
-        else:
-            base_queries.append(frozenset({i - 1, i}))
-
-    shift = anchor - 1
-    # Receiver ((t - 1 + shift) mod n) + 1 plays the base role t.
-    role_of = [0] * (n + 1)
-    for t in range(1, n + 1):
-        role_of[(t - 1 + shift) % n + 1] = t
-    columns: list[Vector] = []
-    for col in base_cols:
-        rotated = [0] * n
-        for receiver in range(1, n + 1):
-            rotated[receiver - 1] = col[role_of[receiver] - 1]
-        columns.append(tuple(rotated))
-    queries = tuple(base_queries[role_of[i] - 1] for i in range(1, n + 1))
+    columns, queries = _cycle_part(tuple((anchor - 1 + t) % n + 1 for t in range(n)), n)
     matrix = FqMatrix.from_columns(columns, n, q)
-    return IndexCode(q=q, m=1, n=n, matrix=matrix, queries=queries)
+    return IndexCode(
+        q=q, m=1, n=n, matrix=matrix,
+        queries=tuple(frozenset(s) for s in queries),
+    )
 
 
 def time_share(
@@ -220,11 +214,10 @@ def cycle_vector_code(n: int, q: int, m: int) -> IndexCode:
 def minrank_deficit_code(g: SideInformationGraph, q: int) -> IndexCode:
     """Scalar code of length n-1 built around a shortest directed cycle.
 
-    A 2-cycle {i, j} yields one mixed symbol x_i + x_j plus everything
-    else uncoded, so every locality is 1.  A longer shortest cycle gets
-    the cycle code on its vertices plus uncoded symbols elsewhere.
-    Intended for instances whose min-rank is n-1; raises on acyclic
-    input.
+    The cycle code goes on the cycle's vertices and every other symbol
+    is sent uncoded.  On a 2-cycle {i, j} that is one mixed symbol
+    x_i + x_j read by both, so every locality is 1.  Intended for
+    instances whose min-rank is n-1; raises on acyclic input.
     """
     require_prime(q)
     found = shortest_directed_cycle(g)
@@ -232,52 +225,12 @@ def minrank_deficit_code(g: SideInformationGraph, q: int) -> IndexCode:
         raise ValueError("graph has no directed cycle; its min-rank equals n "
                          "and the uncoded scheme is already optimal")
     n = g.n
-    n_c, cycle_vertices = found
-    if n_c == 2:
-        i, j = cycle_vertices
-        mix = [0] * n
-        mix[i - 1] = 1
-        mix[j - 1] = 1
-        columns: list[Vector] = [tuple(mix)]
-        queries: list[set[int]] = [set() for _ in range(n)]
-        queries[i - 1].add(1)
-        queries[j - 1].add(1)
-        col = 2
-        for t in range(1, n + 1):
-            if t in (i, j):
-                continue
-            unit = [0] * n
-            unit[t - 1] = 1
-            columns.append(tuple(unit))
-            queries[t - 1].add(col)
-            col += 1
-        matrix = FqMatrix.from_columns(columns, n, q)
-        return IndexCode(
-            q=q, m=1, n=n, matrix=matrix,
-            queries=tuple(frozenset(s) for s in queries),
-        )
-
-    base = cycle_scalar_code(n_c, q, 1)
-    columns = []
-    queries = [set() for _ in range(n)]
-    for k in range(1, base.ell + 1):
-        part = base.column_vector(k)
-        lifted = [0] * n
-        for t, v in enumerate(cycle_vertices, start=1):
-            lifted[v - 1] = part[t - 1]
-        columns.append(tuple(lifted))
-    for t, v in enumerate(cycle_vertices, start=1):
-        queries[v - 1].update(base.queries[t - 1])
-    col = base.ell + 1
-    cycle_set = set(cycle_vertices)
+    _, cycle_vertices = found
+    columns, queries = _cycle_part(cycle_vertices, n)
     for t in range(1, n + 1):
-        if t in cycle_set:
-            continue
-        unit = [0] * n
-        unit[t - 1] = 1
-        columns.append(tuple(unit))
-        queries[t - 1].add(col)
-        col += 1
+        if t not in cycle_vertices:
+            columns.append(unit_vector(n, t - 1, q))
+            queries[t - 1].add(len(columns))
     matrix = FqMatrix.from_columns(columns, n, q)
     return IndexCode(
         q=q, m=1, n=n, matrix=matrix,

@@ -1,6 +1,7 @@
 """Achievability schemes and their exact locality profiles."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,7 +19,11 @@ from idxloc.constructions import (
     time_share,
     uncoded,
 )
-from idxloc.graphs import directed_cycle, graph_from_side_info
+from idxloc.graphs import (
+    directed_cycle,
+    graph_from_side_info,
+    shortest_directed_cycle,
+)
 
 
 def test_uncoded_profiles():
@@ -64,6 +69,25 @@ def test_cycle_scalar_anchor_rotations():
             assert ones == {anchor, prev}
             assert all(r in (1, 2) for r in p.per_receiver)
             assert p.beta == n - 1
+
+
+def test_cycle_scalar_exact_columns_and_queries():
+    # Anchor a sends x_a + x_{a+k} as column k (indices mod n); receiver
+    # a+d reads columns d and d+1 where they exist.
+    for n in range(3, 9):
+        for anchor in range(1, n + 1):
+            code = cycle_scalar_code(n, 3, anchor)
+            assert (code.q, code.m, code.n, code.ell) == (3, 1, n, n - 1)
+            columns = []
+            for k in range(1, n):
+                col = [0] * n
+                col[anchor - 1] = 1
+                col[(anchor - 1 + k) % n] = 1
+                columns.append(tuple(col))
+            assert code.matrix.column_list() == columns
+            for i in range(1, n + 1):
+                d = (i - anchor) % n
+                assert code.queries[i - 1] == {d, d + 1} & set(range(1, n))
 
 
 def test_cycle_scalar_f3_decodes():
@@ -254,3 +278,29 @@ def test_every_construction_verifies():
             assert not isinstance(
                 verify_decodable(g, cycle_vector_code(n, q, n)), DecodingFailure
             )
+
+
+def test_deficit_code_on_every_small_digraph():
+    # Every digraph on 2-4 vertices with a directed cycle, 2-cycles
+    # included: length n-1, decodable, and the scheme's (r, r_avg).
+    for n in (2, 3, 4):
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        for arcs in product((False, True), repeat=len(pairs)):
+            side = [set() for _ in range(n)]
+            for (i, j), arc in zip(pairs, arcs):
+                if arc:
+                    side[i - 1].add(j)
+            g = graph_from_side_info(side)
+            found = shortest_directed_cycle(g)
+            if found is None:
+                continue
+            n_c = found[0]
+            for q in (2, 3):
+                code = minrank_deficit_code(g, q)
+                assert code.ell == n - 1
+                require_plan(g, code)
+                p = locality_profile(code)
+                if n_c == 2:
+                    assert (p.r, p.r_avg) == (1, 1)
+                else:
+                    assert (p.r, p.r_avg) == (2, Fraction(n + n_c - 2, n))
