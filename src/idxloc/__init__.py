@@ -43,7 +43,6 @@ from .codes import (
     verify_decodable,
 )
 from .constructions import (
-    RotationSchedule,
     cycle_scalar_code,
     cycle_vector_code,
     minrank_deficit_code,

@@ -444,6 +444,14 @@ def _inequality(
     )
 
 
+def _minrank_or_none(g: SideInformationGraph, q: int, budget: int | None) -> int | None:
+    """minrank_bruteforce's value, or None when it exceeds the budget."""
+    try:
+        return minrank_bruteforce(g, q, budget)[0]
+    except BudgetExceededError:
+        return None
+
+
 def converse_checks(
     g: SideInformationGraph,
     code: IndexCode,
@@ -487,11 +495,7 @@ def converse_checks(
         return ConverseReport(tuple(checks))
 
     fm = fitting_matrix_from_plan(g, code, plan)
-    minrank_g: int | None
-    try:
-        minrank_g, _ = minrank_bruteforce(g, code.q, budget)
-    except BudgetExceededError:
-        minrank_g = None
+    minrank_g = _minrank_or_none(g, code.q, budget)
     length_note = (
         None if minrank_g is not None and code.ell == minrank_g
         else "code length differs from the instance min-rank"
@@ -514,11 +518,11 @@ def converse_checks(
         ctx = "S={" + ",".join(str(v) for v in sorted(s)) + "}"
         sub, _ = induced_subgraph(g, s)
         union_queries = set().union(*(code.queries[i - 1] for i in sorted(s)))
-        try:
-            minrank_s, _ = minrank_bruteforce(sub, code.q, budget)
-            no_minrank = None
-        except BudgetExceededError:
-            minrank_s, no_minrank = 0, "min-rank budget exceeded"
+        minrank_s = (
+            minrank_g if len(s) == g.n else _minrank_or_none(sub, code.q, budget)
+        )
+        no_minrank = None if minrank_s is not None else "min-rank budget exceeded"
+        minrank_s = minrank_s or 0  # ignored where no_minrank is set
         checks.append(
             _inequality(
                 "query_union_minrank", ctx, len(union_queries), minrank_s,
@@ -532,8 +536,9 @@ def converse_checks(
                 2 * minrank_s, no_minrank or length_note,
             )
         )
-        has_cycle = shortest_directed_cycle(sub) is not None
-        checks.append(_inequality("null_support_cycle", ctx, int(has_cycle), 1))
+        checks.append(
+            _inequality("null_support_cycle", ctx, int(has_directed_cycle(sub)), 1)
+        )
         checks.append(
             _inequality(
                 "induced_minrank_deficit", ctx, minrank_s, len(s) - 1,

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: minrank, construct, verify, profile, tradeoff, oracle,
-normalize.  All rationals are printed as "p/q" in lowest terms so output
-is exact and byte-stable across runs.
+normalize.  Each accepts only the flags it reads (see COMMANDS); any
+other flag is an input error.  All rationals are printed as "p/q" in
+lowest terms so output is exact and byte-stable across runs.
 
 Exit codes: 0 success / verification PASS, 2 verification FAIL,
 3 input error (files, arguments, structural mismatches), 4 search budget
@@ -15,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,32 +67,6 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    graph_path: str | None = None
-    code_path: str | None = None
-    q: int = 2
-    m: int = 1
-    r: Fraction | None = None
-    ell: int | None = None
-    scheme: str | None = None
-    budget: int | None = None
-    output_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.q):
-            raise CliError(f"--q must be prime, got {self.q}")
-        if self.m < 1:
-            raise CliError("--M must be at least 1")
-        if self.ell is not None and self.ell < 1:
-            raise CliError("--ell must be at least 1")
-        if self.r is not None and self.r < 1:
-            raise CliError("--r must be at least 1")
-        if self.budget is not None and self.budget <= 0:
-            raise CliError("--budget must be positive")
-
-
 def fmt_frac(x: Fraction | int) -> str:
     x = Fraction(x)
     if x.denominator == 1:
@@ -110,11 +84,9 @@ def parse_frac(text: str) -> Fraction:
         raise CliError(f"bad rational {text!r}: {exc}") from exc
 
 
-def _load_graph(config: RunConfig) -> SideInformationGraph:
-    if config.graph_path is None:
-        raise CliError("this command needs --graph")
+def _load_graph(path: str) -> SideInformationGraph:
     try:
-        text = Path(config.graph_path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read graph file: {exc}") from exc
     try:
@@ -123,11 +95,9 @@ def _load_graph(config: RunConfig) -> SideInformationGraph:
         raise CliError(f"graph parse error: {exc}") from exc
 
 
-def _load_code(config: RunConfig) -> IndexCode:
-    if config.code_path is None:
-        raise CliError("this command needs --code")
+def _load_code(path: str) -> IndexCode:
     try:
-        return load_code(config.code_path)
+        return load_code(path)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot load code file: {exc}") from exc
 
@@ -137,17 +107,17 @@ def _profile_line(code: IndexCode) -> str:
     return f"beta={fmt_frac(p.beta)} r={fmt_frac(p.r)} r_avg={fmt_frac(p.r_avg)}"
 
 
-def cmd_minrank(config: RunConfig) -> int:
-    g = _load_graph(config)
+def cmd_minrank(args: argparse.Namespace) -> int:
+    g = _load_graph(args.graph)
     try:
-        value, witness = minrank_bruteforce(g, config.q, config.budget)
+        value, witness = minrank_bruteforce(g, args.q, args.budget)
     except BudgetExceededError as exc:
         raise CliError(str(exc), EXIT_BUDGET) from exc
-    out = config.output_path
+    out = args.out
     if out is None:
-        out = str(Path(config.graph_path).with_suffix("")) + "_minrank_witness.json"
+        out = str(Path(args.graph).with_suffix("")) + "_minrank_witness.json"
     doc = {
-        "q": config.q,
+        "q": args.q,
         "N": g.n,
         "A": [list(witness.matrix.row(i)) for i in range(g.n)],
     }
@@ -157,37 +127,33 @@ def cmd_minrank(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_construct(config: RunConfig) -> int:
-    g = _load_graph(config)
-    if config.scheme not in SCHEMES:
-        raise CliError(f"--scheme must be one of {', '.join(SCHEMES)}")
-    if config.output_path is None:
-        raise CliError("construct needs --out for the code JSON")
+def cmd_construct(args: argparse.Namespace) -> int:
+    g = _load_graph(args.graph)
     n_cycle = cycle_length_if_cycle(g)
-    if config.scheme.startswith("cycle-") and (n_cycle is None or n_cycle < 3):
+    if args.scheme.startswith("cycle-") and (n_cycle is None or n_cycle < 3):
         raise CliError(
-            f"scheme '{config.scheme}' needs a directed cycle on at least "
+            f"scheme '{args.scheme}' needs a directed cycle on at least "
             "3 vertices"
         )
-    if config.scheme == "uncoded":
-        code = uncoded(g, config.m, config.q)
-    elif config.scheme == "cycle-scalar":
-        code = cycle_scalar_code(n_cycle, config.q, anchor=1)
-    elif config.scheme == "cycle-vector":
-        code = cycle_vector_code(n_cycle, config.q, config.m)
+    if args.scheme == "uncoded":
+        code = uncoded(g, args.m, args.q)
+    elif args.scheme == "cycle-scalar":
+        code = cycle_scalar_code(n_cycle, args.q, anchor=1)
+    elif args.scheme == "cycle-vector":
+        code = cycle_vector_code(n_cycle, args.q, args.m)
     else:
         try:
-            code = minrank_deficit_code(g, config.q)
+            code = minrank_deficit_code(g, args.q)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-    save_code(code, config.output_path)
+    save_code(code, args.out)
     print(_profile_line(code))
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    g = _load_graph(config)
-    code = _load_code(config)
+def cmd_verify(args: argparse.Namespace) -> int:
+    g = _load_graph(args.graph)
+    code = _load_code(args.code)
     try:
         result = verify_decodable(g, code)
     except ValueError as exc:
@@ -201,7 +167,7 @@ def cmd_verify(config: RunConfig) -> int:
     print(_profile_line(code))
     sizes = " ".join(str(len(r)) for r in code.queries)
     print(f"queries_per_receiver={sizes}")
-    report = converse_checks(g, code, result, config.budget)
+    report = converse_checks(g, code, result, args.budget)
     for check in report.checks:
         ctx = f" {check.context}" if check.context else ""
         if check.status == "not_applicable":
@@ -217,8 +183,8 @@ def cmd_verify(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_profile(config: RunConfig) -> int:
-    code = _load_code(config)
+def cmd_profile(args: argparse.Namespace) -> int:
+    code = _load_code(args.code)
     print(_profile_line(code))
     p = locality_profile(code)
     per = " ".join(fmt_frac(x) for x in p.per_receiver)
@@ -226,8 +192,8 @@ def cmd_profile(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_tradeoff(config: RunConfig) -> int:
-    g = _load_graph(config)
+def cmd_tradeoff(args: argparse.Namespace) -> int:
+    g = _load_graph(args.graph)
     n = cycle_length_if_cycle(g)
     if n is None or n < 3:
         raise CliError(
@@ -241,35 +207,31 @@ def cmd_tradeoff(config: RunConfig) -> int:
         lines.append(f"{fmt_frac(r)},{fmt_frac(cycle_tradeoff(n, r))}")
         r += step
     text = "\n".join(lines) + "\n"
-    if config.output_path:
-        Path(config.output_path).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
-def cmd_oracle(config: RunConfig) -> int:
-    g = _load_graph(config)
-    if config.ell is None:
-        raise CliError("oracle needs --ell (maximum code length)")
-    if config.output_path is None:
-        raise CliError("oracle needs --out for the CSV table")
+def cmd_oracle(args: argparse.Namespace) -> int:
+    g = _load_graph(args.graph)
     points: list[ParetoPoint] = []
     try:
-        for ell in range(1, config.ell + 1):
-            if config.m == 1:
+        for ell in range(1, args.ell + 1):
+            if args.m == 1:
                 found = exhaustive_scalar_search(
-                    g, config.q, ell, config.r, config.budget
+                    g, args.q, ell, args.r, args.budget
                 )
             else:
                 found = exhaustive_vector_search(
-                    g, config.q, config.m, ell, config.r, config.budget
+                    g, args.q, args.m, ell, args.r, args.budget
                 )
             points.extend(found)
     except BudgetExceededError as exc:
         raise CliError(str(exc), EXIT_BUDGET) from exc
     merged = pareto_merge(points)
-    out_path = Path(config.output_path)
+    out_path = Path(args.out)
     lines = ["beta,r,r_avg,witness_file"]
     for idx, point in enumerate(merged, start=1):
         witness_file = out_path.with_name(f"{out_path.stem}_witness_{idx}.json")
@@ -284,29 +246,44 @@ def cmd_oracle(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_normalize(config: RunConfig) -> int:
-    g = _load_graph(config)
-    code = _load_code(config)
-    if config.output_path is None:
-        raise CliError("normalize needs --out for the rewritten code")
+def cmd_normalize(args: argparse.Namespace) -> int:
+    g = _load_graph(args.graph)
+    code = _load_code(args.code)
     try:
         pruned = prune_queries(g, code)
         normalized = normalize_unique_columns(g, pruned)
     except ValueError as exc:
         raise CliError(f"normalize failed: {exc}") from exc
-    save_code(normalized, config.output_path)
+    save_code(normalized, args.out)
     print(_profile_line(normalized))
     return EXIT_OK
 
 
+# Every flag some subcommand reads, with its argparse options.
+FLAGS = {
+    "--graph": {},
+    "--code": {},
+    "--q": {"type": int, "default": 2},
+    "--M": {"dest": "m", "type": int, "default": 1},
+    "--r": {},
+    "--ell": {"type": int},
+    "--scheme": {"choices": SCHEMES},
+    "--budget": {"type": int},
+    "--out": {},
+}
+
+# Each subcommand: its handler, the flags it requires and the other flags
+# it reads.  It accepts no other flag.
 COMMANDS = {
-    "minrank": cmd_minrank,
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "profile": cmd_profile,
-    "tradeoff": cmd_tradeoff,
-    "oracle": cmd_oracle,
-    "normalize": cmd_normalize,
+    "minrank": (cmd_minrank, ("--graph",), ("--q", "--budget", "--out")),
+    "construct": (cmd_construct, ("--graph", "--scheme", "--out"), ("--q", "--M")),
+    "verify": (cmd_verify, ("--graph", "--code"), ("--budget",)),
+    "profile": (cmd_profile, ("--code",), ()),
+    "tradeoff": (cmd_tradeoff, ("--graph",), ("--out",)),
+    "oracle": (
+        cmd_oracle, ("--graph", "--ell", "--out"), ("--q", "--M", "--r", "--budget")
+    ),
+    "normalize": (cmd_normalize, ("--graph", "--code", "--out"), ()),
 }
 
 
@@ -324,36 +301,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Locally decodable index codes: construct, verify, bound.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, required, optional) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--graph", dest="graph_path")
-        p.add_argument("--code", dest="code_path")
-        p.add_argument("--q", type=int, default=2)
-        p.add_argument("--M", dest="m", type=int, default=1)
-        p.add_argument("--r", dest="r_text")
-        p.add_argument("--ell", type=int)
-        p.add_argument("--scheme", choices=SCHEMES)
-        p.add_argument("--budget", type=int)
-        p.add_argument("--out", dest="output_path")
+        for flag, options in FLAGS.items():
+            if flag in required or flag in optional:
+                p.add_argument(flag, required=flag in required, **options)
     return parser
+
+
+def _check_values(args: argparse.Namespace) -> None:
+    """Refuse out-of-range values of the subcommand's numeric flags, and
+    turn --r into a Fraction."""
+    read = vars(args)
+    if "r" in read:
+        args.r = parse_frac(args.r) if args.r else None
+    if "q" in read and not is_prime(args.q):
+        raise CliError(f"--q must be prime, got {args.q}")
+    if read.get("m", 1) < 1:
+        raise CliError("--M must be at least 1")
+    if read.get("ell", 1) < 1:
+        raise CliError("--ell must be at least 1")
+    if read.get("r") is not None and args.r < 1:
+        raise CliError("--r must be at least 1")
+    if read.get("budget") is not None and args.budget <= 0:
+        raise CliError("--budget must be positive")
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config = RunConfig(
-            command=args.command,
-            graph_path=args.graph_path,
-            code_path=args.code_path,
-            q=args.q,
-            m=args.m,
-            r=parse_frac(args.r_text) if args.r_text else None,
-            ell=args.ell,
-            scheme=args.scheme,
-            budget=args.budget,
-            output_path=args.output_path,
-        )
-        return COMMANDS[config.command](config)
+        _check_values(args)
+        return COMMANDS[args.command][0](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

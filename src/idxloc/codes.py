@@ -26,6 +26,7 @@ from .linalg import (
     Vector,
     in_span,
     rank,
+    require_prime,
     solve_in_span,
     unit_vector,
     vector_matrix,
@@ -145,12 +146,11 @@ class FittingMatrix:
     inside the instance's side-information pattern.
 
     Produced either by stacking the decoding witnesses u_i + e_i of a
-    scalar plan (source records that plan) or by the min-rank search
-    (source is None).
+    scalar plan (fitting_matrix_from_plan) or by the min-rank search
+    (bounds.minrank_bruteforce).
     """
 
     matrix: FqMatrix
-    source: "DecodingPlan | None" = None
 
     def __post_init__(self) -> None:
         if self.matrix.rows != self.matrix.cols:
@@ -196,10 +196,10 @@ def verify_decodable(
     for i in range(1, code.n + 1):
         cols = [code.column_vector(k) for k in code.query_list(i)]
         side_idx = sorted(exp.side_info[i - 1])
-        gens = cols + [unit_vector(mn, s - 1, q) for s in side_idx]
+        gens = cols + [unit_vector(mn, s - 1) for s in side_idx]
         entries: list[PlanEntry] = []
         for j in sorted(exp.demands[i - 1]):
-            target = unit_vector(mn, j - 1, q)
+            target = unit_vector(mn, j - 1)
             sol = solve_in_span(gens, target, q)
             if sol is None:
                 failures.append((i, j))
@@ -353,10 +353,10 @@ def normalize_unique_columns(
         # Extend greedily against W = span(shared + side coordinates)
         # itself: for v and C inside the demand subspace D,
         # v in (W ∩ D) + span C iff v in W + span C.
-        current = shared_cols + [unit_vector(mn, t, q) for t in side_rows]
+        current = shared_cols + [unit_vector(mn, t) for t in side_rows]
         extension: list[Vector] = []
         for t in demand_rows:
-            candidate = unit_vector(mn, t, q)
+            candidate = unit_vector(mn, t)
             if not in_span(current, candidate, q):
                 current.append(candidate)
                 extension.append(candidate)
@@ -388,7 +388,7 @@ def fitting_matrix_from_plan(
         col = list(entry.u)
         col[i - 1] = (col[i - 1] + 1) % code.q
         columns.append(tuple(col))
-    fm = FittingMatrix(FqMatrix.from_columns(columns, code.n, code.q), source=plan)
+    fm = FittingMatrix(FqMatrix.from_columns(columns, code.n, code.q))
     if not fm.fits(g):
         raise AssertionError("plan witnesses do not respect the graph pattern")
     return fm
@@ -410,16 +410,33 @@ def code_to_json_dict(code: IndexCode) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    # bool is a subclass of int, but JSON true and false are not integers.
+    if type(value) is not int:
+        raise ValueError(
+            f"malformed code document: {what} must be an integer, got {value!r}"
+        )
+    return value
+
+
+def _json_int_lists(value, what: str) -> list[list[int]]:
+    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
+        raise ValueError(f"malformed code document: {what} must be a list of lists")
+    return [[_json_int(x, f"an entry of {what}") for x in r] for r in value]
+
+
 def code_from_json_dict(doc: dict) -> IndexCode:
+    """The code a JSON document describes.  Raises ValueError unless q, M,
+    N and ell are integers, q is prime, and L and queries are lists of
+    lists of integers of the right shape."""
     try:
-        q = int(doc["q"])
-        m = int(doc["M"])
-        n = int(doc["N"])
-        ell = int(doc["ell"])
-        rows = doc["L"]
-        queries = doc["queries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        fields = [doc[key] for key in ("q", "M", "N", "ell", "L", "queries")]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed code document: {exc}") from exc
+    q, m, n, ell = (_json_int(v, k) for v, k in zip(fields, ("q", "M", "N", "ell")))
+    rows = _json_int_lists(fields[4], "L")
+    queries = _json_int_lists(fields[5], "queries")
+    require_prime(q)
     if len(rows) != m * n or any(len(r) != ell for r in rows):
         raise ValueError("encoder array shape does not match M, N, ell")
     matrix = FqMatrix.from_rows(rows, q) if rows else FqMatrix.zeros(0, ell, q)
@@ -428,7 +445,7 @@ def code_from_json_dict(doc: dict) -> IndexCode:
         m=m,
         n=n,
         matrix=matrix,
-        queries=tuple(frozenset(int(k) for k in r) for r in queries),
+        queries=tuple(frozenset(r) for r in queries),
     )
 
 

@@ -5,7 +5,6 @@ receiver count."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .codes import IndexCode, require_plan
@@ -132,22 +131,6 @@ def time_share(
     )
 
 
-@dataclass(frozen=True)
-class RotationSchedule:
-    """Anchor choices for time sharing cycle codes; one anchor per
-    message component, so len(anchors) equals the message length of the
-    resulting vector code.  certified_optimal is False for message
-    lengths where no exact argument pins the best schedule down."""
-
-    n: int
-    anchors: tuple[int, ...]
-    certified_optimal: bool
-
-    def __post_init__(self) -> None:
-        if any(not 1 <= a <= self.n for a in self.anchors):
-            raise ValueError("anchors must lie in [1, n]")
-
-
 def _schedule_profile(n: int, anchors: tuple[int, ...]) -> tuple[Fraction, Fraction]:
     """(r, r_avg) of the time-shared cycle code with these anchors."""
     m = len(anchors)
@@ -161,36 +144,32 @@ def _schedule_profile(n: int, anchors: tuple[int, ...]) -> tuple[Fraction, Fract
     return r, r_avg
 
 
-def plan_rotation_schedule(n: int, m: int) -> RotationSchedule:
-    """Pick the anchors used by cycle_vector_code for message length m.
+def plan_rotation_schedule(n: int, m: int) -> tuple[int, ...]:
+    """The anchors, one per message component, that cycle_vector_code
+    time-shares for message length m.
 
-    Covered regimes (rate n-1 is optimal in all of them):
-      * n even and m a multiple of n/2: repeat the odd anchors.
-      * n odd and m a multiple of n: all n rotations.
+    Where bounds.optimal_cycle_locality_for_m(n, m) is not None, the
+    schedule reaches that locality at rate n-1:
       * m below n/2: repeat anchor 1; overall locality 2.
       * n odd and n/2 <= m < n: odd anchors, then n, then even anchors,
         reaching overall locality 2 - 1/m.
-    Anything else gets the best of a few candidate schedules and is
-    flagged as not certified.
+      * n even and m a multiple of n/2: repeat the odd anchors.
+      * n odd and m a multiple of n: all n rotations.
+    Any other m gets the best of a few candidate schedules, with no
+    claim of optimality.
     """
     if n < 3:
         raise ValueError("cycle schedules need n >= 3")
     if m < 1:
         raise ValueError("message length must be at least 1")
-    odd_anchors = tuple(range(1, n, 2)) if n % 2 == 0 else tuple(range(1, n - 1, 2))
     if n % 2 == 0 and m % (n // 2) == 0:
-        reps = m // (n // 2)
-        return RotationSchedule(n, tuple(range(1, n, 2)) * reps, True)
+        return tuple(range(1, n, 2)) * (m // (n // 2))
     if n % 2 == 1 and m % n == 0:
-        return RotationSchedule(n, tuple(range(1, n + 1)) * (m // n), True)
+        return tuple(range(1, n + 1)) * (m // n)
     if 2 * m < n:
-        return RotationSchedule(n, (1,) * m, True)
-    if n % 2 == 1 and n <= 2 * m and m < n:
-        evens_needed = 2 * m - (n + 1)
-        anchors = odd_anchors + (n,) + tuple(range(2, evens_needed + 1, 2))
-        if len(anchors) != m:
-            raise AssertionError("schedule length mismatch")
-        return RotationSchedule(n, anchors, True)
+        return (1,) * m
+    if n % 2 == 1 and m < n:
+        return tuple(range(1, n - 1, 2)) + (n,) + tuple(range(2, 2 * m - n, 2))
 
     # Uncovered message length: compare a few deterministic candidates.
     candidates: list[tuple[int, ...]] = [(1,) * m]
@@ -198,17 +177,17 @@ def plan_rotation_schedule(n: int, m: int) -> RotationSchedule:
     candidates.append(tuple(rotation[t % n] for t in range(m)))
     spaced = tuple(range(1, n + 1, 2)) + tuple(range(2, n + 1, 2))
     candidates.append(tuple(spaced[t % n] for t in range(m)))
-    best = min(candidates, key=lambda a: _schedule_profile(n, a))
-    return RotationSchedule(n, best, False)
+    return min(candidates, key=lambda a: _schedule_profile(n, a))
 
 
 def cycle_vector_code(n: int, q: int, m: int) -> IndexCode:
     """Length-m vector code for the directed n-cycle at rate n-1,
     time-sharing rotations of the scalar cycle code according to
     plan_rotation_schedule."""
-    schedule = plan_rotation_schedule(n, m)
     g = directed_cycle(n)
-    return time_share(g, [cycle_scalar_code(n, q, a) for a in schedule.anchors])
+    return time_share(
+        g, [cycle_scalar_code(n, q, a) for a in plan_rotation_schedule(n, m)]
+    )
 
 
 def minrank_deficit_code(g: SideInformationGraph, q: int) -> IndexCode:
@@ -229,7 +208,7 @@ def minrank_deficit_code(g: SideInformationGraph, q: int) -> IndexCode:
     columns, queries = _cycle_part(cycle_vertices, n)
     for t in range(1, n + 1):
         if t not in cycle_vertices:
-            columns.append(unit_vector(n, t - 1, q))
+            columns.append(unit_vector(n, t - 1))
             queries[t - 1].add(len(columns))
     matrix = FqMatrix.from_columns(columns, n, q)
     return IndexCode(

@@ -226,7 +226,7 @@ def in_span(generators: Sequence[Sequence[int]], target: Sequence[int], q: int) 
     return solve_in_span(generators, target, q) is not None
 
 
-def unit_vector(n: int, position: int, q: int = 2) -> Vector:
+def unit_vector(n: int, position: int) -> Vector:
     """Standard basis vector with a 1 at the given 0-based position."""
     if not 0 <= position < n:
         raise ValueError("unit vector position out of range")

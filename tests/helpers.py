@@ -13,11 +13,13 @@ from itertools import product
 from idxloc.codes import (
     DecodingFailure,
     IndexCode,
+    code_to_json_dict,
     locality_profile,
     normalize_unique_columns,
     query_partition,
     verify_decodable,
 )
+from idxloc.constructions import cycle_scalar_code
 from idxloc.graphs import SideInformationGraph, expand_indices, graph_from_side_info
 from idxloc.linalg import FqMatrix
 
@@ -133,3 +135,24 @@ def all_digraphs_without_2cycles(n: int):
             elif kind == 2:
                 side[j - 1].add(i)
         yield graph_from_side_info(side)
+
+
+def malformed_code_docs() -> list[tuple[str, dict]]:
+    """(name, document) pairs a code loader must refuse: the document of
+    the scalar 4-cycle code over F_2 with one field of the wrong JSON type.
+    Truncating the floats would give back that code."""
+    doc = code_to_json_dict(cycle_scalar_code(4, 2, 1))
+    rows, queries = doc["L"], doc["queries"]
+    return [
+        ("L-int", dict(doc, L=5)),
+        ("queries-int", dict(doc, queries=5)),
+        ("L-flat", dict(doc, L=[x for row in rows for x in row])),
+        ("L-row-int", dict(doc, L=[1, *rows[1:]])),
+        ("L-entry-null", dict(doc, L=[[None, *rows[0][1:]], *rows[1:]])),
+        ("L-entry-float", dict(doc, L=[[1.7, *rows[0][1:]], *rows[1:]])),
+        ("query-null", dict(doc, queries=[[None], *queries[1:]])),
+        ("query-set-null", dict(doc, queries=[None, *queries[1:]])),
+        ("q-float", dict(doc, q=2.5)),
+        ("q-bool", dict(doc, q=True)),
+        ("q-zero", dict(doc, q=0)),
+    ]

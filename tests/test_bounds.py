@@ -134,6 +134,28 @@ def test_converse_checks_cycle4_unique_query_tight():
     assert check.lhs == 0 and check.rhs == 0
 
 
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_converse_checks_one_whole_graph_minrank(n, monkeypatch):
+    # The only null support of a cycle code is every vertex, whose min-rank
+    # is the instance's: one whole-graph search serves both.
+    import idxloc.bounds
+
+    calls = []
+
+    def counting(h, q, budget=None):
+        calls.append(h.n)
+        return minrank_bruteforce(h, q, budget)
+
+    monkeypatch.setattr(idxloc.bounds, "minrank_bruteforce", counting)
+    g = directed_cycle(n)
+    code = cycle_scalar_code(n, 2, 1)
+    report = converse_checks(g, code, require_plan(g, code))
+    assert report.all_ok
+    whole = "S={" + ",".join(str(v) for v in range(1, n + 1)) + "}"
+    assert [c.context for c in report.by_name("query_union_minrank")] == [whole]
+    assert calls == [n]
+
+
 def test_converse_checks_uncoded_dag_slack():
     g = graph_from_side_info([{2}, {3}, set()])
     code = uncoded(g, 1)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,21 @@ from idxloc.codes import IndexCode, load_code, locality_profile, require_plan, s
 from idxloc.constructions import cycle_scalar_code
 from idxloc.graphs import directed_cycle, format_graph, graph_from_side_info, parse_graph
 from idxloc.linalg import FqMatrix
+
+from helpers import malformed_code_docs
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# Each subcommand's required and optional flags, as README.md lists them.
+SUBCOMMAND_FLAGS = {
+    "minrank": ({"--graph"}, {"--q", "--budget", "--out"}),
+    "construct": ({"--graph", "--scheme", "--out"}, {"--q", "--M"}),
+    "verify": ({"--graph", "--code"}, {"--budget"}),
+    "profile": ({"--code"}, set()),
+    "tradeoff": ({"--graph"}, {"--out"}),
+    "oracle": ({"--graph", "--ell", "--out"}, {"--q", "--M", "--r", "--budget"}),
+    "normalize": ({"--graph", "--code", "--out"}, set()),
+}
 
 
 @pytest.fixture
@@ -357,3 +373,84 @@ def test_shared_parser_answers_like_a_fresh_process(cycle4_file, capsys):
     assert [code for _, code, _ in calls] == [EXIT_INPUT, EXIT_OK, EXIT_INPUT]
     for argv, code, err in calls:
         assert (code, err) == _fresh_process(argv)
+
+
+def _readme_session():
+    """The README's 4-cycle graph file and its session: (argv, expected
+    stdout lines) per `$ idxloc` command, cut at a `...` line."""
+    text = README.read_text(encoding="utf-8")
+    graph = text.split("```\n# the directed 4-cycle\n", 1)[1].split("```", 1)[0]
+    session = text.split("A session:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    steps = []
+    for block in session.strip().split("\n\n"):
+        command, *expected = block.splitlines()
+        assert command.startswith("$ idxloc ")
+        steps.append((command.split()[2:], expected))
+    return "# the directed 4-cycle\n" + graph, steps
+
+
+def test_readme_session(tmp_path, monkeypatch, capsys):
+    graph, steps = _readme_session()
+    assert [argv[0] for argv, _ in steps] == [
+        "minrank", "construct", "verify", "tradeoff", "oracle",
+    ]
+    monkeypatch.chdir(tmp_path)
+    Path("cycle4.txt").write_text(graph, encoding="utf-8")
+    for argv, expected in steps:
+        assert main(argv) == EXIT_OK, argv
+        lines = capsys.readouterr().out.splitlines()
+        if expected[-1] == "...":
+            expected = expected[:-1]
+            lines = lines[:len(expected)]
+        assert lines == expected, argv
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (["verify", "--graph", "g.txt", "--code", "c.json", "--q", "3"], "--q 3"),
+    (["profile", "--code", "c.json", "--graph", "g.txt"], "--graph g.txt"),
+    (["tradeoff", "--graph", "g.txt", "--ell", "0"], "--ell 0"),
+])
+def test_unread_flag_is_input_error(argv, unread, capsys):
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unrecognized arguments: {unread}\n"
+
+
+def test_missing_required_flag_is_input_error(capsys):
+    assert main(["oracle", "--graph", "g.txt"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: the following arguments are required: --ell, --out\n"
+    )
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_help_lists_exactly_the_declared_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    usage = text.split("\n\n", 1)[0]
+    required, optional = SUBCOMMAND_FLAGS[command]
+    assert set(re.findall(r"--\w+", text)) - {"--help"} == required | optional
+    assert set(re.findall(r"\[(--\w+)", usage)) == optional
+
+
+@pytest.mark.parametrize("command", ["verify", "profile", "normalize"])
+@pytest.mark.parametrize(
+    "doc", [pytest.param(doc, id=name) for name, doc in malformed_code_docs()]
+)
+def test_malformed_code_file_is_input_error(command, doc, cycle4_file, tmp_path, capsys):
+    code_path = tmp_path / "bad.json"
+    code_path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = {
+        "verify": ["verify", "--graph", str(cycle4_file), "--code", str(code_path)],
+        "profile": ["profile", "--code", str(code_path)],
+        "normalize": ["normalize", "--graph", str(cycle4_file), "--code",
+                      str(code_path), "--out", str(tmp_path / "n.json")],
+    }[command]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load code file: ")
+    assert not (tmp_path / "n.json").exists()

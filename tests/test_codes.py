@@ -27,7 +27,12 @@ from idxloc.constructions import cycle_scalar_code, uncoded
 from idxloc.graphs import directed_cycle, expand_indices, graph_from_side_info
 from idxloc.linalg import FqMatrix, null_space_basis, rank
 
-from helpers import normalization_contract, random_decodable_code, random_graph
+from helpers import (
+    malformed_code_docs,
+    normalization_contract,
+    random_decodable_code,
+    random_graph,
+)
 
 
 def cycle4():
@@ -447,5 +452,13 @@ def test_json_rejects_bad_shape():
     _, code = cycle4()
     doc = code_to_json_dict(code)
     doc["L"] = doc["L"][:-1]
+    with pytest.raises(ValueError):
+        code_from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc", [pytest.param(doc, id=name) for name, doc in malformed_code_docs()]
+)
+def test_json_rejects_wrong_types(doc):
     with pytest.raises(ValueError):
         code_from_json_dict(doc)

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from idxloc.bounds import optimal_cycle_locality_for_m
 from idxloc.codes import (
     DecodingFailure,
     locality_profile,
@@ -186,13 +187,14 @@ def test_cycle_vector_profiles(n, m, expected_r):
 def test_cycle_vector_all_covered_regimes():
     for n in range(3, 10):
         for m in range(1, 2 * n + 1):
-            schedule = plan_rotation_schedule(n, m)
-            assert len(schedule.anchors) == m
+            anchors = plan_rotation_schedule(n, m)
+            assert len(anchors) == m
+            assert all(1 <= a <= n for a in anchors)
             code = cycle_vector_code(n, 2, m)
             p = locality_profile(code)
             assert p.beta == n - 1
             assert p.r_avg == Fraction(2 * (n - 1), n)
-            if not schedule.certified_optimal:
+            if optimal_cycle_locality_for_m(n, m) is None:
                 continue
             if 2 * m < n:
                 assert p.r == 2
@@ -203,10 +205,13 @@ def test_cycle_vector_all_covered_regimes():
 
 
 def test_schedule_flags_uncovered_lengths():
-    assert not plan_rotation_schedule(4, 3).certified_optimal
-    assert not plan_rotation_schedule(5, 7).certified_optimal
-    assert plan_rotation_schedule(5, 10).certified_optimal
-    assert plan_rotation_schedule(6, 9).certified_optimal
+    # Lengths with no established optimum still get m anchors in [1, n].
+    for n, m in [(4, 3), (5, 7)]:
+        assert optimal_cycle_locality_for_m(n, m) is None
+        anchors = plan_rotation_schedule(n, m)
+        assert len(anchors) == m and all(1 <= a <= n for a in anchors)
+    assert optimal_cycle_locality_for_m(5, 10) is not None
+    assert optimal_cycle_locality_for_m(6, 9) is not None
 
 
 def test_deficit_two_cycle():

@@ -38,9 +38,9 @@ def _decodes(cols, mn, q, demand_rows, side_rows):
     """Every demanded symbol lies in the span of the columns and the
     side-information unit vectors."""
     gens = [tuple(c // q**r % q for r in range(mn)) for c in cols]
-    gens += [unit_vector(mn, s, q) for s in side_rows]
+    gens += [unit_vector(mn, s) for s in side_rows]
     return all(
-        solve_in_span(gens, unit_vector(mn, d, q), q) is not None for d in demand_rows
+        solve_in_span(gens, unit_vector(mn, d), q) is not None for d in demand_rows
     )
 
 

@@ -19,9 +19,9 @@ from idxloc.linalg import solve_in_span, unit_vector
 
 
 def _decodes(columns, demand_rows, side_rows, mn, q):
-    gens = list(columns) + [unit_vector(mn, s, q) for s in side_rows]
+    gens = list(columns) + [unit_vector(mn, s) for s in side_rows]
     return all(
-        solve_in_span(gens, unit_vector(mn, d, q), q) is not None for d in demand_rows
+        solve_in_span(gens, unit_vector(mn, d), q) is not None for d in demand_rows
     )
 
 
