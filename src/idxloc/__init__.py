@@ -52,13 +52,12 @@ from .constructions import (
 )
 from .graphs import (
     GraphParseError,
-    IndexExpansion,
     SideInformationGraph,
     directed_cycle,
-    expand_indices,
     graph_from_side_info,
     induced_subgraph,
     parse_graph,
+    receiver_rows,
     shortest_directed_cycle,
 )
 from .linalg import FqMatrix, null_space_basis, rank, rref, solve_in_span

@@ -109,19 +109,20 @@ def _project_bits(code: int, keep_rows) -> int:
     return v
 
 
-def receiver_tables(codes, mn, q, demands, side):
-    """Per receiver, (|demands|, proj_a, proj_b) over the candidate columns.
+def receiver_tables(codes, mn, q, rows):
+    """Per receiver, (|demand rows|, proj_a, proj_b) over the candidate
+    columns.
 
-    codes: base-q codes of the candidate columns.  demands/side: per
-    receiver, tuples of 0-based row indices.  proj_a[k] is column k with
-    the receiver's side rows removed, proj_b[k] with its side and demand
-    rows removed: int bitmasks for q = 2, digit tuples otherwise.
-    Receiver i decodes from a column set T iff
-    rank(proj_a[T]) - rank(proj_b[T]) == |demands|.
+    codes: base-q codes of the candidate columns.  rows: per receiver,
+    its (demand rows, side rows) from ``graphs.receiver_rows``, 0-based.
+    proj_a[k] is column k with the receiver's side rows removed, proj_b[k]
+    with its side and demand rows removed: int bitmasks for q = 2, digit
+    tuples otherwise.  Receiver i decodes from a column set T iff
+    rank(proj_a[T]) - rank(proj_b[T]) == |demand rows|.
     """
     digits = list(codes) if q == 2 else [decode_column(c, mn, q) for c in codes]
     tables = []
-    for demand_rows, side_rows in zip(demands, side):
+    for demand_rows, side_rows in rows:
         keep_a = [r for r in range(mn) if r not in side_rows]
         keep_b = [r for r in keep_a if r not in demand_rows]
         if q == 2:

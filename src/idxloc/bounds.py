@@ -19,7 +19,6 @@ from .codes import (
     DecodingPlan,
     FittingMatrix,
     IndexCode,
-    column_space_contained,
     fitting_matrix_from_plan,
     locality_profile,
     query_partition,
@@ -27,12 +26,12 @@ from .codes import (
 )
 from .graphs import (
     SideInformationGraph,
-    expand_indices,
     has_directed_cycle,
     induced_subgraph,
+    receiver_rows,
     shortest_directed_cycle,
 )
-from .linalg import FqMatrix, null_space_basis, require_prime
+from .linalg import FqMatrix, null_space_basis, rank, require_prime
 
 DEFAULT_MINRANK_BUDGET = 2**24
 DEFAULT_SCALAR_SEARCH_BUDGET = 2**22
@@ -69,9 +68,7 @@ def minrank_bruteforce(
         raise BudgetExceededError(
             f"min-rank search space q^{total_free} exceeds budget {budget}"
         )
-    free_rows = tuple(
-        tuple(sorted(j - 1 for j in g.side_info(i))) for i in range(1, g.n + 1)
-    )
+    free_rows = tuple(receiver_rows(g, 1, i)[1] for i in range(1, g.n + 1))
     value, col_codes = _kernel.minrank_dfs(g.n, q, free_rows)
     columns = [_kernel.decode_column(code, g.n, q) for code in col_codes]
     witness = FittingMatrix(FqMatrix.from_columns(columns, g.n, q))
@@ -163,7 +160,7 @@ def pareto_merge(points: list[ParetoPoint]) -> list[ParetoPoint]:
     """Nondominated subset of the union, independent of input order.
 
     Equal profiles collapse to the witness with the smallest canonical
-    key, so parallel or repeated runs merge to identical output.
+    key, so any order of the same points merges to identical output.
     """
     best_by_profile: dict[tuple, ParetoPoint] = {}
     for p in points:
@@ -220,13 +217,6 @@ def _search(
         raise BudgetExceededError(
             f"search enumerates {encoders} encoders, exceeding budget {budget}"
         )
-    exp = expand_indices(g, m)
-    demands = tuple(
-        tuple(sorted(j - 1 for j in exp.demands[i])) for i in range(g.n)
-    )
-    side = tuple(
-        tuple(sorted(s - 1 for s in exp.side_info[i])) for i in range(g.n)
-    )
     if locality_cap is None:
         max_size = ell
     else:
@@ -245,7 +235,8 @@ def _search(
     ):
         return []
     codes = _normalized_column_codes(mn, q)
-    tables = _kernel.receiver_tables(codes, mn, q, demands, side)
+    rows = [receiver_rows(g, m, i) for i in range(1, g.n + 1)]
+    tables = _kernel.receiver_tables(codes, mn, q, rows)
 
     # Frontier bookkeeping on integer profiles (max |R_i|, sum |R_i|);
     # beta is constant within one call so dominance reduces to these two.
@@ -487,9 +478,9 @@ def converse_checks(
 
     if code.m != 1:
         checks.append(
-            CheckResult(
-                "null_support_family", "", "not_applicable",
-                note="fitting-matrix checks need a scalar code",
+            _inequality(
+                "null_support_family", "", 0, 0,
+                "fitting-matrix checks need a scalar code",
             )
         )
         return ConverseReport(tuple(checks))
@@ -508,9 +499,9 @@ def converse_checks(
     supports, sampled = _null_supports(fm, code.q)
     if sampled is not None:
         checks.append(
-            CheckResult(
-                "null_support_family", "", "not_applicable",
-                note=f"supports sampled from {sampled[0]} of the {sampled[1]}"
+            _inequality(
+                "null_support_family", "", 0, 0,
+                f"supports sampled from {sampled[0]} of the {sampled[1]}"
                 " nonzero null vectors",
             )
         )
@@ -546,19 +537,12 @@ def converse_checks(
             )
         )
 
-    if not column_space_contained(code.matrix, fm.matrix):
-        checks.append(
-            CheckResult(
-                name="fitting_column_space", context="",
-                status="violated",
-                note="fitting matrix columns leave the encoder column space",
-            )
+    # lhs 0 >= rhs holds iff the fitting matrix's columns add nothing to
+    # the rank of the encoder's column space.
+    checks.append(
+        _inequality(
+            "fitting_column_space", "", 0,
+            rank(code.matrix.hstack(fm.matrix)) - rank(code.matrix),
         )
-    else:
-        checks.append(
-            CheckResult(
-                name="fitting_column_space", context="",
-                status="ok", lhs=Fraction(0), rhs=Fraction(0),
-            )
-        )
+    )
     return ConverseReport(tuple(checks))

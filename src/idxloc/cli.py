@@ -6,8 +6,8 @@ other flag is an input error.  All rationals are printed as "p/q" in
 lowest terms so output is exact and byte-stable across runs.
 
 Exit codes: 0 success / verification PASS, 2 verification FAIL,
-3 input error (files, arguments, structural mismatches), 4 search budget
-exceeded.
+3 input error (files, arguments, structural mismatches, an unwritable
+output), 4 search budget exceeded.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .graphs import (
     cycle_length_if_cycle,
     parse_graph,
 )
-from .linalg import is_prime
+from .linalg import MODULUS_BOUND, is_prime
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -315,6 +315,8 @@ def _check_values(args: argparse.Namespace) -> None:
     read = vars(args)
     if "r" in read:
         args.r = parse_frac(args.r) if args.r else None
+    if "q" in read and args.q >= MODULUS_BOUND:
+        raise CliError(f"--q must be below 2^32, got {args.q}")
     if "q" in read and not is_prime(args.q):
         raise CliError(f"--q must be prime, got {args.q}")
     if read.get("m", 1) < 1:
@@ -335,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # reads are reported where they happen
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def main_entry() -> None:

@@ -20,12 +20,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .graphs import SideInformationGraph, expand_indices, side_indices
+from .graphs import SideInformationGraph, receiver_rows
 from .linalg import (
     FqMatrix,
     Vector,
     in_span,
-    rank,
     require_prime,
     solve_in_span,
     unit_vector,
@@ -188,27 +187,25 @@ def verify_decodable(
     graph and code raise ValueError instead.
     """
     _check_structure(g, code)
-    exp = expand_indices(g, code.m)
     mn = code.m * code.n
     q = code.q
     failures: list[tuple[int, int]] = []
     receivers: list[tuple[PlanEntry, ...]] = []
     for i in range(1, code.n + 1):
+        demand_rows, side_rows = receiver_rows(g, code.m, i)
         cols = [code.column_vector(k) for k in code.query_list(i)]
-        side_idx = sorted(exp.side_info[i - 1])
-        gens = cols + [unit_vector(mn, s - 1) for s in side_idx]
+        gens = cols + [unit_vector(mn, s) for s in side_rows]
         entries: list[PlanEntry] = []
-        for j in sorted(exp.demands[i - 1]):
-            target = unit_vector(mn, j - 1)
-            sol = solve_in_span(gens, target, q)
+        for j in demand_rows:
+            sol = solve_in_span(gens, unit_vector(mn, j), q)
             if sol is None:
-                failures.append((i, j))
+                failures.append((i, j + 1))
                 continue
             alpha = sol[: len(cols)]
             u = [0] * mn
-            for s, c in zip(side_idx, sol[len(cols) :]):
-                u[s - 1] = (-c) % q
-            entries.append(PlanEntry(demand=j, u=tuple(u), alpha=tuple(alpha)))
+            for s, c in zip(side_rows, sol[len(cols) :]):
+                u[s] = (-c) % q
+            entries.append(PlanEntry(demand=j + 1, u=tuple(u), alpha=tuple(alpha)))
         receivers.append(tuple(entries))
     if failures:
         return DecodingFailure(tuple(failures))
@@ -240,7 +237,7 @@ def decode_receiver(
     """Decode the demands of receiver i from its queries and side info.
 
     queried must align with the sorted query columns of receiver i and
-    side_values with the receiver's sorted side-information indices.
+    side_values with its side rows from graphs.receiver_rows.
     Returns the m demanded symbols in ascending index order; they equal
     the true symbols whenever the inputs come from an encoded message.
     """
@@ -252,15 +249,15 @@ def decode_receiver(
     r_list = code.query_list(i)
     if len(queried) != len(r_list):
         raise ValueError(f"receiver {i} expects {len(r_list)} queried symbols")
-    side_idx = side_indices(g, code.m, i)
-    if len(side_values) != len(side_idx):
-        raise ValueError(f"receiver {i} expects {len(side_idx)} side-info symbols")
+    side_rows = receiver_rows(g, code.m, i)[1]
+    if len(side_values) != len(side_rows):
+        raise ValueError(f"receiver {i} expects {len(side_rows)} side-info symbols")
     entries = plan.entries(i)
     q = code.q
     out = []
     for entry in entries:
         total = sum(a * c for a, c in zip(entry.alpha, queried))
-        correction = sum(entry.u[s - 1] * v for s, v in zip(side_idx, side_values))
+        correction = sum(entry.u[s] * v for s, v in zip(side_rows, side_values))
         out.append((total - correction) % q)
     return tuple(out)
 
@@ -338,7 +335,6 @@ def normalize_unique_columns(
     columns when fewer extension vectors than unique positions exist.
     """
     require_plan(g, code)
-    exp = expand_indices(g, code.m)
     part = query_partition(code)
     mn = code.m * code.n
     q = code.q
@@ -347,8 +343,7 @@ def normalize_unique_columns(
         unique_here = sorted(part.unique[i - 1])
         if not unique_here:
             continue
-        demand_rows = [j - 1 for j in sorted(exp.demands[i - 1])]
-        side_rows = [s - 1 for s in sorted(exp.side_info[i - 1])]
+        demand_rows, side_rows = receiver_rows(g, code.m, i)
         shared_cols = [code.column_vector(k) for k in sorted(part.shared[i - 1])]
         # Extend greedily against W = span(shared + side coordinates)
         # itself: for v and C inside the demand subspace D,
@@ -392,11 +387,6 @@ def fitting_matrix_from_plan(
     if not fm.fits(g):
         raise AssertionError("plan witnesses do not respect the graph pattern")
     return fm
-
-
-def column_space_contained(outer: FqMatrix, inner: FqMatrix) -> bool:
-    """True iff the column space of inner lies inside that of outer."""
-    return rank(outer.hstack(inner)) == rank(outer)
 
 
 def code_to_json_dict(code: IndexCode) -> dict:

@@ -11,7 +11,7 @@ from .codes import IndexCode, require_plan
 from .graphs import (
     SideInformationGraph,
     directed_cycle,
-    expand_indices,
+    receiver_rows,
     shortest_directed_cycle,
 )
 from .linalg import FqMatrix, Vector, require_prime, unit_vector
@@ -24,16 +24,12 @@ def uncoded(g: SideInformationGraph, m: int = 1, q: int = 2) -> IndexCode:
     information is ignored entirely.
     """
     require_prime(q)
-    if m < 1:
-        raise ValueError("message length must be at least 1")
-    exp = expand_indices(g, m)
-    mn = m * g.n
+    # Column r + 1 of the identity carries row r.
+    queries = tuple(
+        frozenset(r + 1 for r in receiver_rows(g, m, i)[0]) for i in range(1, g.n + 1)
+    )
     return IndexCode(
-        q=q,
-        m=m,
-        n=g.n,
-        matrix=FqMatrix.identity(mn, q),
-        queries=tuple(frozenset(d) for d in exp.demands),
+        q=q, m=m, n=g.n, matrix=FqMatrix.identity(m * g.n, q), queries=queries
     )
 
 

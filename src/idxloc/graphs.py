@@ -223,37 +223,19 @@ def shortest_directed_cycle(
     raise AssertionError("cycle of computed girth not found")
 
 
-@dataclass(frozen=True)
-class IndexExpansion:
-    """Scalar-index view of a vector problem with message length m.
+def receiver_rows(
+    g: SideInformationGraph, m: int, i: int
+) -> tuple[range, tuple[int, ...]]:
+    """Encoder rows of receiver i (1-based) in the length-m vector problem,
+    0-based and ascending: (demand rows, side-information rows).
 
-    Message i of length m occupies the scalar indices (i-1)*m+1 .. i*m;
-    demands partition [m*n] and side_info[i] is the union of the blocks
-    receiver i+1 already knows.
+    Message j occupies rows (j-1)*m .. j*m-1, so receiver i demands its
+    own block of m rows and knows the blocks of the messages in K_i.
     """
-
-    m: int
-    demands: tuple[frozenset[int], ...]
-    side_info: tuple[frozenset[int], ...]
-
-
-def expand_indices(g: SideInformationGraph, m: int) -> IndexExpansion:
-    """Demand and side-information index sets of the length-m vector problem."""
     if m < 1:
         raise ValueError("message length must be at least 1")
-    demands = tuple(
-        frozenset(range((i - 1) * m + 1, i * m + 1)) for i in range(1, g.n + 1)
-    )
-    side = tuple(frozenset(side_indices(g, m, i)) for i in range(1, g.n + 1))
-    return IndexExpansion(m, demands, side)
-
-
-def side_indices(g: SideInformationGraph, m: int, i: int) -> tuple[int, ...]:
-    """Sorted side-information indices of receiver i in the length-m vector
-    problem: (j-1)*m + t for j in K_i and t = 1..m."""
-    return tuple(
-        (j - 1) * m + t for j in sorted(g.side_info(i)) for t in range(1, m + 1)
-    )
+    side = tuple(r for j in sorted(g.side_info(i)) for r in range((j - 1) * m, j * m))
+    return range((i - 1) * m, i * m), side
 
 
 def cycle_length_if_cycle(g: SideInformationGraph) -> int | None:

@@ -14,14 +14,22 @@ from typing import Sequence
 Vector = tuple[int, ...]
 
 
+# Field moduli must lie below this bound, so trial division takes a few
+# milliseconds at most.
+MODULUS_BOUND = 2**32
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; ample for the small moduli used here."""
+    """Trial-division primality test for n below MODULUS_BOUND; raises
+    ValueError for a larger odd n."""
     if n < 2:
         return False
     if n < 4:
         return True
     if n % 2 == 0:
         return False
+    if n >= MODULUS_BOUND:
+        raise ValueError(f"field modulus must be below 2^32, got {n}")
     d = 3
     while d * d <= n:
         if n % d == 0:

@@ -20,7 +20,7 @@ from idxloc.codes import (
     verify_decodable,
 )
 from idxloc.constructions import cycle_scalar_code
-from idxloc.graphs import SideInformationGraph, expand_indices, graph_from_side_info
+from idxloc.graphs import SideInformationGraph, graph_from_side_info, receiver_rows
 from idxloc.linalg import FqMatrix
 
 
@@ -114,12 +114,12 @@ def normalization_contract(g: SideInformationGraph, code: IndexCode) -> IndexCod
     assert normalized.queries == code.queries
     assert locality_profile(normalized) == locality_profile(code)
     assert not isinstance(verify_decodable(g, normalized), DecodingFailure)
-    exp = expand_indices(g, code.m)
     part = query_partition(normalized)
     for i in range(1, code.n + 1):
+        demand_rows = receiver_rows(g, code.m, i)[0]
         for k in sorted(part.unique[i - 1]):
-            sup = {t + 1 for t, v in enumerate(normalized.column_vector(k)) if v}
-            assert sup <= exp.demands[i - 1]
+            sup = {t for t, v in enumerate(normalized.column_vector(k)) if v}
+            assert sup <= set(demand_rows)
     return normalized
 
 

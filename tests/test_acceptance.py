@@ -24,7 +24,7 @@ from idxloc.codes import (
     require_plan,
 )
 from idxloc.constructions import uncoded
-from idxloc.graphs import directed_cycle, expand_indices
+from idxloc.graphs import directed_cycle, receiver_rows
 
 from corpus import (
     cycle_scalar_corpus,
@@ -158,7 +158,6 @@ def test_criterion_7_round_trip_sweep():
         rng = random.Random(0xC0FFEE)
         for g, code in full_corpus():
             plan = require_plan(g, code)
-            exp = expand_indices(g, code.m)
             mn = code.m * code.n
             if code.q**mn <= 4096:
                 messages = product(range(code.q), repeat=mn)
@@ -167,14 +166,14 @@ def test_criterion_7_round_trip_sweep():
                     tuple(rng.randrange(code.q) for _ in range(mn))
                     for _ in range(1000)
                 )
-            demand_idx = [sorted(exp.demands[i - 1]) for i in range(1, code.n + 1)]
-            side_idx = [sorted(exp.side_info[i - 1]) for i in range(1, code.n + 1)]
+            rows = [receiver_rows(g, code.m, i) for i in range(1, code.n + 1)]
             query_idx = [code.query_list(i) for i in range(1, code.n + 1)]
             for x in messages:
                 c = encode(code, x)
                 for i in range(1, code.n + 1):
                     queried = [c[k - 1] for k in query_idx[i - 1]]
-                    side = [x[s - 1] for s in side_idx[i - 1]]
-                    want = tuple(x[j - 1] for j in demand_idx[i - 1])
+                    demand_rows, side_rows = rows[i - 1]
+                    side = [x[s] for s in side_rows]
+                    want = tuple(x[j] for j in demand_rows)
                     got = decode_receiver(g, code, plan, i, queried, side)
                     assert got == want

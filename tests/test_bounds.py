@@ -201,6 +201,21 @@ def test_converse_checks_say_when_null_supports_are_sampled():
     )
 
 
+def test_fitting_column_space_violation_carries_numbers():
+    # The uncoded plan's fitting matrix is the identity, which adds one
+    # dimension to the column space of the 3-cycle code.
+    g = directed_cycle(3)
+    code = cycle_scalar_code(3, 2, 1)
+    report = converse_checks(g, code, require_plan(g, uncoded(g)))
+    (check,) = report.by_name("fitting_column_space")
+    assert (check.status, check.lhs, check.rhs, check.slack) == ("violated", 0, 1, -1)
+    assert not report.all_ok
+    (check,) = converse_checks(g, code, require_plan(g, code)).by_name(
+        "fitting_column_space"
+    )
+    assert (check.status, check.lhs, check.rhs, check.slack) == ("ok", 0, 0, 0)
+
+
 def test_search_skips_lengths_below_the_acyclic_set_bound(monkeypatch):
     # ell < m * |S| for an induced acyclic set S proves the frontier empty,
     # so the search returns before enumerating any encoder.

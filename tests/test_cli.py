@@ -5,13 +5,16 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import idxloc
 from idxloc.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
-from idxloc.codes import IndexCode, load_code, locality_profile, require_plan, save_code
+from idxloc.codes import (
+    IndexCode, code_to_json_dict, load_code, locality_profile, require_plan, save_code,
+)
 from idxloc.constructions import cycle_scalar_code
 from idxloc.graphs import directed_cycle, format_graph, graph_from_side_info, parse_graph
 from idxloc.linalg import FqMatrix
@@ -345,18 +348,69 @@ def test_rejects_composite_field(cycle3_file, tmp_path):
     ) == EXIT_INPUT
 
 
+def test_huge_field_is_refused_at_once(cycle3_file, tmp_path):
+    # 2^61 - 1 is prime; trial division up to its square root would run
+    # for minutes.
+    argv = ["minrank", "--graph", str(cycle3_file), "--q", "2305843009213693951",
+            "--out", str(tmp_path / "w.json")]
+    assert _fresh_process(argv, timeout=10) == (
+        EXIT_INPUT, "error: --q must be below 2^32, got 2305843009213693951\n"
+    )
+    start = time.perf_counter()
+    assert main(argv) == EXIT_INPUT
+    assert time.perf_counter() - start < 1
+    assert not (tmp_path / "w.json").exists()
+
+
+def test_field_bound_applies_to_flags_and_code_files(cycle3_file, tmp_path, capsys):
+    q = 4294967311  # the smallest prime above 2^32
+    assert main(
+        ["minrank", "--graph", str(cycle3_file), "--q", str(q),
+         "--out", str(tmp_path / "w.json")]
+    ) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: --q must be below 2^32, got {q}\n"
+    code_path = tmp_path / "big_q.json"
+    doc = dict(code_to_json_dict(cycle_scalar_code(3, 2, 1)), q=q)
+    code_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "--graph", str(cycle3_file), "--code", str(code_path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: cannot load code file: field modulus must be below 2^32, got {q}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command", ["minrank", "construct", "oracle", "tradeoff", "normalize"]
+)
+def test_unwritable_out_is_input_error(command, cycle3_file, tmp_path, capsys):
+    code_path = tmp_path / "c.json"
+    save_code(cycle_scalar_code(3, 2, 1), code_path)
+    graph, out = str(cycle3_file), str(tmp_path / "missing" / "out.txt")
+    argv = {
+        "minrank": ["minrank", "--graph", graph, "--out", out],
+        "construct": ["construct", "--graph", graph, "--scheme", "uncoded", "--out", out],
+        "oracle": ["oracle", "--graph", graph, "--ell", "2", "--out", out],
+        "tradeoff": ["tradeoff", "--graph", graph, "--out", out],
+        "normalize": ["normalize", "--graph", graph, "--code", str(code_path),
+                      "--out", out],
+    }[command]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output: ")
+
+
 def test_usage_error_is_input_exit():
     assert main(["bogus-command"]) == EXIT_INPUT
 
 
-def _fresh_process(argv):
+def _fresh_process(argv, timeout=None):
     """Exit code and stderr of the same command in a new interpreter."""
     env = dict(os.environ)
     src = str(Path(idxloc.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "idxloc.cli", *argv],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
     return proc.returncode, proc.stderr
 

@@ -1,4 +1,4 @@
-"""Graph parsing, induced subgraphs, girth, index expansion."""
+"""Graph parsing, induced subgraphs, girth, receiver rows."""
 
 import random
 
@@ -8,12 +8,12 @@ from idxloc.graphs import (
     GraphParseError,
     cycle_length_if_cycle,
     directed_cycle,
-    expand_indices,
     format_graph,
     graph_from_side_info,
     has_directed_cycle,
     induced_subgraph,
     parse_graph,
+    receiver_rows,
     shortest_directed_cycle,
 )
 
@@ -133,41 +133,40 @@ def test_girth_absent_iff_topological_order():
         assert (shortest_directed_cycle(g) is None) == (not has_directed_cycle(g))
 
 
-def test_expand_m1_collapse():
+def _all_digraphs(n):
+    """Every digraph on n vertices without self-loops."""
+    arcs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    for mask in range(2 ** len(arcs)):
+        side = [set() for _ in range(n)]
+        for t, (i, j) in enumerate(arcs):
+            if mask >> t & 1:
+                side[i - 1].add(j)
+        yield graph_from_side_info(side)
+
+
+def test_receiver_rows_layout():
+    graphs = 0
+    for n in (1, 2, 3):
+        for g in _all_digraphs(n):
+            graphs += 1
+            for m in (1, 2, 3):
+                rows = [receiver_rows(g, m, i) for i in range(1, n + 1)]
+                demands = [r for demand_rows, _ in rows for r in demand_rows]
+                assert sorted(demands) == list(range(m * n))
+                for i, (demand_rows, side_rows) in enumerate(rows, start=1):
+                    assert demand_rows == range((i - 1) * m, i * m)
+                    assert list(side_rows) == sorted(set(side_rows))
+                    assert not set(side_rows) & set(demand_rows)
+                    known = {r for j in g.side_info(i) for r in rows[j - 1][0]}
+                    assert set(side_rows) == known
+    assert graphs == 1 + 4 + 64
+
+
+def test_receiver_rows_rejects_short_messages():
     g = directed_cycle(3)
-    exp = expand_indices(g, 1)
-    assert exp.demands == (frozenset({1}), frozenset({2}), frozenset({3}))
-    assert exp.side_info == (frozenset({2}), frozenset({3}), frozenset({1}))
-
-
-def test_expand_demand_block():
-    g = random_graph(random.Random(1), 4)
-    exp = expand_indices(g, 3)
-    assert exp.demands[1] == {4, 5, 6}
-
-
-def test_expand_side_info_block():
-    g = directed_cycle(3)
-    exp = expand_indices(g, 2)
-    assert exp.side_info[0] == {3, 4}
-
-
-def test_expand_partitions_and_sizes():
-    rng = random.Random(3)
-    for _ in range(25):
-        n = rng.randint(1, 6)
-        m = rng.randint(1, 4)
-        g = random_graph(rng, n)
-        exp = expand_indices(g, m)
-        union = set()
-        for d in exp.demands:
-            assert len(d) == m
-            assert not (union & d)
-            union |= d
-        assert union == set(range(1, m * n + 1))
-        for i in range(n):
-            assert len(exp.side_info[i]) == m * len(g.side_info(i + 1))
-            assert not (exp.side_info[i] & exp.demands[i])
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="message length"):
+            receiver_rows(g, m, 1)
 
 
 def test_cycle_length_detection():

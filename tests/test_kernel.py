@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement
 
 from idxloc import _kernel
 from idxloc.bounds import _normalized_column_codes
-from idxloc.graphs import expand_indices
+from idxloc.graphs import receiver_rows
 from idxloc.linalg import FqMatrix, rank, solve_in_span, unit_vector
 
 from helpers import random_graph
@@ -19,18 +19,16 @@ def _search_instance(rng):
     g = random_graph(rng, n)
     mn = m * n
     ell = rng.randint(1, 4)
-    exp = expand_indices(g, m)
-    demands = tuple(tuple(sorted(j - 1 for j in exp.demands[i])) for i in range(n))
-    side = tuple(tuple(sorted(s - 1 for s in exp.side_info[i])) for i in range(n))
+    rows = [receiver_rows(g, m, i) for i in range(1, n + 1)]
     cols = tuple(rng.randrange(q**mn) for _ in range(ell))
-    return cols, mn, q, demands, side, ell
+    return cols, mn, q, rows, ell
 
 
-def _encoder(cols, mn, q, demands, side):
+def _encoder(cols, mn, q, rows):
     """Receiver tables over the distinct columns, and the encoder's
     columns as indices into them (repeated columns share an index)."""
     distinct = sorted(set(cols))
-    tables = _kernel.receiver_tables(distinct, mn, q, demands, side)
+    tables = _kernel.receiver_tables(distinct, mn, q, rows)
     return tables, tuple(distinct.index(c) for c in cols)
 
 
@@ -58,11 +56,9 @@ def test_min_query_sets_matches_linalg():
     rng = random.Random(57)
     decodable = 0
     for _ in range(250):
-        cols, mn, q, demands, side, ell = _search_instance(rng)
-        tables, ks = _encoder(cols, mn, q, demands, side)
-        firsts = [
-            _first_decoding_subset(cols, mn, q, d, s) for d, s in zip(demands, side)
-        ]
+        cols, mn, q, rows, ell = _search_instance(rng)
+        tables, ks = _encoder(cols, mn, q, rows)
+        firsts = [_first_decoding_subset(cols, mn, q, d, s) for d, s in rows]
         for cap in range(1, ell + 1):
             got = _kernel.min_query_sets(tables, ks, q, cap)
             if any(t is None or len(t) > cap for t in firsts):
@@ -89,16 +85,14 @@ def test_decodable_encoders_yields_the_decodable_multisets_in_order():
         mn = m * n
         ell = rng.randint(1, 4 if q**mn <= 27 else 2)
         g = random_graph(rng, n)
-        exp = expand_indices(g, m)
-        demands = tuple(tuple(sorted(j - 1 for j in exp.demands[i])) for i in range(n))
-        side = tuple(tuple(sorted(s - 1 for s in exp.side_info[i])) for i in range(n))
+        rows = [receiver_rows(g, m, i) for i in range(1, n + 1)]
         codes = _normalized_column_codes(mn, q)
-        tables = _kernel.receiver_tables(codes, mn, q, demands, side)
+        tables = _kernel.receiver_tables(codes, mn, q, rows)
 
         @functools.cache
         def all_decode(column_set):
             cols = [codes[k] for k in column_set]
-            return all(_decodes(cols, mn, q, d, s) for d, s in zip(demands, side))
+            return all(_decodes(cols, mn, q, d, s) for d, s in rows)
 
         for repeat, tuples in ((True, combinations_with_replacement), (False, combinations)):
             want = [
@@ -116,8 +110,8 @@ def test_decodable_encoders_yields_the_decodable_multisets_in_order():
 def test_min_query_sets_respects_cap():
     rng = random.Random(58)
     for _ in range(80):
-        cols, mn, q, demands, side, ell = _search_instance(rng)
-        tables, ks = _encoder(cols, mn, q, demands, side)
+        cols, mn, q, rows, ell = _search_instance(rng)
+        tables, ks = _encoder(cols, mn, q, rows)
         cap = rng.randint(1, ell)
         a = _kernel.min_query_sets(tables, ks, q, cap)
         if a is not None:
@@ -130,9 +124,7 @@ def test_minrank_dfs_witness_rank_matches():
         n = rng.randint(1, 5)
         q = rng.choice([2, 3])
         g = random_graph(rng, n)
-        free = tuple(
-            tuple(sorted(j - 1 for j in g.side_info(i))) for i in range(1, n + 1)
-        )
+        free = tuple(receiver_rows(g, 1, i)[1] for i in range(1, n + 1))
         value, cols = _kernel.minrank_dfs(n, q, free)
         columns = []
         for code in cols:

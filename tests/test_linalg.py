@@ -25,6 +25,13 @@ def test_prime_field_rejects_composites():
             require_prime(bad)
 
 
+def test_prime_field_bound():
+    require_prime(4294967291)  # the largest prime below 2^32
+    for big in (4294967311, 2**61 - 1):  # primes above it
+        with pytest.raises(ValueError, match="below 2\\^32"):
+            require_prime(big)
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError):
         FqMatrix(2, 2, 4, (0, 1, 1, 0))  # composite modulus

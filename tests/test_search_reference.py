@@ -14,7 +14,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from idxloc.bounds import _normalized_column_codes, exhaustive_vector_search
-from idxloc.graphs import directed_cycle, expand_indices, graph_from_side_info
+from idxloc.graphs import directed_cycle, graph_from_side_info, receiver_rows
 from idxloc.linalg import solve_in_span, unit_vector
 
 
@@ -37,9 +37,7 @@ def _first_query_set(columns, demand_rows, side_rows, mn, q):
 def reference_search(g, q, m, ell, locality_cap=None):
     """(beta, r, r_avg, matrix entries, queries) per frontier point."""
     mn = m * g.n
-    exp = expand_indices(g, m)
-    demands = [sorted(j - 1 for j in exp.demands[i]) for i in range(g.n)]
-    side = [sorted(s - 1 for s in exp.side_info[i]) for i in range(g.n)]
+    rows = [receiver_rows(g, m, i) for i in range(1, g.n + 1)]
     max_size = ell if locality_cap is None else int(Fraction(locality_cap) * m)
     digits = [
         tuple(code // q**r % q for r in range(mn))
@@ -49,7 +47,7 @@ def reference_search(g, q, m, ell, locality_cap=None):
     for ks in combinations_with_replacement(range(len(digits)), ell):
         columns = [digits[k] for k in ks]
         firsts = []
-        for d, s in zip(demands, side):
+        for d, s in rows:
             first = _first_query_set(columns, d, s, mn, q)
             if first is None or len(first) > max_size:
                 break
