@@ -1,11 +1,12 @@
 """Search kernel.
 
 Hot primitives shared by the brute-force min-rank solver and the
-exhaustive encoder searches.  Column vectors are passed around as base-q
-integer codes: digit ``r`` of a code is the entry at (0-based) row ``r``,
-with row 0 in the least significant position.  For q = 2 the routines run
-on plain int bitmasks, for odd primes on digit sequences; results,
-including enumeration order and tie-breaking, are the same for both.
+exhaustive encoder searches.  Callers pass and receive columns as digit
+tuples (entry ``r`` at 0-based row ``r``) and query sets as tuples of
+positions; the kernel's own vector formats stay inside this module.
+``_vector_format`` picks int bitmasks for q = 2 and digit tuples for odd
+primes, once per set of tables or min-rank search; results, including
+enumeration order and tie-breaking, are the same for both.
 
 Decodability has one test, an incremental echelon basis per receiver and
 projection.  ``receiver_tables`` projects the candidate columns once per
@@ -14,12 +15,16 @@ those tables and skips every prefix that no completion can make
 decodable, both for the encoders of a search and, in
 ``first_query_set``, for the query sets of one receiver.  A search sizes
 each receiver's least query set with ``first_query_set`` and builds the
-witness masks with ``min_query_sets`` only for the encoders it keeps.
-``minrank_dfs`` fills fitting matrices column by column on the same
-incremental basis.
+witness query sets with ``min_query_sets`` only for the encoders it
+keeps.  ``minrank_dfs`` fills fitting matrices column by column on the
+same incremental basis.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from itertools import product
+from operator import itemgetter
 
 __all__ = [
     "decodable_encoders",
@@ -28,15 +33,6 @@ __all__ = [
     "minrank_dfs",
     "receiver_tables",
 ]
-
-
-def decode_column(code: int, mn: int, q: int) -> tuple[int, ...]:
-    """Expand a base-q column code into a tuple of mn digits."""
-    digits = []
-    for _ in range(mn):
-        digits.append(code % q)
-        code //= q
-    return tuple(digits)
 
 
 class _BitBasis:
@@ -97,45 +93,54 @@ class _DigitBasis:
             self.rows.pop()
 
 
-def _new_basis(q: int):
-    return _BitBasis() if q == 2 else _DigitBasis(q)
+def _vector_format(q: int):
+    """(new_basis, entry, join, unpack) for vectors over F_q: int bitmasks,
+    entry t at bit t, for q = 2 and digit tuples otherwise.  join builds
+    a vector from the values entry(t, d) of its digits d, last row first;
+    unpack(v, n) returns the n digits of v."""
+    if q == 2:
+        return _BitBasis, lambda t, d: d << t, sum, _bits
+    reverse = itemgetter(slice(None, None, -1))
+    return partial(_DigitBasis, q), lambda t, d: d, reverse, lambda v, n: v
 
 
-def _project_bits(code: int, keep_rows) -> int:
-    v = 0
-    for t, r in enumerate(keep_rows):
-        if (code >> r) & 1:
-            v |= 1 << t
-    return v
+def _bits(v: int, n: int) -> tuple[int, ...]:
+    return tuple(v >> t & 1 for t in range(n))
 
 
-def receiver_tables(codes, mn, q, rows):
-    """Per receiver, (|demand rows|, proj_a, proj_b) over the candidate
-    columns.
+def _project(entry, join, q, columns, keep):
+    """Each column restricted to the rows ``keep``, joined."""
+    values = []  # per kept row, last first: each column's entry value
+    for t, r in reversed(list(enumerate(keep))):
+        by_digit = [entry(t, d) for d in range(q)]
+        values.append([by_digit[c[r]] for c in columns])
+    return list(map(join, zip(*values))) or [join(())] * len(columns)
 
-    codes: base-q codes of the candidate columns.  rows: per receiver,
-    its (demand rows, side rows) from ``graphs.receiver_rows``, 0-based.
-    proj_a[k] is column k with the receiver's side rows removed, proj_b[k]
-    with its side and demand rows removed: int bitmasks for q = 2, digit
-    tuples otherwise.  Receiver i decodes from a column set T iff
-    rank(proj_a[T]) - rank(proj_b[T]) == |demand rows|.
+
+def receiver_tables(columns, q, rows):
+    """Per receiver, (|demand rows|, proj_a, proj_b, new_basis) over the
+    candidate columns.
+
+    columns: the candidate columns, digit tuples of one length.  rows: per
+    receiver, its (demand rows, side rows) from ``graphs.receiver_rows``,
+    0-based.  proj_a[k] is column k with the receiver's side rows removed,
+    proj_b[k] with its side and demand rows removed, both hashable and
+    held by the bases that new_basis() makes.  Receiver i decodes from a
+    column set T iff rank(proj_a[T]) - rank(proj_b[T]) == |demand rows|.
     """
-    digits = list(codes) if q == 2 else [decode_column(c, mn, q) for c in codes]
+    new_basis, entry, join, _ = _vector_format(q)
+    mn = len(columns[0])
     tables = []
     for demand_rows, side_rows in rows:
         keep_a = [r for r in range(mn) if r not in side_rows]
         keep_b = [r for r in keep_a if r not in demand_rows]
-        if q == 2:
-            proj_a = [_project_bits(c, keep_a) for c in digits]
-            proj_b = [_project_bits(c, keep_b) for c in digits]
-        else:
-            proj_a = [tuple(c[r] for r in keep_a) for c in digits]
-            proj_b = [tuple(c[r] for r in keep_b) for c in digits]
-        tables.append((len(demand_rows), proj_a, proj_b))
+        proj_a = _project(entry, join, q, columns, keep_a)
+        proj_b = _project(entry, join, q, columns, keep_b)
+        tables.append((len(demand_rows), proj_a, proj_b, new_basis))
     return tables
 
 
-def decodable_encoders(tables, candidates, size, q, repeat):
+def decodable_encoders(tables, candidates, size, repeat):
     """Yield the column sets from which every receiver of ``tables``
     decodes its demands.
 
@@ -155,9 +160,10 @@ def decodable_encoders(tables, candidates, size, q, repeat):
     completion and is skipped.
     """
     receivers = [
-        (proj_a, proj_b, _new_basis(q), _new_basis(q)) for _, proj_a, proj_b in tables
+        (proj_a, proj_b, new_basis(), new_basis())
+        for _, proj_a, proj_b, new_basis in tables
     ]
-    gaps = [n_dem for n_dem, _, _ in tables]
+    gaps = [table[0] for table in tables]
     chosen = [0] * size
     n_cand = len(candidates)
 
@@ -194,7 +200,7 @@ def decodable_encoders(tables, candidates, size, q, repeat):
     yield from extend(0, 0)
 
 
-def first_query_set(table, ks, q, max_size):
+def first_query_set(table, ks, max_size):
     """First query set in (size, lexicographic) order from which the
     receiver of ``table`` decodes, or None.
 
@@ -205,29 +211,29 @@ def first_query_set(table, ks, q, max_size):
     proj_a columns, because proj_b is a projection of proj_a.
     """
     for size in range(table[0], min(max_size, len(ks)) + 1):
-        first = next(decodable_encoders([table], ks, size, q, False), None)
+        first = next(decodable_encoders([table], ks, size, False), None)
         if first is not None:
             return first
     return None
 
 
-def min_query_sets(tables, ks, q, max_size):
+def min_query_sets(tables, ks, max_size):
     """Smallest query set per receiver for one encoder, or None.
 
     tables: from ``receiver_tables``; ks: the encoder's columns, as
     indices into the tables.  max_size: upper bound on |R_i| (locality
     cap).
 
-    Returns one bitmask per receiver (bit p = column ks[p] queried),
-    choosing for each receiver its ``first_query_set``, or None if some
-    receiver has no decodable subset within the cap.
+    Returns each receiver's ``first_query_set``, a tuple of positions
+    into ks, or None if some receiver has no decodable subset within the
+    cap.
     """
     out = []
     for table in tables:
-        first = first_query_set(table, ks, q, max_size)
+        first = first_query_set(table, ks, max_size)
         if first is None:
             return None
-        out.append(sum(1 << pos for pos in first))
+        out.append(first)
     return tuple(out)
 
 
@@ -242,52 +248,40 @@ def minrank_dfs(n: int, q: int, free_rows):
     partial column rank already reaches the best known rank are pruned,
     and the search ends at rank 1, the least a unit diagonal allows.
 
-    Returns (minrank, witness column codes).
+    Returns (minrank, witness columns as digit tuples).
     """
-    q_pows = [q**t for t in range(n + 1)]
-
-    def column_code(i: int, counter: int) -> int:
-        code = q_pows[i]  # unit diagonal
-        v = counter
-        for r in free_rows[i]:
-            d = v % q
-            v //= q
-            if d:
-                code += d * q_pows[r]
-        return code
-
     best = n + 1
-    best_cols: tuple[int, ...] = ()
-    col_codes = [0] * n
+    best_cols: tuple[tuple[int, ...], ...] = ()
+    cols = [None] * n
 
     # An incremental basis, pushed and popped along the DFS, costs one
     # reduction per column instead of re-eliminating the whole prefix.
-    basis = _new_basis(q)
-    if q == 2:
-        push = basis.push
-    else:
-
-        def push(code: int):
-            return basis.push(decode_column(code, n, q))
-
-    pop = basis.pop
+    new_basis, entry, join, unpack = _vector_format(q)
+    basis = new_basis()
+    push, pop = basis.push, basis.pop
+    # Per column, the values each entry may take, last row first, since
+    # product() steps its last factor fastest; tuples, which product()
+    # takes without copying.
+    factors = [
+        [
+            tuple(entry(r, d) for d in (range(q) if r in free else (int(r == i),)))
+            for r in reversed(range(n))
+        ]
+        for i, free in enumerate(free_rows)
+    ]
 
     def dfs(depth: int, partial_rank: int):
         nonlocal best, best_cols
-        if best <= 1:
-            return
-        if partial_rank >= best:
-            return
         if depth == n:
             best = partial_rank
-            best_cols = tuple(col_codes)
+            best_cols = tuple(unpack(col, n) for col in cols)
             return
-        n_free = len(free_rows[depth])
-        for counter in range(q**n_free):
-            code = column_code(depth, counter)
-            col_codes[depth] = code
-            h = push(code)
-            dfs(depth + 1, partial_rank + (0 if h is None else 1))
+        for col in map(join, product(*factors[depth])):
+            h = push(col)
+            rank = partial_rank if h is None else partial_rank + 1
+            if rank < best:
+                cols[depth] = col
+                dfs(depth + 1, rank)
             pop(h)
             if best <= 1:
                 return

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice, product
 
 from . import _kernel
 from .codes import (
@@ -69,8 +69,7 @@ def minrank_bruteforce(
             f"min-rank search space q^{total_free} exceeds budget {budget}"
         )
     free_rows = tuple(receiver_rows(g, 1, i)[1] for i in range(1, g.n + 1))
-    value, col_codes = _kernel.minrank_dfs(g.n, q, free_rows)
-    columns = [_kernel.decode_column(code, g.n, q) for code in col_codes]
+    value, columns = _kernel.minrank_dfs(g.n, q, free_rows)
     witness = FittingMatrix(FqMatrix.from_columns(columns, g.n, q))
     if not witness.fits(g):
         raise AssertionError("witness does not fit the graph")
@@ -182,17 +181,12 @@ def _witness_key(code: IndexCode) -> tuple:
     return (code.matrix.entries, tuple(sorted(tuple(sorted(r)) for r in code.queries)))
 
 
-def _normalized_column_codes(mn: int, q: int) -> list[int]:
-    """Base-q codes of all nonzero columns whose first nonzero entry
-    (lowest row index) equals 1; one representative per scaling class."""
-    codes = []
-    for code in range(1, q**mn):
-        c = code
-        while c % q == 0:
-            c //= q
-        if c % q == 1:
-            codes.append(code)
-    return codes
+def _normalized_columns(mn: int, q: int) -> list[tuple[int, ...]]:
+    """All nonzero columns whose first nonzero entry (lowest row index)
+    equals 1, one representative per scaling class, ordered as base-q
+    numbers with row 0 least significant."""
+    columns = (digits[::-1] for digits in product(range(q), repeat=mn))
+    return [col for col in columns if next(filter(None, col), 0) == 1]
 
 
 def _search(
@@ -234,27 +228,27 @@ def _search(
         for vs in combinations(range(1, g.n + 1), n_acyclic)
     ):
         return []
-    codes = _normalized_column_codes(mn, q)
+    columns = _normalized_columns(mn, q)
     rows = [receiver_rows(g, m, i) for i in range(1, g.n + 1)]
-    tables = _kernel.receiver_tables(codes, mn, q, rows)
+    tables = _kernel.receiver_tables(columns, q, rows)
 
     # Frontier bookkeeping on integer profiles (max |R_i|, sum |R_i|);
     # beta is constant within one call so dominance reduces to these two.
     # Only sizes are needed here: receiver i's least |R_i| depends only on
     # the multiset of its proj_a columns, so it is memoized on them, and
-    # the witness masks are built for the final frontier alone.  Every
+    # the witness query sets are built for the final frontier alone.  Every
     # receiver needs at least its m demanded columns, so a receiver not
     # yet sized counts m, and (m, m*N) is the best possible profile.
     best = (m, m * g.n)
     memos = [{} for _ in tables]
     frontier: list[tuple[int, int, tuple[int, ...]]] = []
-    for ks in _kernel.decodable_encoders(tables, range(len(codes)), ell, q, True):
+    for ks in _kernel.decodable_encoders(tables, range(len(columns)), ell, True):
         mx, sm = best
         for table, memo in zip(tables, memos):
             key = tuple(sorted([table[1][k] for k in ks]))
             least = memo.get(key, 0)  # 0: not sized yet; sizes are >= m
             if least == 0:
-                first = _kernel.first_query_set(table, ks, q, max_size)
+                first = _kernel.first_query_set(table, ks, max_size)
                 least = memo[key] = None if first is None else len(first)
             if least is None:
                 break
@@ -274,12 +268,9 @@ def _search(
 
     points = []
     for mx, sm, ks in frontier:
-        masks = _kernel.min_query_sets(tables, ks, q, max_size)
-        columns = [_kernel.decode_column(codes[k], mn, q) for k in ks]
-        matrix = FqMatrix.from_columns(columns, mn, q)
-        queries = tuple(
-            frozenset(k + 1 for k in range(ell) if mask >> k & 1) for mask in masks
-        )
+        firsts = _kernel.min_query_sets(tables, ks, max_size)
+        matrix = FqMatrix.from_columns([columns[k] for k in ks], mn, q)
+        queries = tuple(frozenset(p + 1 for p in first) for first in firsts)
         witness = IndexCode(q=q, m=m, n=g.n, matrix=matrix, queries=queries)
         profile = locality_profile(witness)
         if (profile.r, profile.r_avg) != (Fraction(mx, m), Fraction(sm, m * g.n)):
@@ -305,12 +296,13 @@ def exhaustive_scalar_search(
     """Pareto frontier over all scalar codes of length exactly ell.
 
     Enumerates encoders column by column over one representative per
-    scaling class (first nonzero entry 1), skipping zero columns; column
-    order is fixed to nondecreasing codes since permutations only relabel
-    queries.  Columns are chosen depth-first, and a column prefix from
-    which some receiver cannot decode with the columns still to come is
-    skipped with all its completions, so only decodable encoders are
-    tested further.  Each receiver's least query-set size comes from a
+    scaling class (first nonzero entry 1), skipping zero columns; the
+    columns of an encoder are nondecreasing as base-q numbers (row 0
+    least significant), since permutations only relabel queries.
+    Columns are chosen depth-first, and a column prefix from which some
+    receiver cannot decode with the columns still to come is skipped
+    with all its completions, so only decodable encoders are tested
+    further.  Each receiver's least query-set size comes from a
     subset search in increasing cardinality, memoized on the receiver's
     view of the encoder's columns, so the reported profile is the best
     achievable for that encoder.  Sizing stops once an encoder's
@@ -400,10 +392,10 @@ def _null_supports(
     supports: set[frozenset[int]] = set()
     n = fm.matrix.rows
     if q ** len(basis) <= NULL_ENUMERATION_LIMIT:
-        total = q ** len(basis)
-        for counter in range(1, total):
+        # Every combination but the first, the zero one.
+        for coeffs in islice(product(range(q), repeat=len(basis)), 1, None):
             vec = [0] * n
-            for c, b in zip(_kernel.decode_column(counter, len(basis), q), basis):
+            for c, b in zip(coeffs, basis):
                 if c:
                     for t in range(n):
                         vec[t] = (vec[t] + c * b[t]) % q

@@ -49,6 +49,7 @@ from .graphs import (
     GraphParseError,
     SideInformationGraph,
     cycle_length_if_cycle,
+    directed_cycle,
     parse_graph,
 )
 from .linalg import MODULUS_BOUND, is_prime
@@ -87,7 +88,7 @@ def parse_frac(text: str) -> Fraction:
 def _load_graph(path: str) -> SideInformationGraph:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read graph file: {exc}") from exc
     try:
         return parse_graph(text)
@@ -128,19 +129,24 @@ def cmd_minrank(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    if args.m != 1 and args.scheme in ("cycle-scalar", "deficit"):
+        raise CliError(
+            f"scheme '{args.scheme}' builds scalar codes only; --M must be 1"
+        )
     g = _load_graph(args.graph)
-    n_cycle = cycle_length_if_cycle(g)
-    if args.scheme.startswith("cycle-") and (n_cycle is None or n_cycle < 3):
+    # The cycle builders lay their code on directed_cycle's labelling.
+    if args.scheme.startswith("cycle-") and (g.n < 3 or g != directed_cycle(g.n)):
         raise CliError(
             f"scheme '{args.scheme}' needs a directed cycle on at least "
-            "3 vertices"
+            "3 vertices labelled i -> i+1: receiver i knows message i+1 "
+            "and receiver N knows message 1"
         )
     if args.scheme == "uncoded":
         code = uncoded(g, args.m, args.q)
     elif args.scheme == "cycle-scalar":
-        code = cycle_scalar_code(n_cycle, args.q, anchor=1)
+        code = cycle_scalar_code(g.n, args.q, anchor=1)
     elif args.scheme == "cycle-vector":
-        code = cycle_vector_code(n_cycle, args.q, args.m)
+        code = cycle_vector_code(g.n, args.q, args.m)
     else:
         try:
             code = minrank_deficit_code(g, args.q)

@@ -54,6 +54,142 @@ def test_minrank_witness_fits_and_attains():
         assert rank(witness.matrix) == value
 
 
+# (q, side information, min-rank, witness rows) at seeded graphs.  The
+# witness is the first optimal matrix in the search order: columns in
+# ascending order, each column's free entries an ascending base-q counter
+# with the smallest free row least significant.
+MINRANK_WITNESSES = [
+    (2, [{2, 3, 4}, {3, 6}, {1, 4, 5, 6}, {1}, {4}, {4}], 5, [
+        (1, 0, 1, 0, 0, 0),
+        (1, 1, 0, 0, 0, 0),
+        (0, 1, 1, 0, 0, 0),
+        (0, 0, 0, 1, 0, 0),
+        (0, 0, 0, 0, 1, 0),
+        (0, 0, 0, 0, 0, 1),
+    ]),
+    (2, [{3, 4}, {1, 3, 4}, {1, 4}, {1, 2, 3}], 2, [
+        (1, 0, 1, 0),
+        (0, 1, 0, 1),
+        (1, 0, 1, 0),
+        (0, 1, 0, 1),
+    ]),
+    (2, [{3}, {1, 3}, {1, 4, 5}, {1, 3, 5}, {1, 4}], 3, [
+        (1, 0, 1, 0, 0),
+        (0, 1, 0, 0, 0),
+        (1, 0, 1, 0, 0),
+        (0, 0, 0, 1, 1),
+        (0, 0, 0, 1, 1),
+    ]),
+    (2, [{4}, {3, 4}, {2}, {1, 2, 3}], 2, [
+        (1, 0, 0, 1),
+        (0, 1, 1, 0),
+        (0, 1, 1, 0),
+        (1, 0, 0, 1),
+    ]),
+    (2, [{3, 4}, {1, 3, 4}, {2, 4}, {1, 2}], 2, [
+        (1, 1, 0, 1),
+        (0, 1, 1, 1),
+        (1, 0, 1, 0),
+        (0, 1, 1, 1),
+    ]),
+    (2, [{2, 3}, {1, 4}, {2}, {1, 5}, {1, 2, 4}], 3, [
+        (1, 1, 0, 0, 0),
+        (1, 1, 0, 0, 0),
+        (0, 0, 1, 0, 0),
+        (0, 0, 0, 1, 1),
+        (0, 0, 0, 1, 1),
+    ]),
+    (2, [{3}, {1}, {1, 2}], 2, [
+        (1, 0, 1),
+        (0, 1, 0),
+        (1, 0, 1),
+    ]),
+    (3, [{2, 3}, {1}, {1, 2}], 2, [
+        (1, 1, 0),
+        (1, 1, 0),
+        (0, 0, 1),
+    ]),
+    (3, [{2}, {3}, {1, 4}, {2, 3}], 3, [
+        (1, 0, 0, 0),
+        (0, 1, 0, 0),
+        (0, 0, 1, 1),
+        (0, 0, 1, 1),
+    ]),
+    (3, [{2, 4}, {1, 3, 4}, {1, 2, 4}, {1, 2}], 2, [
+        (1, 0, 0, 1),
+        (0, 1, 1, 0),
+        (0, 1, 1, 0),
+        (1, 0, 0, 1),
+    ]),
+    (3, [{2, 3}, set(), set()], 3, [
+        (1, 0, 0),
+        (0, 1, 0),
+        (0, 0, 1),
+    ]),
+    (3, [{2, 3}, {1, 3, 4}, {1, 2}, {1, 2, 3}], 2, [
+        (1, 0, 1, 0),
+        (0, 1, 0, 1),
+        (1, 0, 1, 0),
+        (0, 1, 0, 1),
+    ]),
+    (3, [{2, 3}, {1, 3}, {1, 2}], 1, [
+        (1, 1, 1),
+        (1, 1, 1),
+        (1, 1, 1),
+    ]),
+    (3, [{3, 4}, {1, 4}, {1, 2}, {2, 3}], 2, [
+        (1, 0, 1, 0),
+        (0, 1, 0, 1),
+        (1, 0, 1, 0),
+        (0, 1, 0, 1),
+    ]),
+    (5, [set(), {3}, set()], 3, [
+        (1, 0, 0),
+        (0, 1, 0),
+        (0, 0, 1),
+    ]),
+    (5, [{2, 3}, {1, 3}, {1, 2}], 1, [
+        (1, 1, 1),
+        (1, 1, 1),
+        (1, 1, 1),
+    ]),
+    (5, [{2, 4}, {1, 3}, {1, 4}, {1, 2}], 2, [
+        (1, 0, 4, 1),
+        (1, 1, 0, 1),
+        (0, 1, 1, 0),
+        (1, 0, 4, 1),
+    ]),
+    (5, [{2}, {1, 3}, {1, 2}], 2, [
+        (1, 0, 0),
+        (0, 1, 1),
+        (0, 1, 1),
+    ]),
+    (5, [{2, 3}, {1}, set()], 2, [
+        (1, 1, 0),
+        (1, 1, 0),
+        (0, 0, 1),
+    ]),
+    (5, [{3}, {1, 3}, {2}], 2, [
+        (1, 0, 0),
+        (0, 1, 1),
+        (0, 1, 1),
+    ]),
+    (5, [{2, 3, 4}, {1, 4}, {2}, {1, 3}], 2, [
+        (1, 1, 0, 1),
+        (1, 1, 1, 0),
+        (0, 0, 1, 4),
+        (1, 1, 0, 1),
+    ]),
+]
+
+
+@pytest.mark.parametrize("q, side, value, rows", MINRANK_WITNESSES)
+def test_minrank_witness_is_pinned(q, side, value, rows):
+    got_value, witness = minrank_bruteforce(graph_from_side_info(side), q)
+    assert got_value == value
+    assert [witness.matrix.row(i) for i in range(len(side))] == rows
+
+
 def test_minrank_budget_error():
     g = directed_cycle(3)
     with pytest.raises(BudgetExceededError):

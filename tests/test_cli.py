@@ -144,6 +144,36 @@ def test_construct_cycle_scheme_rejects_two_cycle(tmp_path, capsys, scheme):
     assert not (tmp_path / "c.json").exists()
 
 
+@pytest.mark.parametrize("scheme", ["cycle-scalar", "cycle-vector"])
+def test_construct_cycle_scheme_rejects_other_labelling(tmp_path, capsys, scheme):
+    # The cycle 1 -> 3 -> 2 -> 1: a code laid on 1 -> 2 -> 3 -> 1 would
+    # leave receivers 1 and 3 unable to decode.
+    path = tmp_path / "c3.txt"
+    path.write_text("N=3\n1: 3\n2: 1\n3: 2\n", encoding="utf-8")
+    code = main(
+        ["construct", "--graph", str(path), "--scheme", scheme,
+         "--out", str(tmp_path / "c.json")]
+    )
+    assert code == EXIT_INPUT
+    assert "labelled i -> i+1" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+    # The closed-form curve holds for every labelling of the cycle.
+    assert main(["tradeoff", "--graph", str(path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("scheme, m", [("cycle-scalar", "3"), ("deficit", "2")])
+def test_construct_scalar_scheme_refuses_message_length(
+    cycle3_file, tmp_path, capsys, scheme, m
+):
+    out = tmp_path / "c.json"
+    argv = ["construct", "--graph", str(cycle3_file), "--scheme", scheme,
+            "--out", str(out)]
+    assert main(argv + ["--M", m]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: scheme '{scheme}' builds scalar")
+    assert not out.exists()
+    assert main(argv + ["--M", "1"]) == EXIT_OK
+
+
 def test_verify_pass_and_checks(cycle4_file, tmp_path, capsys):
     code_path = tmp_path / "c.json"
     save_code(cycle_scalar_code(4, 2, 1), code_path)
@@ -397,6 +427,27 @@ def test_unwritable_out_is_input_error(command, cycle3_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write output: ")
+
+
+@pytest.mark.parametrize(
+    "command", sorted(c for c, (req, _) in SUBCOMMAND_FLAGS.items() if "--graph" in req)
+)
+def test_graph_file_not_utf8_is_input_error(command, tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_bytes(b"\xff\xfeN=3")
+    code_path = tmp_path / "c.json"
+    save_code(cycle_scalar_code(3, 2, 1), code_path)
+    values = {
+        "--graph": str(graph), "--code": str(code_path), "--scheme": "uncoded",
+        "--ell": "1", "--out": str(tmp_path / "out"),
+    }
+    argv = [command]
+    for flag in sorted(SUBCOMMAND_FLAGS[command][0]):
+        argv += [flag, values[flag]]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read graph file: ")
 
 
 def test_usage_error_is_input_exit():

@@ -9,11 +9,11 @@ witness matrices and queries must equal its output exactly.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from idxloc.bounds import _normalized_column_codes, exhaustive_vector_search
+from idxloc.bounds import exhaustive_vector_search
 from idxloc.graphs import directed_cycle, graph_from_side_info, receiver_rows
 from idxloc.linalg import solve_in_span, unit_vector
 
@@ -39,10 +39,13 @@ def reference_search(g, q, m, ell, locality_cap=None):
     mn = m * g.n
     rows = [receiver_rows(g, m, i) for i in range(1, g.n + 1)]
     max_size = ell if locality_cap is None else int(Fraction(locality_cap) * m)
-    digits = [
-        tuple(code // q**r % q for r in range(mn))
-        for code in _normalized_column_codes(mn, q)
-    ]
+    # One column per scaling class (first nonzero entry 1), in ascending
+    # order as base-q numbers with row 0 least significant.
+    nonzero = (col for col in product(range(q), repeat=mn) if any(col))
+    digits = sorted(
+        (col for col in nonzero if next(filter(None, col)) == 1),
+        key=lambda col: col[::-1],
+    )
     frontier = []
     for ks in combinations_with_replacement(range(len(digits)), ell):
         columns = [digits[k] for k in ks]
