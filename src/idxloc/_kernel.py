@@ -17,7 +17,12 @@ decodable, both for the encoders of a search and, in
 each receiver's least query set with ``first_query_set`` and builds the
 witness query sets with ``min_query_sets`` only for the encoders it
 keeps.  ``minrank_dfs`` fills fitting matrices column by column on the
-same incremental basis.
+same incremental basis, bounded by a table of rank floors from the
+caller: it stops once the best rank reaches floors[0], and it descends
+into a column at depth d only while the prefix rank plus floors[d + 1],
+a bound on the rank of the later columns on rows the prefix leaves zero,
+is below the best rank, since such a matrix is block triangular and has
+at least the rank of both diagonal blocks together.
 """
 
 from __future__ import annotations
@@ -237,22 +242,34 @@ def min_query_sets(tables, ks, max_size):
     return tuple(out)
 
 
-def minrank_dfs(n: int, q: int, free_rows):
+def minrank_dfs(n: int, q: int, free_rows, floors):
     """Minimum rank over all matrices with unit diagonal and free entries
     confined to the given rows per column; everything else is zero.
 
     free_rows: per column i (0-based), sorted 0-based row indices that may
     take arbitrary values.  Columns are filled in ascending order, each
     column's free digits enumerated as an ascending base-q counter with
-    the smallest free row in the least significant digit.  Branches whose
-    partial column rank already reaches the best known rank are pruned,
-    and the search ends at rank 1, the least a unit diagonal allows.
+    the smallest free row in the least significant digit.
+
+    floors: n + 1 lower bounds on rank, floors[n] = 0.  Stop rule: the
+    search ends once the best rank found is at most floors[0], a lower
+    bound on the minimum.  Depth bound: for d >= 1, floors[d] bounds the
+    rank of columns d..n-1 on the rows where columns 0..d-1 must be zero
+    (neither their own nor free rows), and a column chosen at depth d is
+    descended into only if its prefix rank plus floors[d + 1] is below
+    the best rank, because the chosen columns vanish on those rows, so
+    the matrix is block triangular there and its rank is at least the
+    prefix rank plus that bound.  Both rules cut only subtrees holding
+    no matrix of rank below the best, so for any valid floors the result
+    is the first minimum-rank matrix in counter order; [1] + [0] * n
+    cuts only at rank 1.
 
     Returns (minrank, witness columns as digit tuples).
     """
     best = n + 1
-    best_cols: tuple[tuple[int, ...], ...] = ()
+    best_cols = ()
     cols = [None] * n
+    stop = floors[0]
 
     # An incremental basis, pushed and popped along the DFS, costs one
     # reduction per column instead of re-eliminating the whole prefix.
@@ -262,9 +279,10 @@ def minrank_dfs(n: int, q: int, free_rows):
     # Per column, the values each entry may take, last row first, since
     # product() steps its last factor fastest; tuples, which product()
     # takes without copying.
+    values = [tuple(entry(r, d) for d in range(q)) for r in range(n)]
     factors = [
         [
-            tuple(entry(r, d) for d in (range(q) if r in free else (int(r == i),)))
+            values[r] if r in free else (values[r][int(r == i)],)
             for r in reversed(range(n))
         ]
         for i, free in enumerate(free_rows)
@@ -274,17 +292,18 @@ def minrank_dfs(n: int, q: int, free_rows):
         nonlocal best, best_cols
         if depth == n:
             best = partial_rank
-            best_cols = tuple(unpack(col, n) for col in cols)
+            best_cols = tuple(cols)
             return
+        floor = floors[depth + 1]
         for col in map(join, product(*factors[depth])):
             h = push(col)
             rank = partial_rank if h is None else partial_rank + 1
-            if rank < best:
+            if rank + floor < best:
                 cols[depth] = col
                 dfs(depth + 1, rank)
             pop(h)
-            if best <= 1:
+            if best <= stop:
                 return
 
     dfs(0, 0)
-    return best, best_cols
+    return best, tuple(unpack(col, n) for col in best_cols)

@@ -28,6 +28,7 @@ from .graphs import (
     SideInformationGraph,
     has_directed_cycle,
     induced_subgraph,
+    max_acyclic_induced,
     receiver_rows,
     shortest_directed_cycle,
 )
@@ -54,10 +55,19 @@ def minrank_bruteforce(
     """Exact min-rank of the instance over F_q with a witness.
 
     Enumerates every matrix with unit diagonal, arbitrary entries at
-    (j, i) for j in K_i and zeros elsewhere, pruning branches whose
-    partial column rank already matches the best candidate.  Refuses to
-    start (BudgetExceededError) when the raw search space q**(sum |K_i|)
-    exceeds the budget, so a returned answer is always exact.
+    (j, i) for j in K_i and zeros elsewhere, column by column, bounded
+    below by the largest induced acyclic vertex sets (MAIS), whose
+    columns are unit triangular on their own rows.  Stop rule: the search
+    ends at a matrix of rank MAIS(G), the least any fitting matrix has.
+    Depth bound: columns 1..d vanish on every row that is neither their
+    own nor in their side sets, and on those rows the later columns have
+    rank at least the MAIS a_d of the subgraph the rows induce, so the
+    matrix is block triangular there with rank at least the prefix rank
+    plus a_d; a branch where that sum reaches the best rank found is
+    pruned.  Neither rule changes the witness, the first min-rank matrix
+    in the search order.  Refuses to start (BudgetExceededError) when the
+    raw search space q**(sum |K_i|) exceeds the budget, so a returned
+    answer is always exact.
     """
     require_prime(q)
     budget = DEFAULT_MINRANK_BUDGET if budget is None else budget
@@ -69,7 +79,18 @@ def minrank_bruteforce(
             f"min-rank search space q^{total_free} exceeds budget {budget}"
         )
     free_rows = tuple(receiver_rows(g, 1, i)[1] for i in range(1, g.n + 1))
-    value, columns = _kernel.minrank_dfs(g.n, q, free_rows)
+    # floors[d + 1] is the MAIS of the rows that columns 0..d leave
+    # untouched, which all lie past d since each column has a unit
+    # diagonal; it is recomputed only when column d touches a new row.
+    floors = [max_acyclic_induced(g)]
+    untouched = set(range(g.n))
+    for d, free in enumerate(free_rows):
+        touched = untouched & {d, *free}
+        if touched:
+            untouched -= touched
+            floor = max_acyclic_induced(g, [v + 1 for v in untouched])
+        floors.append(floor)
+    value, columns = _kernel.minrank_dfs(g.n, q, free_rows, floors)
     witness = FittingMatrix(FqMatrix.from_columns(columns, g.n, q))
     if not witness.fits(g):
         raise AssertionError("witness does not fit the graph")
@@ -219,14 +240,9 @@ def _search(
             raise ValueError("locality cap below 1 admits no code")
         max_size = min(ell, int(cap * m))
     # Any decodable code has ell >= m|S| for every induced acyclic vertex
-    # set S (the MAIS bound of Bar-Yossef, Birk, Jayram and Kol), so one
-    # acyclic set of ell // m + 1 vertices leaves nothing to search.
-    # Past the budget check there are few such sets.
-    n_acyclic = ell // m + 1
-    if n_acyclic <= g.n and any(
-        not has_directed_cycle(induced_subgraph(g, vs)[0])
-        for vs in combinations(range(1, g.n + 1), n_acyclic)
-    ):
+    # set S (the MAIS bound of Bar-Yossef, Birk, Jayram and Kol), so a
+    # larger acyclic set leaves nothing to search.
+    if m * max_acyclic_induced(g) > ell:
         return []
     columns = _normalized_columns(mn, q)
     rows = [receiver_rows(g, m, i) for i in range(1, g.n + 1)]

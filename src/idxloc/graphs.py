@@ -223,6 +223,114 @@ def shortest_directed_cycle(
     raise AssertionError("cycle of computed girth not found")
 
 
+def max_acyclic_induced(
+    g: SideInformationGraph, vertices: Iterable[int] | None = None
+) -> int:
+    """Size of a largest induced acyclic vertex set (MAIS) of g, or of the
+    subgraph induced on ``vertices`` (1-based, possibly empty) when given.
+
+    Exact.  A vertex with no in- or out-neighbour left lies on no cycle and
+    joins every largest set, so such vertices are peeled off first.  The
+    rest splits into strongly connected components, whose values add up
+    because every cycle lies inside one component.  A nontrivial component
+    branches on the vertices of a shortest cycle through its lowest
+    vertex, one of which every acyclic set leaves out, and stops once one
+    deletion suffices.  Vertex sets are int bitmasks, and component values
+    are memoized on them.
+    """
+    succ = [0] * g.n
+    pred = [0] * g.n
+    for i, side in enumerate(g.side):
+        for j in side:
+            succ[i] |= 1 << (j - 1)
+            pred[j - 1] |= 1 << i
+    if vertices is None:
+        mask = (1 << g.n) - 1
+    else:
+        mask = 0
+        for v in vertices:
+            if not 1 <= v <= g.n:
+                raise ValueError(f"vertex {v} out of range [1, {g.n}]")
+            mask |= 1 << (v - 1)
+    return _mais(succ, pred, mask, {})
+
+
+def _mais(succ: list[int], pred: list[int], mask: int, memo: dict[int, int]) -> int:
+    """MAIS of the subgraph induced on the bitmask mask, given each
+    vertex's out- and in-neighbours as bitmasks."""
+    total = 0
+    while True:  # peel the vertices that lie on no cycle
+        rest = mask
+        for v in _bits(mask):
+            if not (succ[v] & rest and pred[v] & rest):
+                rest ^= 1 << v
+        if rest == mask:
+            break
+        total += (mask ^ rest).bit_count()
+        mask = rest
+    while mask:
+        low = mask & -mask
+        v = low.bit_length() - 1
+        comp = _reach(succ, low, mask) & _reach(pred, low, mask)
+        mask ^= comp
+        if comp == low:
+            total += 1
+            continue
+        value = memo.get(comp)
+        if value is None:
+            size = comp.bit_count()
+            value = 0
+            for u in _cycle_through(succ, v, comp):
+                value = max(value, _mais(succ, pred, comp ^ (1 << u), memo))
+                if value == size - 1:
+                    break
+            memo[comp] = value
+        total += value
+    return total
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _reach(adj: list[int], start: int, within: int) -> int:
+    """The bitmask of vertices reachable from the bitmask start along adj
+    inside the bitmask within."""
+    seen = frontier = start
+    while frontier:
+        step = 0
+        for u in _bits(frontier):
+            step |= adj[u]
+        frontier = step & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def _cycle_through(succ: list[int], s: int, comp: int) -> list[int]:
+    """The vertices of a shortest directed cycle through s inside the
+    strongly connected bitmask comp, found by breadth-first search."""
+    parent = {s: s}
+    frontier = [s]
+    while True:
+        step = []
+        for u in frontier:
+            if succ[u] >> s & 1:
+                cycle = [u]
+                while u != s:
+                    u = parent[u]
+                    cycle.append(u)
+                return cycle
+            for w in _bits(succ[u] & comp):
+                if w not in parent:
+                    parent[w] = u
+                    step.append(w)
+        frontier = step
+
+
 def receiver_rows(
     g: SideInformationGraph, m: int, i: int
 ) -> tuple[range, tuple[int, ...]]:

@@ -190,6 +190,42 @@ def test_minrank_witness_is_pinned(q, side, value, rows):
     assert [witness.matrix.row(i) for i in range(len(side))] == rows
 
 
+def test_minrank_floors_change_no_answer():
+    # The MAIS floors may only cut subtrees holding no better matrix, so
+    # the search must end on the value and witness of the floors
+    # [1] + [0] * n, which cut nothing but the rank-1 stop.
+    rng = random.Random(12)
+    most_edges = {2: 12, 3: 8, 5: 6}
+    below_n = 0
+    for t in range(60):
+        q = (2, 3, 5)[t % 3]
+        n = rng.randint(2, 7)
+        arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        side = [set() for _ in range(n)]
+        edges = rng.randint(min(n, most_edges[q]), most_edges[q])
+        for i, j in rng.sample(arcs, min(len(arcs), edges)):
+            side[i].add(j + 1)
+        g = graph_from_side_info(side)
+        free = tuple(tuple(sorted(j - 1 for j in k)) for k in side)
+        value, columns = _kernel.minrank_dfs(n, q, free, [1] + [0] * n)
+        got_value, witness = minrank_bruteforce(g, q)
+        assert got_value == value
+        assert witness.matrix == FqMatrix.from_columns(columns, n, q)
+        below_n += value < n
+    assert below_n > 40
+
+
+def test_minrank_disjoint_two_cycles_at_the_budget():
+    # 12 disjoint 2-cycles: 24 free entries, exactly the default budget
+    # over F_2.  Each 2-cycle has min-rank 1; the stop at MAIS = 12 ends
+    # the search at the first such matrix.
+    g = graph_from_side_info([{v + 1 if v % 2 else v - 1} for v in range(1, 25)])
+    value, witness = minrank_bruteforce(g, 2)
+    assert value == 12
+    assert witness.fits(g)
+    assert rank(witness.matrix) == 12
+
+
 def test_minrank_budget_error():
     g = directed_cycle(3)
     with pytest.raises(BudgetExceededError):

@@ -1,6 +1,7 @@
-"""Graph parsing, induced subgraphs, girth, receiver rows."""
+"""Graph parsing, induced subgraphs, girth, acyclic sets, receiver rows."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,7 @@ from idxloc.graphs import (
     graph_from_side_info,
     has_directed_cycle,
     induced_subgraph,
+    max_acyclic_induced,
     parse_graph,
     receiver_rows,
     shortest_directed_cycle,
@@ -142,6 +144,80 @@ def _all_digraphs(n):
             if mask >> t & 1:
                 side[i - 1].add(j)
         yield graph_from_side_info(side)
+
+
+def _brute_mais(g, vertices):
+    """Largest induced acyclic subset of vertices, trying every subset,
+    largest first."""
+    vs = sorted(vertices)
+    for size in range(len(vs), 0, -1):
+        for s in combinations(vs, size):
+            if not has_directed_cycle(induced_subgraph(g, s)[0]):
+                return size
+    return 0
+
+
+def test_max_acyclic_induced_on_every_small_digraph():
+    rng = random.Random(41)
+    graphs = 0
+    for n in (1, 2, 3, 4):
+        for g in _all_digraphs(n):
+            graphs += 1
+            everything = range(1, n + 1)
+            assert max_acyclic_induced(g) == _brute_mais(g, everything)
+            some = [v for v in everything if rng.random() < 0.6]
+            assert max_acyclic_induced(g, some) == _brute_mais(g, some)
+    assert graphs == 1 + 4 + 64 + 4096
+
+
+def _blocks_graph(rng, n):
+    """Random strongly connected blocks (a cycle through each block plus
+    chords) joined by edges from earlier blocks to later ones only, so
+    each block of two or more vertices is its own nontrivial strongly
+    connected component."""
+    order = rng.sample(range(1, n + 1), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(3, n - 1))))
+    blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    side = [set() for _ in range(n)]
+    for t, block in enumerate(blocks):
+        if len(block) > 1:
+            for a, b in zip(block, block[1:] + block[:1]):
+                side[a - 1].add(b)
+        for a in block:
+            for b in block:
+                if a != b and rng.random() < 0.25:
+                    side[a - 1].add(b)
+            for later in blocks[t + 1:]:
+                for b in later:
+                    if rng.random() < 0.2:
+                        side[a - 1].add(b)
+    return graph_from_side_info(side), sum(len(b) > 1 for b in blocks)
+
+
+def test_max_acyclic_induced_on_seeded_digraphs():
+    rng = random.Random(43)
+    several = 0
+    for t in range(200):
+        n = rng.randint(5, 8)
+        if t % 2:
+            g, nontrivial = _blocks_graph(rng, n)
+            several += nontrivial >= 2
+        else:
+            g = random_graph(rng, n, edge_prob=rng.choice([0.15, 0.3, 0.5]))
+        everything = range(1, n + 1)
+        assert max_acyclic_induced(g) == _brute_mais(g, everything)
+        some = [v for v in everything if rng.random() < 0.7]
+        assert max_acyclic_induced(g, some) == _brute_mais(g, some)
+    assert several > 40
+
+
+def test_max_acyclic_induced_rejects_bad_vertices():
+    g = directed_cycle(3)
+    assert max_acyclic_induced(g, []) == 0
+    with pytest.raises(ValueError, match="out of range"):
+        max_acyclic_induced(g, [0])
+    with pytest.raises(ValueError, match="out of range"):
+        max_acyclic_induced(g, [4])
 
 
 def test_receiver_rows_layout():

@@ -124,6 +124,6 @@ def test_minrank_dfs_witness_rank_matches():
         q = rng.choice([2, 3])
         g = random_graph(rng, n)
         free = tuple(receiver_rows(g, 1, i)[1] for i in range(1, n + 1))
-        value, columns = _kernel.minrank_dfs(n, q, free)
+        value, columns = _kernel.minrank_dfs(n, q, free, [1] + [0] * n)
         witness = FqMatrix.from_columns(columns, n, q)
         assert rank(witness) == value
