@@ -288,22 +288,34 @@ def minrank_dfs(n: int, q: int, free_rows, floors):
         for i, free in enumerate(free_rows)
     ]
 
-    def dfs(depth: int, partial_rank: int):
-        nonlocal best, best_cols
-        if depth == n:
-            best = partial_rank
-            best_cols = tuple(cols)
-            return
+    # Depth-first over columns without recursion, so n is not bounded by
+    # the interpreter's recursion limit: each open depth above the
+    # current one keeps its candidate iterator, its prefix rank and the
+    # token of the column it descended through.
+    stack = []
+    depth, partial_rank = 0, 0
+    candidates = map(join, product(*factors[0]))
+    while best > stop:
         floor = floors[depth + 1]
-        for col in map(join, product(*factors[depth])):
+        for col in candidates:
             h = push(col)
             rank = partial_rank if h is None else partial_rank + 1
             if rank + floor < best:
                 cols[depth] = col
-                dfs(depth + 1, rank)
+                if depth + 1 < n:
+                    stack.append((candidates, partial_rank, h))
+                    depth, partial_rank = depth + 1, rank
+                    candidates = map(join, product(*factors[depth]))
+                    break
+                best = rank
+                best_cols = tuple(cols)
             pop(h)
             if best <= stop:
-                return
-
-    dfs(0, 0)
+                break
+        else:
+            if not stack:
+                break
+            candidates, partial_rank, h = stack.pop()
+            depth -= 1
+            pop(h)
     return best, tuple(unpack(col, n) for col in best_cols)

@@ -164,20 +164,6 @@ def has_directed_cycle(g: SideInformationGraph) -> bool:
     return seen != g.n
 
 
-def _bfs_distances(g: SideInformationGraph, source: int) -> list[int]:
-    inf = g.n + 1
-    dist = [inf] * (g.n + 1)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for j in sorted(g.side_info(v)):
-            if dist[j] > dist[v] + 1:
-                dist[j] = dist[v] + 1
-                queue.append(j)
-    return dist
-
-
 def shortest_directed_cycle(
     g: SideInformationGraph,
 ) -> tuple[int, tuple[int, ...]] | None:
@@ -185,42 +171,19 @@ def shortest_directed_cycle(
 
     Returns None iff the graph is acyclic.  Among all minimum-length
     cycles the lexicographically smallest vertex sequence is returned,
-    with the cycle rotated so its smallest vertex comes first.
+    with the cycle rotated so its smallest vertex comes first: a
+    breadth-first search over ascending neighbours reaches each vertex
+    first along its lexicographically smallest shortest path, so the
+    search from s on the vertices s and above finds the smallest of the
+    shortest cycles whose lowest vertex is s, and the lowest s reaching
+    the girth gives the witness.
     """
     if not has_directed_cycle(g):
         return None
-    dist = {v: _bfs_distances(g, v) for v in range(1, g.n + 1)}
-    girth = min(
-        dist[j][i] + 1
-        for i in range(1, g.n + 1)
-        for j in g.side_info(i)
-        if dist[j][i] <= g.n
-    )
-
-    # Recover the lexicographically smallest witness of that exact length
-    # by depth-first search anchored at the cycle's smallest vertex.
-    def extend(path: list[int], start: int) -> tuple[int, ...] | None:
-        v = path[-1]
-        if len(path) == girth:
-            return tuple(path) if start in g.side_info(v) else None
-        # After appending j the walk back to start takes girth - len(path)
-        # edges, so j must be at least that close.
-        remaining = girth - len(path)
-        for j in sorted(g.side_info(v)):
-            if j <= start or j in path:
-                continue
-            if dist[j][start] > remaining:
-                continue
-            result = extend(path + [j], start)
-            if result is not None:
-                return result
-        return None
-
-    for start in range(1, g.n + 1):
-        witness = extend([start], start)
-        if witness is not None:
-            return girth, witness
-    raise AssertionError("cycle of computed girth not found")
+    succ, _ = _adjacency(g)
+    cycles = (_cycle_through(succ, s, -1 << s) for s in range(g.n))
+    best = min((c for c in cycles if c is not None), key=len)
+    return len(best), tuple(v + 1 for v in reversed(best))
 
 
 def max_acyclic_induced(
@@ -238,12 +201,7 @@ def max_acyclic_induced(
     deletion suffices.  Vertex sets are int bitmasks, and component values
     are memoized on them.
     """
-    succ = [0] * g.n
-    pred = [0] * g.n
-    for i, side in enumerate(g.side):
-        for j in side:
-            succ[i] |= 1 << (j - 1)
-            pred[j - 1] |= 1 << i
+    succ, pred = _adjacency(g)
     if vertices is None:
         mask = (1 << g.n) - 1
     else:
@@ -253,6 +211,17 @@ def max_acyclic_induced(
                 raise ValueError(f"vertex {v} out of range [1, {g.n}]")
             mask |= 1 << (v - 1)
     return _mais(succ, pred, mask, {})
+
+
+def _adjacency(g: SideInformationGraph) -> tuple[list[int], list[int]]:
+    """Each vertex's out- and in-neighbours as bitmasks, 0-based."""
+    succ = [0] * g.n
+    pred = [0] * g.n
+    for i, side in enumerate(g.side):
+        for j in side:
+            succ[i] |= 1 << (j - 1)
+            pred[j - 1] |= 1 << i
+    return succ, pred
 
 
 def _mais(succ: list[int], pred: list[int], mask: int, memo: dict[int, int]) -> int:
@@ -310,12 +279,15 @@ def _reach(adj: list[int], start: int, within: int) -> int:
     return seen
 
 
-def _cycle_through(succ: list[int], s: int, comp: int) -> list[int]:
+def _cycle_through(succ: list[int], s: int, comp: int) -> list[int] | None:
     """The vertices of a shortest directed cycle through s inside the
-    strongly connected bitmask comp, found by breadth-first search."""
+    bitmask comp, last vertex first and s last, or None if s lies on no
+    cycle inside comp.  Breadth-first search over neighbours in
+    ascending order, so the cycle returned is, read from s, the
+    lexicographically smallest of the shortest ones."""
     parent = {s: s}
     frontier = [s]
-    while True:
+    while frontier:
         step = []
         for u in frontier:
             if succ[u] >> s & 1:
@@ -329,6 +301,7 @@ def _cycle_through(succ: list[int], s: int, comp: int) -> list[int]:
                     parent[w] = u
                     step.append(w)
         frontier = step
+    return None
 
 
 def receiver_rows(

@@ -66,6 +66,25 @@ def oracle_solve_in_span(generators, target, q):
     return None
 
 
+def oracle_shortest_cycle(g: SideInformationGraph):
+    """(length, vertex sequence) of the least simple directed cycle by
+    (length, sequence), each cycle written from its smallest vertex, or
+    None; found by extending every simple path from each start vertex
+    through higher vertices only."""
+    best = None
+    for s in range(1, g.n + 1):
+        paths = [(s,)]
+        while paths:
+            path = paths.pop()
+            for j in g.side_info(path[-1]):
+                if j == s:
+                    if best is None or (len(path), path) < best:
+                        best = (len(path), path)
+                elif j > s and j not in path:
+                    paths.append(path + (j,))
+    return best
+
+
 def random_matrix(rng: random.Random, rows: int, cols: int, q: int) -> FqMatrix:
     return FqMatrix(
         rows, cols, q, tuple(rng.randrange(q) for _ in range(rows * cols))

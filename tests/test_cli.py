@@ -79,6 +79,16 @@ def test_minrank_dag(tmp_path, capsys):
     assert "minrank=3" in capsys.readouterr().out
 
 
+def test_minrank_on_many_vertices(tmp_path, capsys):
+    # One column per vertex; the search keeps its own stack, so its depth
+    # is not bounded by the interpreter's recursion limit.
+    path = tmp_path / "edgeless.txt"
+    path.write_text("N=2000\n", encoding="utf-8")
+    code = main(["minrank", "--graph", str(path), "--out", str(tmp_path / "w.json")])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "minrank=2000"
+
+
 def test_minrank_budget_exit(cycle3_file, tmp_path):
     code = main(
         ["minrank", "--graph", str(cycle3_file), "--budget", "1",
@@ -118,6 +128,19 @@ def test_construct_deficit(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert "beta=3 r=2 r_avg=5/4" in capsys.readouterr().out
+
+
+def test_construct_deficit_on_a_long_cycle(tmp_path, capsys):
+    # The girth search is iterative, so its depth is not bounded by the
+    # interpreter's recursion limit.
+    path = tmp_path / "c1000.txt"
+    path.write_text(format_graph(directed_cycle(1000)), encoding="utf-8")
+    code = main(
+        ["construct", "--graph", str(path), "--scheme", "deficit",
+         "--out", str(tmp_path / "d.json")]
+    )
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == "beta=999 r=2 r_avg=999/500\n"
 
 
 def test_construct_scheme_graph_mismatch(tmp_path):

@@ -19,7 +19,7 @@ from idxloc.graphs import (
     shortest_directed_cycle,
 )
 
-from helpers import random_graph
+from helpers import oracle_shortest_cycle, random_graph
 
 
 def test_parse_three_cycle():
@@ -128,11 +128,39 @@ def test_girth_lexicographic_tie_break():
     assert shortest_directed_cycle(g) == (3, (1, 4, 5))
 
 
+def test_girth_of_a_long_cycle():
+    got = shortest_directed_cycle(directed_cycle(1200))
+    assert got == (1200, tuple(range(1, 1201)))
+
+
+def test_girth_after_vertices_on_no_cycle():
+    # 1 and 2 lie on no cycle, 3 on a 3-cycle whose other vertices close
+    # no cycle among the vertices above them, and the girth is the later
+    # 2-cycle (6, 7).
+    g = graph_from_side_info([{2}, {3}, {4}, {5}, {3, 6}, {7}, {6}])
+    assert shortest_directed_cycle(g) == (2, (6, 7))
+
+
+def test_girth_matches_brute_force_on_every_small_digraph():
+    graphs = 0
+    for n in (1, 2, 3, 4):
+        for g in _all_digraphs(n):
+            graphs += 1
+            assert shortest_directed_cycle(g) == oracle_shortest_cycle(g)
+    assert graphs == 1 + 4 + 64 + 4096
+
+
 def test_girth_absent_iff_topological_order():
+    # Against the path-enumerating reference, which shares no code with
+    # the topological-order test inside shortest_directed_cycle.
     rng = random.Random(7)
-    for _ in range(60):
-        g = random_graph(rng, rng.randint(1, 7), edge_prob=0.3)
-        assert (shortest_directed_cycle(g) is None) == (not has_directed_cycle(g))
+    acyclic = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(5, 7), rng.choice([0.1, 0.2, 0.35, 0.5]))
+        expected = oracle_shortest_cycle(g)
+        acyclic += expected is None
+        assert shortest_directed_cycle(g) == expected
+    assert 20 < acyclic < 280
 
 
 def _all_digraphs(n):
