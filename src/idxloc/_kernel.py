@@ -8,16 +8,20 @@ positions; the kernel's own vector formats stay inside this module.
 primes, once per set of tables or min-rank search; results, including
 enumeration order and tie-breaking, are the same for both.
 
-Decodability has one test, an incremental echelon basis per receiver and
-projection.  ``receiver_tables`` projects the candidate columns once per
-search; ``decodable_encoders`` enumerates column sets depth-first on
-those tables and skips every prefix that no completion can make
-decodable, both for the encoders of a search and, in
-``first_query_set``, for the query sets of one receiver.  A search sizes
-each receiver's least query set with ``first_query_set`` and builds the
+Decodability has one test, a table of span transitions per receiver.
+``receiver_tables`` projects the candidate columns once per search and
+gives each receiver an empty ``_Transitions``: its states are the spans
+of the receiver's projected columns, each with its decoding gap, and the
+state a column leads to is computed on first use and then looked up.
+``decodable_encoders`` enumerates column sets depth-first on those
+tables and skips every prefix that no completion can make decodable,
+both for the encoders of a search and, in ``first_query_set``, for the
+query sets of one receiver, so all of them share one table per receiver
+for as long as the search keeps its tables.  A search sizes each
+receiver's least query set with ``first_query_set`` and builds the
 witness query sets with ``min_query_sets`` only for the encoders it
-keeps.  ``minrank_dfs`` fills fitting matrices column by column on the
-same incremental basis, bounded by a table of rank floors from the
+keeps.  ``minrank_dfs`` fills fitting matrices column by column on an
+incremental echelon basis, bounded by a table of rank floors from the
 caller: it stops once the best rank reaches floors[0], and it descends
 into a column at depth d only while the prefix rank plus floors[d + 1],
 a bound on the rank of the later columns on rows the prefix leaves zero,
@@ -99,18 +103,105 @@ class _DigitBasis:
 
 
 def _vector_format(q: int):
-    """(new_basis, entry, join, unpack) for vectors over F_q: int bitmasks,
-    entry t at bit t, for q = 2 and digit tuples otherwise.  join builds
+    """(new_basis, span_with, entry, join, unpack) for vectors over F_q:
+    int bitmasks, entry t at bit t, for q = 2 and digit tuples otherwise.
+    span_with is the canonical-span step of ``_Transitions``.  join builds
     a vector from the values entry(t, d) of its digits d, last row first;
     unpack(v, n) returns the n digits of v."""
     if q == 2:
-        return _BitBasis, lambda t, d: d << t, sum, _bits
+        return _BitBasis, _bit_span_with, lambda t, d: d << t, sum, _bits
     reverse = itemgetter(slice(None, None, -1))
-    return partial(_DigitBasis, q), lambda t, d: d, reverse, lambda v, n: v
+    return (
+        partial(_DigitBasis, q), partial(_digit_span_with, q),
+        lambda t, d: d, reverse, lambda v, n: v,
+    )
 
 
 def _bits(v: int, n: int) -> tuple[int, ...]:
     return tuple(v >> t & 1 for t in range(n))
+
+
+def _bit_span_with(span, v):
+    """Fully reduced echelon basis of span + v, and the pivot v adds, or
+    None when v is in span.  span: the basis, ascending int bitmasks, each
+    pivoting on its highest set bit, which every other one leaves 0."""
+    for b in span:
+        if v >> (b.bit_length() - 1) & 1:
+            v ^= b
+    if not v:
+        return None
+    h = v.bit_length() - 1
+    return tuple(sorted([b ^ v if b >> h & 1 else b for b in span] + [v])), h
+
+
+def _digit_span_with(q, span, v):
+    """``_bit_span_with`` over F_q on digit tuples.  span: ascending
+    (pivot, vector) pairs, each vector pivoting on its last nonzero entry,
+    which is 1 and which every other one leaves 0."""
+    for p, b in span:
+        f = v[p]
+        if f:
+            v = [(x - f * y) % q for x, y in zip(v, b)]
+    h = len(v) - 1
+    while h >= 0 and not v[h]:
+        h -= 1
+    if h < 0:
+        return None
+    inv = pow(v[h], -1, q)
+    v = tuple(x * inv % q for x in v)
+    rows = [
+        (p, tuple((x - b[h] * y) % q for x, y in zip(b, v))) if b[h] else (p, b)
+        for p, b in span
+    ]
+    return tuple(sorted(rows + [(h, v)])), h
+
+
+class _Transitions:
+    """One receiver's span transitions over the candidate columns, filled
+    in on first use.
+
+    A state is a subspace of the receiver's proj_a span, numbered in order
+    of discovery from 0, the zero space, and keyed by its fully reduced
+    echelon basis.  The demand rows are proj_a's lowest entries and every
+    basis vector pivots on its highest nonzero entry, so the vectors
+    pivoting on a demand row span exactly the part of the state that is
+    zero off the demand rows, and gaps[s], |demand rows| less their
+    number, is the receiver's gap |demands| - (rank A - rank B).
+    rows[s][k] is the state that column k leads to from s, or None until
+    ``step`` computes it."""
+
+    __slots__ = ("demands", "proj", "span_with", "spans", "index", "gaps", "rows")
+
+    def __init__(self, demands, proj, span_with):
+        self.demands = demands
+        self.proj = proj
+        self.span_with = span_with
+        self.spans = [()]
+        self.index = {(): 0}
+        self.gaps = [demands]
+        self.rows = [None]
+
+    def row(self, s):
+        """The transitions out of state s, allocated on first use."""
+        row = self.rows[s]
+        if row is None:
+            row = self.rows[s] = [None] * len(self.proj)
+        return row
+
+    def step(self, s, k):
+        """Compute and record the state that column k leads to from s."""
+        grown = self.span_with(self.spans[s], self.proj[k])
+        t = s
+        if grown is not None:
+            span, pivot = grown
+            t = self.index.get(span)
+            if t is None:
+                t = self.index[span] = len(self.spans)
+                self.spans.append(span)
+                self.gaps.append(self.gaps[s] - (pivot < self.demands))
+                self.rows.append(None)
+        self.rows[s][k] = t
+        return t
 
 
 def _project(entry, join, q, columns, keep):
@@ -119,29 +210,35 @@ def _project(entry, join, q, columns, keep):
     for t, r in reversed(list(enumerate(keep))):
         by_digit = [entry(t, d) for d in range(q)]
         values.append([by_digit[c[r]] for c in columns])
-    return list(map(join, zip(*values))) or [join(())] * len(columns)
+    return list(map(join, zip(*values)))
 
 
 def receiver_tables(columns, q, rows):
-    """Per receiver, (|demand rows|, proj_a, proj_b, new_basis) over the
+    """Per receiver, (|demand rows|, proj_a, transitions) over the
     candidate columns.
 
     columns: the candidate columns, digit tuples of one length.  rows: per
     receiver, its (demand rows, side rows) from ``graphs.receiver_rows``,
     0-based.  proj_a[k] is column k with the receiver's side rows removed,
-    proj_b[k] with its side and demand rows removed, both hashable and
-    held by the bases that new_basis() makes.  Receiver i decodes from a
-    column set T iff rank(proj_a[T]) - rank(proj_b[T]) == |demand rows|.
+    hashable, with the demand rows as its lowest entries.  Receiver i
+    decodes from a column set T iff rank(proj_a[T]) - rank(proj_b[T]) ==
+    |demand rows|, where proj_b drops the demand rows from proj_a as well.
+    transitions, a ``_Transitions`` over proj_a, is empty when built and
+    fills in as the enumerators of this module walk it, so every
+    enumeration on the same tables, the encoders of one search and the
+    query sets of its encoders alike, shares what the others computed.
     """
-    new_basis, entry, join, _ = _vector_format(q)
+    _, span_with, entry, join, _ = _vector_format(q)
     mn = len(columns[0])
     tables = []
     for demand_rows, side_rows in rows:
-        keep_a = [r for r in range(mn) if r not in side_rows]
-        keep_b = [r for r in keep_a if r not in demand_rows]
+        keep_a = [
+            *demand_rows,
+            *(r for r in range(mn) if r not in side_rows and r not in demand_rows),
+        ]
         proj_a = _project(entry, join, q, columns, keep_a)
-        proj_b = _project(entry, join, q, columns, keep_b)
-        tables.append((len(demand_rows), proj_a, proj_b, new_basis))
+        demands = len(demand_rows)
+        tables.append((demands, proj_a, _Transitions(demands, proj_a, span_with)))
     return tables
 
 
@@ -157,52 +254,41 @@ def decodable_encoders(tables, candidates, size, repeat):
     ``combinations``, the query sets of one encoder), keeping only the
     tuples whose columns pass the test of ``receiver_tables``.
 
-    Columns are chosen depth-first, each receiver keeping one incremental
-    basis of its proj_a columns (A) and one of its proj_b columns (B).
-    Its gap |demands| - (rank A - rank B) never rises as columns are
-    added and falls by at most one per column, so a prefix leaving some
-    gap above the number of columns still to choose has no decodable
-    completion and is skipped.
+    Columns are chosen depth-first, each receiver keeping on each frame
+    the state of its transitions, the span of its proj_a columns so far,
+    and testing a column with one table lookup.  A state's gap
+    |demands| - (rank A - rank B) never rises as columns are added and
+    falls by at most one per column, so a prefix leaving some gap above
+    the number of columns still to choose has no decodable completion and
+    is skipped.  The transitions live as long as the tables, one search,
+    and a lookup never met before is computed once, so the order, the
+    pruning and the answers are those of a fresh elimination per prefix.
     """
-    receivers = [
-        (proj_a, proj_b, new_basis(), new_basis())
-        for _, proj_a, proj_b, new_basis in tables
-    ]
-    gaps = [table[0] for table in tables]
+    receivers = [table[2] for table in tables]
     chosen = [0] * size
     n_cand = len(candidates)
 
-    def extend(depth, start):
+    def extend(depth, start, states):
         left = size - depth - 1  # columns still to choose after this one
+        frame = [(t.row(s), t.gaps, t.step, s) for t, s in zip(receivers, states)]
         for pos in range(start, n_cand if repeat else n_cand - left):
             k = candidates[pos]
-            pushed = []
-            viable = True
-            for i, (proj_a, proj_b, basis_a, basis_b) in enumerate(receivers):
-                ta = basis_a.push(proj_a[k])
-                # B is a projection of A, so a column already in span A
-                # is in span B too and leaves both ranks unchanged.
-                tb = None if ta is None else basis_b.push(proj_b[k])
-                pushed.append((ta, tb))
-                if ta is not None and tb is None:
-                    gaps[i] -= 1
-                if gaps[i] > left:
-                    viable = False
+            after = []
+            for row, gaps, step, s in frame:
+                t = row[k]
+                if t is None:
+                    t = step(s, k)
+                if gaps[t] > left:
                     break
-            if viable:
+                after.append(t)
+            else:
                 chosen[depth] = pos
                 if left:
-                    yield from extend(depth + 1, pos if repeat else pos + 1)
+                    yield from extend(depth + 1, pos if repeat else pos + 1, after)
                 else:
                     yield tuple(chosen)
-            for i, (ta, tb) in enumerate(pushed):
-                _, _, basis_a, basis_b = receivers[i]
-                basis_a.pop(ta)
-                basis_b.pop(tb)
-                if ta is not None and tb is None:
-                    gaps[i] += 1
 
-    yield from extend(0, 0)
+    yield from extend(0, 0, [0] * len(receivers))
 
 
 def first_query_set(table, ks, max_size):
@@ -213,7 +299,7 @@ def first_query_set(table, ks, max_size):
     as indices into the table.  Returns a tuple of positions into ks of
     at most ``max_size`` columns, or None if every decoding query set is
     larger.  The answer depends only on the multiset of the receiver's
-    proj_a columns, because proj_b is a projection of proj_a.
+    proj_a columns, because the decoding test reads nothing else.
     """
     for size in range(table[0], min(max_size, len(ks)) + 1):
         first = next(decodable_encoders([table], ks, size, False), None)
@@ -273,7 +359,10 @@ def minrank_dfs(n: int, q: int, free_rows, floors):
 
     # An incremental basis, pushed and popped along the DFS, costs one
     # reduction per column instead of re-eliminating the whole prefix.
-    new_basis, entry, join, unpack = _vector_format(q)
+    # Unlike the encoder searches it keeps no table of span transitions:
+    # its spans are subspaces of F_q^n, too many to tabulate once n is
+    # more than a few.
+    new_basis, _, entry, join, unpack = _vector_format(q)
     basis = new_basis()
     push, pop = basis.push, basis.pop
     # Per column, the values each entry may take, last row first, since

@@ -26,6 +26,7 @@ from .codes import (
 )
 from .graphs import (
     SideInformationGraph,
+    acyclic_sizer,
     has_directed_cycle,
     induced_subgraph,
     max_acyclic_induced,
@@ -81,14 +82,16 @@ def minrank_bruteforce(
     free_rows = tuple(receiver_rows(g, 1, i)[1] for i in range(1, g.n + 1))
     # floors[d + 1] is the MAIS of the rows that columns 0..d leave
     # untouched, which all lie past d since each column has a unit
-    # diagonal; it is recomputed only when column d touches a new row.
-    floors = [max_acyclic_induced(g)]
+    # diagonal; it is recomputed only when column d touches a new row,
+    # and every floor shares one adjacency and memo.
+    mais = acyclic_sizer(g)
+    floors = [mais()]
     untouched = set(range(g.n))
     for d, free in enumerate(free_rows):
         touched = untouched & {d, *free}
         if touched:
             untouched -= touched
-            floor = max_acyclic_induced(g, [v + 1 for v in untouched])
+            floor = mais([v + 1 for v in untouched])
         floors.append(floor)
     value, columns = _kernel.minrank_dfs(g.n, q, free_rows, floors)
     witness = FittingMatrix(FqMatrix.from_columns(columns, g.n, q))

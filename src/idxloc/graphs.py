@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Generator, Iterable, Iterator
 
 
 class GraphParseError(ValueError):
@@ -199,18 +199,35 @@ def max_acyclic_induced(
     branches on the vertices of a shortest cycle through its lowest
     vertex, one of which every acyclic set leaves out, and stops once one
     deletion suffices.  Vertex sets are int bitmasks, and component values
-    are memoized on them.
+    are memoized on them.  The branching keeps its own stack, so its depth
+    is not bounded by the interpreter's recursion limit.
     """
+    return acyclic_sizer(g)(vertices)
+
+
+def acyclic_sizer(g: SideInformationGraph) -> Callable[[Iterable[int] | None], int]:
+    """The function ``vertices -> max_acyclic_induced(g, vertices)``, for
+    many vertex sets of one graph: its calls share one bitmask adjacency
+    and one memo, since a component's value depends only on its vertices.
+    A vertex with no in- or out-neighbour in g is peeled from every set
+    in one step."""
     succ, pred = _adjacency(g)
-    if vertices is None:
-        mask = (1 << g.n) - 1
-    else:
-        mask = 0
-        for v in vertices:
-            if not 1 <= v <= g.n:
-                raise ValueError(f"vertex {v} out of range [1, {g.n}]")
-            mask |= 1 << (v - 1)
-    return _mais(succ, pred, mask, {})
+    memo: dict[int, int] = {}
+    dead = sum(1 << v for v in range(g.n) if not (succ[v] and pred[v]))
+
+    def size(vertices: Iterable[int] | None = None) -> int:
+        if vertices is None:
+            mask = (1 << g.n) - 1
+        else:
+            mask = 0
+            for v in vertices:
+                if not 1 <= v <= g.n:
+                    raise ValueError(f"vertex {v} out of range [1, {g.n}]")
+                mask |= 1 << (v - 1)
+        peeled = mask & dead
+        return peeled.bit_count() + _mais(succ, pred, mask ^ peeled, memo)
+
+    return size
 
 
 def _adjacency(g: SideInformationGraph) -> tuple[list[int], list[int]]:
@@ -226,7 +243,30 @@ def _adjacency(g: SideInformationGraph) -> tuple[list[int], list[int]]:
 
 def _mais(succ: list[int], pred: list[int], mask: int, memo: dict[int, int]) -> int:
     """MAIS of the subgraph induced on the bitmask mask, given each
-    vertex's out- and in-neighbours as bitmasks."""
+    vertex's out- and in-neighbours as bitmasks.  Each call of
+    ``_mais_frame`` is one frame of the branching, kept on an explicit
+    stack: a frame yields the bitmask whose MAIS it needs and is sent
+    that value back."""
+    stack = [_mais_frame(succ, pred, mask, memo)]
+    value = None
+    while True:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(_mais_frame(succ, pred, sub, memo))
+            value = None
+
+
+def _mais_frame(
+    succ: list[int], pred: list[int], mask: int, memo: dict[int, int]
+) -> Generator[int, int, int]:
+    """One frame of ``_mais``: the MAIS of mask, yielding each bitmask
+    whose MAIS it needs."""
     total = 0
     while True:  # peel the vertices that lie on no cycle
         rest = mask
@@ -250,7 +290,7 @@ def _mais(succ: list[int], pred: list[int], mask: int, memo: dict[int, int]) -> 
             size = comp.bit_count()
             value = 0
             for u in _cycle_through(succ, v, comp):
-                value = max(value, _mais(succ, pred, comp ^ (1 << u), memo))
+                value = max(value, (yield comp ^ (1 << u)))
                 if value == size - 1:
                     break
             memo[comp] = value

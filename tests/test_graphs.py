@@ -1,12 +1,15 @@
 """Graph parsing, induced subgraphs, girth, acyclic sets, receiver rows."""
 
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
 from idxloc.graphs import (
     GraphParseError,
+    acyclic_sizer,
     cycle_length_if_cycle,
     directed_cycle,
     format_graph,
@@ -192,9 +195,11 @@ def test_max_acyclic_induced_on_every_small_digraph():
         for g in _all_digraphs(n):
             graphs += 1
             everything = range(1, n + 1)
-            assert max_acyclic_induced(g) == _brute_mais(g, everything)
+            mais = acyclic_sizer(g)
+            assert max_acyclic_induced(g) == mais() == _brute_mais(g, everything)
             some = [v for v in everything if rng.random() < 0.6]
-            assert max_acyclic_induced(g, some) == _brute_mais(g, some)
+            # mais answers on the memo its first call filled.
+            assert max_acyclic_induced(g, some) == mais(some) == _brute_mais(g, some)
     assert graphs == 1 + 4 + 64 + 4096
 
 
@@ -233,10 +238,27 @@ def test_max_acyclic_induced_on_seeded_digraphs():
         else:
             g = random_graph(rng, n, edge_prob=rng.choice([0.15, 0.3, 0.5]))
         everything = range(1, n + 1)
-        assert max_acyclic_induced(g) == _brute_mais(g, everything)
+        mais = acyclic_sizer(g)
+        assert max_acyclic_induced(g) == mais() == _brute_mais(g, everything)
         some = [v for v in everything if rng.random() < 0.7]
-        assert max_acyclic_induced(g, some) == _brute_mais(g, some)
+        assert max_acyclic_induced(g, some) == mais(some) == _brute_mais(g, some)
     assert several > 40
+
+
+def test_max_acyclic_induced_keeps_its_own_stack():
+    # On the bidirected path the branching deletes a vertex per level,
+    # about n/2 levels deep, so a frame per level would pass this limit.
+    n = 300
+    path = graph_from_side_info(
+        [{j for j in (i - 1, i + 1) if 1 <= j <= n} for i in range(1, n + 1)]
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        value = max_acyclic_induced(path)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == n // 2
 
 
 def test_max_acyclic_induced_rejects_bad_vertices():

@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement
 
 from idxloc import _kernel
 from idxloc.bounds import _normalized_columns
-from idxloc.graphs import receiver_rows
+from idxloc.graphs import directed_cycle, graph_from_side_info, receiver_rows
 from idxloc.linalg import FqMatrix, rank, solve_in_span, unit_vector
 
 from helpers import random_graph
@@ -104,6 +104,47 @@ def test_decodable_encoders_yields_the_decodable_multisets_in_order():
             yielded[repeat] += len(got)
         seen[q] += 1
     assert all(seen.values()) and all(count > 100 for count in yielded.values())
+
+
+def test_warm_transitions_answer_as_fresh_ones():
+    # One set of tables serves a whole search: the encoder enumeration
+    # stays suspended while the query sets of each encoder it yields are
+    # computed on the same transitions, as in bounds._search.  Every
+    # answer must equal that of tables built fresh for the question and
+    # that of linalg.  A sample of the columns keeps q = 5 small.
+    rng = random.Random(61)
+    instances = [
+        (directed_cycle(3), 1, 3),
+        (graph_from_side_info([{2, 3}, {3}, {1}]), 1, 2),
+        (directed_cycle(2), 2, 2),
+    ]
+    checked = {}
+    for q in (2, 3, 5):
+        for g, m, ell in instances:
+            mn = m * g.n
+            rows = [receiver_rows(g, m, i) for i in range(1, g.n + 1)]
+            columns = _normalized_columns(mn, q)
+            candidates = sorted(rng.sample(range(len(columns)), min(len(columns), 16)))
+            tables = _kernel.receiver_tables(columns, q, rows)
+            for repeat in (True, False):
+                walked = []
+                for chosen in _kernel.decodable_encoders(tables, candidates, ell, repeat):
+                    walked.append(chosen)
+                    ks = [candidates[p] for p in chosen]
+                    cols = [columns[k] for k in ks]
+                    fresh, fresh_ks = _encoder(cols, mn, q, rows)
+                    firsts = [_first_decoding_subset(cols, mn, q, d, s) for d, s in rows]
+                    for cap in range(1, ell + 1):
+                        want = _kernel.min_query_sets(fresh, fresh_ks, cap)
+                        if all(t is not None and len(t) <= cap for t in firsts):
+                            assert want == tuple(firsts)
+                        else:
+                            assert want is None
+                        assert _kernel.min_query_sets(tables, ks, cap) == want
+                    checked[q, m] = checked.get((q, m), 0) + 1
+                cold = _kernel.receiver_tables(columns, q, rows)
+                assert walked == list(_kernel.decodable_encoders(cold, candidates, ell, repeat))
+    assert len(checked) == 6 and sum(checked.values()) > 2000
 
 
 def test_min_query_sets_respects_cap():
