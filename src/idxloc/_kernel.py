@@ -160,9 +160,9 @@ class _Transitions:
     """One receiver's span transitions over the candidate columns, filled
     in on first use.
 
-    A state is a subspace of the receiver's proj_a span, numbered in order
+    A state is a subspace of the receiver's proj span, numbered in order
     of discovery from 0, the zero space, and keyed by its fully reduced
-    echelon basis.  The demand rows are proj_a's lowest entries and every
+    echelon basis.  The demand rows are proj's lowest entries and every
     basis vector pivots on its highest nonzero entry, so the vectors
     pivoting on a demand row span exactly the part of the state that is
     zero off the demand rows, and gaps[s], |demand rows| less their
@@ -214,31 +214,29 @@ def _project(entry, join, q, columns, keep):
 
 
 def receiver_tables(columns, q, rows):
-    """Per receiver, (|demand rows|, proj_a, transitions) over the
-    candidate columns.
+    """Per receiver, a ``_Transitions`` over the candidate columns.
 
     columns: the candidate columns, digit tuples of one length.  rows: per
     receiver, its (demand rows, side rows) from ``graphs.receiver_rows``,
-    0-based.  proj_a[k] is column k with the receiver's side rows removed,
-    hashable, with the demand rows as its lowest entries.  Receiver i
-    decodes from a column set T iff rank(proj_a[T]) - rank(proj_b[T]) ==
-    |demand rows|, where proj_b drops the demand rows from proj_a as well.
-    transitions, a ``_Transitions`` over proj_a, is empty when built and
-    fills in as the enumerators of this module walk it, so every
-    enumeration on the same tables, the encoders of one search and the
-    query sets of its encoders alike, shares what the others computed.
+    0-based.  A table's ``demands`` is |demand rows| and its ``proj[k]``
+    is column k with the receiver's side rows removed, hashable, with the
+    demand rows as its lowest entries.  Receiver i decodes from a column
+    set T iff rank(proj[T]) - rank(proj_b[T]) == |demand rows|, where
+    proj_b drops the demand rows from proj as well.  Each table is empty
+    when built and fills in as the enumerators of this module walk it, so
+    every enumeration on the same tables, the encoders of one search and
+    the query sets of its encoders alike, shares what the others computed.
     """
     _, span_with, entry, join, _ = _vector_format(q)
     mn = len(columns[0])
     tables = []
     for demand_rows, side_rows in rows:
-        keep_a = [
+        keep = [
             *demand_rows,
             *(r for r in range(mn) if r not in side_rows and r not in demand_rows),
         ]
-        proj_a = _project(entry, join, q, columns, keep_a)
-        demands = len(demand_rows)
-        tables.append((demands, proj_a, _Transitions(demands, proj_a, span_with)))
+        proj = _project(entry, join, q, columns, keep)
+        tables.append(_Transitions(len(demand_rows), proj, span_with))
     return tables
 
 
@@ -255,7 +253,7 @@ def decodable_encoders(tables, candidates, size, repeat):
     tuples whose columns pass the test of ``receiver_tables``.
 
     Columns are chosen depth-first, each receiver keeping on each frame
-    the state of its transitions, the span of its proj_a columns so far,
+    the state of its transitions, the span of its proj columns so far,
     and testing a column with one table lookup.  A state's gap
     |demands| - (rank A - rank B) never rises as columns are added and
     falls by at most one per column, so a prefix leaving some gap above
@@ -264,13 +262,12 @@ def decodable_encoders(tables, candidates, size, repeat):
     and a lookup never met before is computed once, so the order, the
     pruning and the answers are those of a fresh elimination per prefix.
     """
-    receivers = [table[2] for table in tables]
     chosen = [0] * size
     n_cand = len(candidates)
 
     def extend(depth, start, states):
         left = size - depth - 1  # columns still to choose after this one
-        frame = [(t.row(s), t.gaps, t.step, s) for t, s in zip(receivers, states)]
+        frame = [(t.row(s), t.gaps, t.step, s) for t, s in zip(tables, states)]
         for pos in range(start, n_cand if repeat else n_cand - left):
             k = candidates[pos]
             after = []
@@ -288,7 +285,7 @@ def decodable_encoders(tables, candidates, size, repeat):
                 else:
                     yield tuple(chosen)
 
-    yield from extend(0, 0, [0] * len(receivers))
+    yield from extend(0, 0, [0] * len(tables))
 
 
 def first_query_set(table, ks, max_size):
@@ -299,9 +296,9 @@ def first_query_set(table, ks, max_size):
     as indices into the table.  Returns a tuple of positions into ks of
     at most ``max_size`` columns, or None if every decoding query set is
     larger.  The answer depends only on the multiset of the receiver's
-    proj_a columns, because the decoding test reads nothing else.
+    proj columns, because the decoding test reads nothing else.
     """
-    for size in range(table[0], min(max_size, len(ks)) + 1):
+    for size in range(table.demands, min(max_size, len(ks)) + 1):
         first = next(decodable_encoders([table], ks, size, False), None)
         if first is not None:
             return first

@@ -33,7 +33,7 @@ from .graphs import (
     receiver_rows,
     shortest_directed_cycle,
 )
-from .linalg import FqMatrix, null_space_basis, rank, require_prime
+from .linalg import FqMatrix, null_space_basis, require_prime, rref, vector_matrix
 
 DEFAULT_MINRANK_BUDGET = 2**24
 DEFAULT_SCALAR_SEARCH_BUDGET = 2**22
@@ -254,7 +254,7 @@ def _search(
     # Frontier bookkeeping on integer profiles (max |R_i|, sum |R_i|);
     # beta is constant within one call so dominance reduces to these two.
     # Only sizes are needed here: receiver i's least |R_i| depends only on
-    # the multiset of its proj_a columns, so it is memoized on them, and
+    # the multiset of its proj columns, so it is memoized on them, and
     # the witness query sets are built for the final frontier alone.  Every
     # receiver needs at least its m demanded columns, so a receiver not
     # yet sized counts m, and (m, m*N) is the best possible profile.
@@ -264,7 +264,8 @@ def _search(
     for ks in _kernel.decodable_encoders(tables, range(len(columns)), ell, True):
         mx, sm = best
         for table, memo in zip(tables, memos):
-            key = tuple(sorted([table[1][k] for k in ks]))
+            proj = table.proj
+            key = tuple(sorted([proj[k] for k in ks]))
             least = memo.get(key, 0)  # 0: not sized yet; sizes are >= m
             if least == 0:
                 first = _kernel.first_query_set(table, ks, max_size)
@@ -411,13 +412,10 @@ def _null_supports(
     supports: set[frozenset[int]] = set()
     n = fm.matrix.rows
     if q ** len(basis) <= NULL_ENUMERATION_LIMIT:
+        rows = FqMatrix.from_rows(basis, q)
         # Every combination but the first, the zero one.
         for coeffs in islice(product(range(q), repeat=len(basis)), 1, None):
-            vec = [0] * n
-            for c, b in zip(coeffs, basis):
-                if c:
-                    for t in range(n):
-                        vec[t] = (vec[t] + c * b[t]) % q
+            vec = vector_matrix(coeffs, rows)
             supports.add(frozenset(t + 1 for t in range(n) if vec[t]))
     else:
         sample = list(basis)
@@ -549,11 +547,12 @@ def converse_checks(
         )
 
     # lhs 0 >= rhs holds iff the fitting matrix's columns add nothing to
-    # the rank of the encoder's column space.
+    # the rank of the encoder's column space: no pivot of (L | F) is F's.
+    pivots = rref(code.matrix.hstack(fm.matrix))[1]
     checks.append(
         _inequality(
             "fitting_column_space", "", 0,
-            rank(code.matrix.hstack(fm.matrix)) - rank(code.matrix),
+            sum(p >= code.ell for p in pivots),
         )
     )
     return ConverseReport(tuple(checks))

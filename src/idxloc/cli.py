@@ -69,10 +69,7 @@ class CliError(Exception):
 
 
 def fmt_frac(x: Fraction | int) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def parse_frac(text: str) -> Fraction:

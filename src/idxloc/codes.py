@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from pathlib import Path
 from typing import Sequence
 
@@ -24,8 +25,8 @@ from .graphs import SideInformationGraph, receiver_rows
 from .linalg import (
     FqMatrix,
     Vector,
-    in_span,
     require_prime,
+    rref,
     solve_in_span,
     unit_vector,
     vector_matrix,
@@ -159,13 +160,14 @@ class FittingMatrix:
                 raise ValueError("fitting matrix needs a unit diagonal")
 
     def fits(self, g: SideInformationGraph) -> bool:
-        if self.matrix.rows != g.n:
+        """Whether every nonzero off-diagonal entry (j, i) has j in K_i."""
+        n = self.matrix.rows
+        if n != g.n:
             return False
-        for i in range(1, g.n + 1):
-            allowed = g.side_info(i)
-            for j in range(1, g.n + 1):
-                if j != i and j not in allowed and self.matrix.entry(j - 1, i - 1):
-                    return False
+        for flat in compress(count(), self.matrix.entries):
+            j, i = divmod(flat, n)
+            if j != i and j + 1 not in g.side[i]:
+                return False
         return True
 
 
@@ -298,16 +300,18 @@ def prune_queries(g: SideInformationGraph, code: IndexCode) -> IndexCode:
     independent columns.  Unqueried columns are then deleted and the
     remaining ones renumbered.  Requires a decodable input and preserves
     decodability; neither the rate nor any |R_i| increases.
+
+    The pass keeps a column iff it lies outside the span of the queried
+    columns after it, so each query set is read off the pivots of one
+    elimination of its columns in descending index order.
     """
     require_plan(g, code)
     new_queries = []
     for i in range(1, code.n + 1):
-        current = set(code.queries[i - 1])
-        for k in sorted(current):
-            others = [code.column_vector(t) for t in sorted(current - {k})]
-            if in_span(others, code.column_vector(k), code.q):
-                current.remove(k)
-        new_queries.append(frozenset(current))
+        desc = code.query_list(i)[::-1]
+        cols = [code.column_vector(k) for k in desc]
+        pivots = rref(FqMatrix.from_columns(cols, code.m * code.n, code.q))[1]
+        new_queries.append(frozenset(desc[p] for p in pivots))
 
     used = sorted(set().union(*new_queries)) if new_queries else []
     renumber = {old: new for new, old in enumerate(used, start=1)}
@@ -333,6 +337,10 @@ def normalize_unique_columns(
 
     to a basis of the demand coordinate subspace, padded with zero
     columns when fewer extension vectors than unique positions exist.
+    The extension is the demand unit vectors, in ascending order, that
+    are pivots of one elimination of [shared queried columns | side-info
+    unit vectors | demand unit vectors]: each lies outside the span of
+    everything before it.
     """
     require_plan(g, code)
     part = query_partition(code)
@@ -344,17 +352,14 @@ def normalize_unique_columns(
         if not unique_here:
             continue
         demand_rows, side_rows = receiver_rows(g, code.m, i)
-        shared_cols = [code.column_vector(k) for k in sorted(part.shared[i - 1])]
-        # Extend greedily against W = span(shared + side coordinates)
-        # itself: for v and C inside the demand subspace D,
-        # v in (W ∩ D) + span C iff v in W + span C.
-        current = shared_cols + [unit_vector(mn, t) for t in side_rows]
-        extension: list[Vector] = []
-        for t in demand_rows:
-            candidate = unit_vector(mn, t)
-            if not in_span(current, candidate, q):
-                current.append(candidate)
-                extension.append(candidate)
+        # Extend against W = span(shared + side coordinates) itself: for v
+        # and C inside the demand subspace D, v in (W ∩ D) + span C iff
+        # v in W + span C.
+        gens = [code.column_vector(k) for k in sorted(part.shared[i - 1])]
+        gens += [unit_vector(mn, t) for t in (*side_rows, *demand_rows)]
+        first = len(gens) - len(demand_rows)
+        pivots = rref(FqMatrix.from_columns(gens, mn, q))[1]
+        extension = [gens[p] for p in pivots if p >= first]
         if len(extension) > len(unique_here):
             raise AssertionError("extension exceeds unique query budget")
         for pos, k in enumerate(unique_here):

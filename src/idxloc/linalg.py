@@ -230,10 +230,6 @@ def solve_in_span(
     return tuple(coeffs)
 
 
-def in_span(generators: Sequence[Sequence[int]], target: Sequence[int], q: int) -> bool:
-    return solve_in_span(generators, target, q) is not None
-
-
 def unit_vector(n: int, position: int) -> Vector:
     """Standard basis vector with a 1 at the given 0-based position."""
     if not 0 <= position < n:

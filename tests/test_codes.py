@@ -9,6 +9,7 @@ import pytest
 from idxloc.bounds import converse_checks
 from idxloc.codes import (
     DecodingFailure,
+    FittingMatrix,
     IndexCode,
     UndecodableError,
     code_from_json_dict,
@@ -25,11 +26,12 @@ from idxloc.codes import (
 )
 from idxloc.constructions import cycle_scalar_code, uncoded
 from idxloc.graphs import directed_cycle, graph_from_side_info, receiver_rows
-from idxloc.linalg import FqMatrix, null_space_basis, rank
+from idxloc.linalg import FqMatrix, null_space_basis, rank, unit_vector
 
 from helpers import (
     malformed_code_docs,
     normalization_contract,
+    oracle_solve_in_span,
     random_decodable_code,
     random_graph,
 )
@@ -272,6 +274,113 @@ def test_prune_rejects_undecodable():
         prune_queries(g, code)
 
 
+def test_prune_keeps_the_later_columns_of_a_dependency():
+    # Receiver 1 reads a, b and c = a + b; each is in the span of the
+    # other two, and the one pass drops a, the first, so b and c stay.
+    g = graph_from_side_info([set(), set()])
+    code = IndexCode(
+        q=2, m=1, n=2,
+        matrix=FqMatrix.from_columns([(1, 0), (0, 1), (1, 1)], 2, 2),
+        queries=(frozenset({1, 2, 3}), frozenset({2})),
+    )
+    pruned = prune_queries(g, code)
+    assert pruned.queries == (frozenset({1, 2}), frozenset({1}))
+    assert pruned.matrix.column_list() == [(0, 1), (1, 1)]
+
+
+def _one_pass_prune(code):
+    """prune_queries by its docstring: one ascending pass per receiver
+    dropping each column in the span of its other remaining columns."""
+    kept = []
+    for r in code.queries:
+        current = set(r)
+        for k in sorted(r):
+            others = [code.column_vector(t) for t in sorted(current - {k})]
+            if oracle_solve_in_span(others, code.column_vector(k), code.q) is not None:
+                current.remove(k)
+        kept.append(frozenset(current))
+    used = sorted(set().union(*kept))
+    renumber = {old: new for new, old in enumerate(used, start=1)}
+    return IndexCode(
+        q=code.q, m=code.m, n=code.n,
+        matrix=FqMatrix.from_columns(
+            [code.column_vector(k) for k in used], code.m * code.n, code.q
+        ),
+        queries=tuple(frozenset(renumber[k] for k in r) for r in kept),
+    )
+
+
+def _one_pass_normalize(g, code):
+    """normalize_unique_columns by its docstring: per receiver, each
+    demand unit vector in ascending order joins the extension unless it
+    lies in the span of the shared columns, the side-info unit vectors
+    and the extension so far."""
+    mn, q = code.m * code.n, code.q
+    part = query_partition(code)
+    cols = code.matrix.column_list()
+    for i in range(1, code.n + 1):
+        demand_rows, side_rows = receiver_rows(g, code.m, i)
+        current = [code.column_vector(k) for k in sorted(part.shared[i - 1])]
+        current += [unit_vector(mn, t) for t in side_rows]
+        extension = []
+        for t in demand_rows:
+            e = unit_vector(mn, t)
+            if oracle_solve_in_span(current, e, q) is None:
+                current.append(e)
+                extension.append(e)
+        for pos, k in enumerate(sorted(part.unique[i - 1])):
+            cols[k - 1] = extension[pos] if pos < len(extension) else (0,) * mn
+    return IndexCode(
+        q=q, m=code.m, n=code.n,
+        matrix=FqMatrix.from_columns(cols, mn, q), queries=code.queries,
+    )
+
+
+def _with_dependent_column(rng, code):
+    """The code with one more column, a random combination of the others,
+    at a random position and read by a random half of the receivers, so
+    that query sets hold dependencies like c = a + b."""
+    mn, q = code.m * code.n, code.q
+    cols = code.matrix.column_list()
+    coeffs = [rng.randrange(q) for _ in cols]
+    new = tuple(sum(c * col[t] for c, col in zip(coeffs, cols)) % q for t in range(mn))
+    pos = rng.randint(1, len(cols) + 1)
+    cols.insert(pos - 1, new)
+    queries = tuple(
+        frozenset([k + (k >= pos) for k in r] + [pos] * (rng.random() < 0.5))
+        for r in code.queries
+    )
+    return IndexCode(
+        q=q, m=code.m, n=code.n,
+        matrix=FqMatrix.from_columns(cols, mn, q), queries=queries,
+    )
+
+
+def test_prune_and_normalize_match_their_one_pass_definitions():
+    # Pins the exact output, including which column of a dependency
+    # survives, on random decodable codes with and without an added
+    # dependent column; the reference spans are searched by enumeration,
+    # not elimination.
+    rng = random.Random(1414)
+    pruned_some = rewritten = 0
+    for q, m, max_n in [(2, 1, 4), (2, 2, 3), (3, 1, 4), (3, 2, 2), (5, 1, 3), (5, 2, 2)]:
+        produced = 0
+        while produced < 12:
+            g = random_graph(rng, rng.randint(2, max_n))
+            code = random_decodable_code(rng, g, q, m, max_tries=60)
+            if code is None:
+                continue
+            for c in (code, _with_dependent_column(rng, code)):
+                pruned = prune_queries(g, c)
+                assert pruned == _one_pass_prune(c)
+                normalized = normalize_unique_columns(g, c)
+                assert normalized == _one_pass_normalize(g, c)
+                pruned_some += pruned.queries != c.queries
+                rewritten += normalized != c
+            produced += 1
+    assert pruned_some > 50 and rewritten > 50
+
+
 def test_normalize_no_unique_columns_unchanged():
     g, code = cycle4()
     assert normalize_unique_columns(g, code) == code
@@ -422,6 +531,20 @@ def test_fitting_matrix_requires_scalar():
     plan = require_plan(g, code)
     with pytest.raises(ValueError):
         fitting_matrix_from_plan(g, code, plan)
+
+
+def test_fits_refuses_an_entry_outside_the_pattern():
+    # Receiver 1 knows message 2, receiver 2 knows nothing: the entry at
+    # (row 2, column 1) fits, its transpose at (row 1, column 2) does not.
+    g = graph_from_side_info([{2}, set()])
+    assert FittingMatrix(FqMatrix.from_rows([[1, 0], [1, 1]], 3)).fits(g)
+    assert not FittingMatrix(FqMatrix.from_rows([[1, 2], [0, 1]], 3)).fits(g)
+
+
+def test_fits_refuses_a_matrix_of_the_wrong_size():
+    g = graph_from_side_info([{2}, set()])
+    assert not FittingMatrix(FqMatrix.identity(3, 2)).fits(g)
+    assert not FittingMatrix(FqMatrix.identity(1, 2)).fits(g)
 
 
 def test_fitting_matrix_soundness_random():
