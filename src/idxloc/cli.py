@@ -32,9 +32,9 @@ from .bounds import (
 from .codes import (
     DecodingFailure,
     IndexCode,
+    _normalize_unique_columns,
     load_code,
     locality_profile,
-    normalize_unique_columns,
     prune_queries,
     save_code,
     verify_decodable,
@@ -254,7 +254,9 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
     try:
         pruned = prune_queries(g, code)
-        normalized = normalize_unique_columns(g, pruned)
+        # Pruning verified the input and keeps it decodable, so the
+        # pruned code is not verified again.
+        normalized = _normalize_unique_columns(g, pruned)
     except ValueError as exc:
         raise CliError(f"normalize failed: {exc}") from exc
     save_code(normalized, args.out)

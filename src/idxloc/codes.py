@@ -27,7 +27,7 @@ from .linalg import (
     Vector,
     require_prime,
     rref,
-    solve_in_span,
+    solve_each_in_span,
     unit_vector,
     vector_matrix,
 )
@@ -182,24 +182,26 @@ def verify_decodable(
     """Check decodability at every receiver and extract witnesses.
 
     Receiver i can decode symbol j iff e_j lies in the span of its
-    queried columns plus the side-information coordinate subspace; the
-    witness is read off one linear solve per demanded symbol.  Returns a
-    DecodingPlan on success, otherwise a DecodingFailure listing every
-    undecodable (receiver, symbol) pair.  Structural mismatches between
-    graph and code raise ValueError instead.
+    queried columns plus the side-information coordinate subspace; one
+    elimination per receiver, of those generators with the receiver's
+    demand unit vectors as targets, gives every witness at once.
+    Returns a DecodingPlan on success, otherwise a DecodingFailure
+    listing every undecodable (receiver, symbol) pair.  Structural
+    mismatches between graph and code raise ValueError instead.
     """
     _check_structure(g, code)
     mn = code.m * code.n
     q = code.q
+    columns = code.matrix.column_list()
     failures: list[tuple[int, int]] = []
     receivers: list[tuple[PlanEntry, ...]] = []
     for i in range(1, code.n + 1):
         demand_rows, side_rows = receiver_rows(g, code.m, i)
-        cols = [code.column_vector(k) for k in code.query_list(i)]
+        cols = [columns[k - 1] for k in code.query_list(i)]
         gens = cols + [unit_vector(mn, s) for s in side_rows]
+        targets = [unit_vector(mn, j) for j in demand_rows]
         entries: list[PlanEntry] = []
-        for j in demand_rows:
-            sol = solve_in_span(gens, unit_vector(mn, j), q)
+        for j, sol in zip(demand_rows, solve_each_in_span(gens, targets, q)):
             if sol is None:
                 failures.append((i, j + 1))
                 continue
@@ -343,6 +345,13 @@ def normalize_unique_columns(
     everything before it.
     """
     require_plan(g, code)
+    return _normalize_unique_columns(g, code)
+
+
+def _normalize_unique_columns(
+    g: SideInformationGraph, code: IndexCode
+) -> IndexCode:
+    """normalize_unique_columns on a code already known to be decodable."""
     part = query_partition(code)
     mn = code.m * code.n
     q = code.q

@@ -138,18 +138,16 @@ def vector_matrix(x: Sequence[int], m: FqMatrix) -> Vector:
     return tuple(v % q for v in out)
 
 
-def rref(m: FqMatrix) -> tuple[FqMatrix, tuple[int, ...]]:
-    """Reduced row-echelon form of m, by Gauss-Jordan elimination.
-
-    Returns the reduced matrix together with the pivot column indices
-    (0-based, ascending).  The row space is preserved and the number of
-    pivots equals the rank.
-    """
-    q, n_rows = m.q, m.rows
-    rows = m.row_list()
+def _eliminate(rows: list, k: int, q: int) -> list[int]:
+    """Gauss-Jordan elimination of rows in place, pivoting on the first k
+    columns only; the later columns are carried along by the same row
+    operations.  Returns the pivot column indices, ascending; each pivot
+    row is scaled to a leading 1 and every other row is zero in that
+    column."""
+    n_rows = len(rows)
     pivots: list[int] = []
     row = 0
-    for col in range(m.cols):
+    for col in range(k):
         for r in range(row, n_rows):
             if rows[r][col]:
                 break
@@ -169,8 +167,20 @@ def rref(m: FqMatrix) -> tuple[FqMatrix, tuple[int, ...]]:
         row += 1
         if row == n_rows:
             break
+    return pivots
+
+
+def rref(m: FqMatrix) -> tuple[FqMatrix, tuple[int, ...]]:
+    """Reduced row-echelon form of m, by Gauss-Jordan elimination.
+
+    Returns the reduced matrix together with the pivot column indices
+    (0-based, ascending).  The row space is preserved and the number of
+    pivots equals the rank.
+    """
+    rows = m.row_list()
+    pivots = _eliminate(rows, m.cols, m.q)
     flat = tuple(e for r in rows for e in r)
-    return FqMatrix(n_rows, m.cols, q, flat), tuple(pivots)
+    return FqMatrix(m.rows, m.cols, m.q, flat), tuple(pivots)
 
 
 def rank(m: FqMatrix) -> int:
@@ -199,6 +209,43 @@ def null_space_basis(m: FqMatrix) -> list[Vector]:
     return basis
 
 
+def solve_each_in_span(
+    generators: Sequence[Sequence[int]],
+    targets: Sequence[Sequence[int]],
+    q: int,
+) -> list[Vector | None]:
+    """Express each target as a linear combination of the generators.
+
+    One elimination of [generators | targets] serves every target: it
+    pivots only on generator columns, so the row operations, and with
+    them each target's answer, do not depend on the other targets.  A
+    target lies in the span iff it is zero in every row below the rank;
+    its coefficients are then its entries in the pivot rows, and the free
+    coefficients (those of generators in the span of earlier ones) are
+    zero.  Returns one coefficient vector or None per target, in order.
+
+    Raises ValueError if the vectors do not all share one length.
+    """
+    require_prime(q)
+    lengths = {len(v) for v in (*generators, *targets)}
+    if len(lengths) > 1:
+        raise ValueError("generator/target dimension mismatch")
+    rows = [[e % q for e in r] for r in zip(*generators, *targets)]
+    g = len(generators)
+    pivots = _eliminate(rows, g, q)
+    below = rows[len(pivots) :]
+    answers: list[Vector | None] = []
+    for col in range(g, g + len(targets)):
+        if any(r[col] for r in below):
+            answers.append(None)
+            continue
+        coeffs = [0] * g
+        for row_idx, pc in enumerate(pivots):
+            coeffs[pc] = rows[row_idx][col]
+        answers.append(tuple(coeffs))
+    return answers
+
+
 def solve_in_span(
     generators: Sequence[Sequence[int]], target: Sequence[int], q: int
 ) -> Vector | None:
@@ -210,24 +257,7 @@ def solve_in_span(
 
     Raises ValueError if the vectors do not all share one length.
     """
-    require_prime(q)
-    n = len(target)
-    if any(len(g) != n for g in generators):
-        raise ValueError("generator/target dimension mismatch")
-    if not generators:
-        return () if all(t % q == 0 for t in target) else None
-    aug = FqMatrix.from_rows(
-        [[generators[k][i] for k in range(len(generators))] + [target[i]] for i in range(n)],
-        q,
-    )
-    reduced, pivots = rref(aug)
-    g = len(generators)
-    if g in pivots:
-        return None
-    coeffs = [0] * g
-    for row_idx, pc in enumerate(pivots):
-        coeffs[pc] = reduced.entry(row_idx, g)
-    return tuple(coeffs)
+    return solve_each_in_span(generators, [target], q)[0]
 
 
 def unit_vector(n: int, position: int) -> Vector:

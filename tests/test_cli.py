@@ -382,6 +382,33 @@ def test_normalize_command(cycle3_file, tmp_path, capsys):
     assert locality_profile(normalized) == locality_profile(code)
 
 
+def test_normalize_verifies_once(cycle5_file, tmp_path, monkeypatch):
+    import idxloc.codes as codes
+    from idxloc.constructions import cycle_vector_code
+
+    g = directed_cycle(5)
+    code = cycle_vector_code(5, 2, 2)
+    src = tmp_path / "src.json"
+    save_code(code, src)
+    expected = tmp_path / "expected.json"
+    save_code(codes.normalize_unique_columns(g, codes.prune_queries(g, code)), expected)
+    calls = []
+    verify = codes.verify_decodable
+
+    def counting(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(codes, "verify_decodable", counting)
+    out = tmp_path / "norm.json"
+    assert main(
+        ["normalize", "--graph", str(cycle5_file), "--code", str(src),
+         "--out", str(out)]
+    ) == EXIT_OK
+    assert len(calls) == 1
+    assert out.read_bytes() == expected.read_bytes()
+
+
 def test_construct_then_verify_roundtrip(cycle5_file, tmp_path, capsys):
     code_path = tmp_path / "c.json"
     assert main(
@@ -505,7 +532,7 @@ def test_shared_parser_answers_like_a_fresh_process(cycle4_file, capsys):
 
 def _readme_session():
     """The README's 4-cycle graph file and its session: (argv, expected
-    stdout lines) per `$ idxloc` command, cut at a `...` line."""
+    stdout lines) per `$ idxloc` command."""
     text = README.read_text(encoding="utf-8")
     graph = text.split("```\n# the directed 4-cycle\n", 1)[1].split("```", 1)[0]
     session = text.split("A session:\n\n```sh\n", 1)[1].split("```", 1)[0]
@@ -526,11 +553,7 @@ def test_readme_session(tmp_path, monkeypatch, capsys):
     Path("cycle4.txt").write_text(graph, encoding="utf-8")
     for argv, expected in steps:
         assert main(argv) == EXIT_OK, argv
-        lines = capsys.readouterr().out.splitlines()
-        if expected[-1] == "...":
-            expected = expected[:-1]
-            lines = lines[:len(expected)]
-        assert lines == expected, argv
+        assert capsys.readouterr().out.splitlines() == expected, argv
 
 
 @pytest.mark.parametrize("argv,unread", [

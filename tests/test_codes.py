@@ -6,11 +6,14 @@ from itertools import product
 
 import pytest
 
+from idxloc import linalg
 from idxloc.bounds import converse_checks
 from idxloc.codes import (
     DecodingFailure,
+    DecodingPlan,
     FittingMatrix,
     IndexCode,
+    PlanEntry,
     UndecodableError,
     code_from_json_dict,
     code_to_json_dict,
@@ -24,7 +27,7 @@ from idxloc.codes import (
     require_plan,
     verify_decodable,
 )
-from idxloc.constructions import cycle_scalar_code, uncoded
+from idxloc.constructions import cycle_scalar_code, cycle_vector_code, uncoded
 from idxloc.graphs import directed_cycle, graph_from_side_info, receiver_rows
 from idxloc.linalg import FqMatrix, null_space_basis, rank, unit_vector
 
@@ -83,6 +86,112 @@ def test_verify_structural_mismatch_raises():
     code = cycle_scalar_code(4, 2, 1)
     with pytest.raises(ValueError):
         verify_decodable(g, code)
+
+
+def _reference_verify(g, code):
+    """verify_decodable by its definition, with spans searched by
+    enumeration: per receiver, the greedy basis of [queried columns |
+    side-info unit vectors] keeps each generator outside the span of the
+    ones kept before it, each demand unit vector is solved uniquely in
+    that basis, and the coefficients are scattered back with zeros on the
+    generators left out."""
+    mn, q = code.m * code.n, code.q
+    failures, receivers = [], []
+    for i in range(1, code.n + 1):
+        demand_rows, side_rows = receiver_rows(g, code.m, i)
+        cols = [code.column_vector(k) for k in code.query_list(i)]
+        gens = cols + [unit_vector(mn, s) for s in side_rows]
+        basis = []
+        for t, gen in enumerate(gens):
+            # A basis of all mn coordinates spans every later generator.
+            if len(basis) < mn and oracle_solve_in_span(
+                [gens[b] for b in basis], gen, q
+            ) is None:
+                basis.append(t)
+        entries = []
+        for j in demand_rows:
+            sol = oracle_solve_in_span([gens[b] for b in basis], unit_vector(mn, j), q)
+            if sol is None:
+                failures.append((i, j + 1))
+                continue
+            coeffs = [0] * len(gens)
+            for b, c in zip(basis, sol):
+                coeffs[b] = c
+            u = [0] * mn
+            for s, c in zip(side_rows, coeffs[len(cols):]):
+                u[s] = (-c) % q
+            entries.append(
+                PlanEntry(demand=j + 1, u=tuple(u), alpha=tuple(coeffs[: len(cols)]))
+            )
+        receivers.append(tuple(entries))
+    if failures:
+        return DecodingFailure(tuple(failures))
+    return DecodingPlan(q=q, m=code.m, n=code.n, receivers=tuple(receivers))
+
+
+def _without_one_query(rng, code):
+    """The code with one query dropped from a random receiver that has one."""
+    i = rng.choice([i for i, r in enumerate(code.queries) if r])
+    k = rng.choice(sorted(code.queries[i]))
+    queries = tuple(r - {k} if t == i else r for t, r in enumerate(code.queries))
+    return IndexCode(q=code.q, m=code.m, n=code.n, matrix=code.matrix, queries=queries)
+
+
+def _plan_reference_codes():
+    """(graph, code) pairs for the plan reference test: seeded random
+    decodable codes, each followed by a copy with one query removed."""
+    rng = random.Random(1515)
+    out = []
+    for q, m, max_n in [
+        (2, 1, 4), (2, 2, 3), (2, 3, 3), (3, 1, 4), (3, 2, 3), (3, 3, 2),
+        (5, 1, 3), (5, 2, 2),
+    ]:
+        produced = 0
+        while produced < 13:
+            g = random_graph(rng, rng.randint(2, max_n))
+            code = random_decodable_code(rng, g, q, m, max_tries=60)
+            if code is None:
+                continue
+            out += [(g, code), (g, _without_one_query(rng, code))]
+            produced += 1
+    return out
+
+
+def test_verify_matches_greedy_basis_reference():
+    # Pins every witness and the exact failure list: free coefficients
+    # are zero and the kept generators are the greedy basis.
+    cases = _plan_reference_codes()
+    assert len(cases) >= 200
+    failed = 0
+    for g, code in cases:
+        result = verify_decodable(g, code)
+        assert result == _reference_verify(g, code)
+        failed += isinstance(result, DecodingFailure)
+    assert 20 < failed < len(cases) - 100
+
+
+def test_verify_runs_one_elimination_per_receiver(monkeypatch):
+    g = directed_cycle(5)
+    codes = [cycle_vector_code(5, 2, m) for m in (1, 2, 3)]
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counting(*args):
+        calls.append(args[1])
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    for code in codes:
+        calls.clear()
+        require_plan(g, code)
+        assert len(calls) == g.n
+        dropped = IndexCode(
+            q=code.q, m=code.m, n=code.n, matrix=code.matrix,
+            queries=(frozenset(),) + code.queries[1:],
+        )
+        calls.clear()
+        assert isinstance(verify_decodable(g, dropped), DecodingFailure)
+        assert len(calls) == g.n
 
 
 def test_encode_zero_message():

@@ -10,6 +10,7 @@ from idxloc.linalg import (
     rank,
     require_prime,
     rref,
+    solve_each_in_span,
     solve_in_span,
     unit_vector,
 )
@@ -96,6 +97,30 @@ def test_solve_in_span_dimension_mismatch():
         solve_in_span([(1, 0)], (1, 0, 0), 2)
 
 
+def test_solve_each_in_span_hand_example():
+    # The second target repeats the first, out-of-span one: pivoting on
+    # the first target's column would put the second in the span.
+    gens = [(1, 0, 0), (2, 0, 0), (0, 1, 1)]
+    targets = [(0, 1, 0), (0, 1, 0), (2, 3, 3), (0, 0, 0), (0, 2, 2)]
+    assert solve_each_in_span(gens, targets, 3) == [
+        None, None, (2, 0, 0), (0, 0, 0), (0, 0, 2),
+    ]
+
+
+def test_solve_each_in_span_without_generators():
+    assert solve_each_in_span([], [(0, 0), (0, 1), (3, 0)], 3) == [(), None, ()]
+    assert solve_each_in_span([], [], 2) == []
+
+
+def test_solve_each_in_span_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_each_in_span([(1, 0)], [(1, 0), (1, 0, 0)], 2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_each_in_span([(1, 0), (1,)], [], 2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_each_in_span([], [(1,), (0, 0)], 2)
+
+
 def test_rref_identity():
     reduced, pivots = rref(FqMatrix.identity(4, 5))
     assert reduced == FqMatrix.identity(4, 5)
@@ -180,3 +205,33 @@ def test_solve_in_span_round_trip(instance):
             for t in range(len(target)):
                 combo[t] = (combo[t] + c * gen[t]) % q
         assert tuple(combo) == target
+
+
+@st.composite
+def multi_target_instances(draw):
+    q, gens, target = draw(span_instances())
+    n = len(target)
+    targets = [target]
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = [draw(st.integers(0, q - 1)) for _ in gens]
+        in_span = tuple(sum(c * g[t] for c, g in zip(coeffs, gens)) % q for t in range(n))
+        free = tuple(draw(st.integers(0, q - 1)) for _ in range(n))
+        targets.append(draw(st.sampled_from([in_span, free, (0,) * n, target])))
+    return q, gens, targets
+
+
+@settings(max_examples=80, deadline=None)
+@given(multi_target_instances())
+def test_solve_each_in_span_answers_each_target_alone(instance):
+    q, gens, targets = instance
+    answers = solve_each_in_span(gens, targets, q)
+    assert len(answers) == len(targets)
+    for target, coeffs in zip(targets, answers):
+        assert coeffs == solve_in_span(gens, target, q)
+        assert (coeffs is None) == (oracle_solve_in_span(gens, target, q) is None)
+        if coeffs is not None:
+            combo = tuple(
+                sum(c * g[t] for c, g in zip(coeffs, gens)) % q
+                for t in range(len(target))
+            )
+            assert combo == target
