@@ -7,7 +7,6 @@ indices are 1-based throughout the public API.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterable, Iterator
 
@@ -43,12 +42,9 @@ class SideInformationGraph:
 
     def side_info(self, i: int) -> frozenset[int]:
         """Side-information set K_i of receiver i (1-based)."""
+        if not 1 <= i <= self.n:
+            raise ValueError(f"receiver {i} out of range [1, {self.n}]")
         return self.side[i - 1]
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for i in range(1, self.n + 1):
-            for j in sorted(self.side[i - 1]):
-                yield (i, j)
 
 
 def graph_from_side_info(side: Iterable[Iterable[int]]) -> SideInformationGraph:
@@ -79,9 +75,9 @@ def parse_graph(text: str) -> SideInformationGraph:
         if not line:
             continue
         if n is None:
-            if not line.startswith("N"):
+            key, _, value = line.partition("=")
+            if key.strip() != "N":
                 raise GraphParseError("expected 'N=<int>' header", line_no)
-            _, _, value = line.partition("=")
             try:
                 n = int(value.strip())
             except ValueError:
@@ -148,20 +144,11 @@ def induced_subgraph(
 
 
 def has_directed_cycle(g: SideInformationGraph) -> bool:
-    """Kahn's algorithm: True iff no topological order exists."""
-    indeg = [0] * (g.n + 1)
-    for _, j in g.edges():
-        indeg[j] += 1
-    queue = deque(v for v in range(1, g.n + 1) if indeg[v] == 0)
-    seen = 0
-    while queue:
-        v = queue.popleft()
-        seen += 1
-        for j in sorted(g.side_info(v)):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    return seen != g.n
+    """True iff g has a directed cycle, that is iff its core is nonempty:
+    in the core every vertex has an out-neighbour, so walking along them
+    must close a cycle."""
+    succ, pred = _adjacency(g)
+    return _core(succ, pred, (1 << g.n) - 1) != 0
 
 
 def shortest_directed_cycle(
@@ -176,13 +163,16 @@ def shortest_directed_cycle(
     first along its lexicographically smallest shortest path, so the
     search from s on the vertices s and above finds the smallest of the
     shortest cycles whose lowest vertex is s, and the lowest s reaching
-    the girth gives the witness.
+    the girth gives the witness.  The searches start from and run inside
+    the core of g only: every vertex of a cycle lies in it, and so does
+    every vertex of a shortest path from s to a vertex that reaches s.
     """
-    if not has_directed_cycle(g):
+    succ, pred = _adjacency(g)
+    core = _core(succ, pred, (1 << g.n) - 1)
+    cycles = (_cycle_through(succ, s, core & -1 << s) for s in _bits(core))
+    best = min((c for c in cycles if c is not None), key=len, default=None)
+    if best is None:
         return None
-    succ, _ = _adjacency(g)
-    cycles = (_cycle_through(succ, s, -1 << s) for s in range(g.n))
-    best = min((c for c in cycles if c is not None), key=len)
     return len(best), tuple(v + 1 for v in reversed(best))
 
 
@@ -192,10 +182,11 @@ def max_acyclic_induced(
     """Size of a largest induced acyclic vertex set (MAIS) of g, or of the
     subgraph induced on ``vertices`` (1-based, possibly empty) when given.
 
-    Exact.  A vertex with no in- or out-neighbour left lies on no cycle and
-    joins every largest set, so such vertices are peeled off first.  The
-    rest splits into strongly connected components, whose values add up
-    because every cycle lies inside one component.  A nontrivial component
+    Exact.  Vertices with no in- or out-neighbour left are dropped until
+    none is left to drop; each lies on no cycle and joins every largest
+    set, so the rest, the core, is all that needs a search.  It splits
+    into strongly connected components, whose values add up because
+    every cycle lies inside one component.  A nontrivial component
     branches on the vertices of a shortest cycle through its lowest
     vertex, one of which every acyclic set leaves out, and stops once one
     deletion suffices.  Vertex sets are int bitmasks, and component values
@@ -209,15 +200,16 @@ def acyclic_sizer(g: SideInformationGraph) -> Callable[[Iterable[int] | None], i
     """The function ``vertices -> max_acyclic_induced(g, vertices)``, for
     many vertex sets of one graph: its calls share one bitmask adjacency
     and one memo, since a component's value depends only on its vertices.
-    A vertex with no in- or out-neighbour in g is peeled from every set
-    in one step."""
+    Every vertex outside g's core lies on no cycle of g, so it is peeled
+    from every set in one step."""
     succ, pred = _adjacency(g)
     memo: dict[int, int] = {}
-    dead = sum(1 << v for v in range(g.n) if not (succ[v] and pred[v]))
+    full = (1 << g.n) - 1
+    dead = full ^ _core(succ, pred, full)
 
     def size(vertices: Iterable[int] | None = None) -> int:
         if vertices is None:
-            mask = (1 << g.n) - 1
+            mask = full
         else:
             mask = 0
             for v in vertices:
@@ -239,6 +231,22 @@ def _adjacency(g: SideInformationGraph) -> tuple[list[int], list[int]]:
             succ[i] |= 1 << (j - 1)
             pred[j - 1] |= 1 << i
     return succ, pred
+
+
+def _core(succ: list[int], pred: list[int], mask: int) -> int:
+    """The core of the subgraph induced on the bitmask mask: what is left
+    after dropping every vertex with no in- or out-neighbour left, until
+    none is left to drop.  Each dropped vertex lies on no cycle inside
+    mask, and the core is empty iff that subgraph is acyclic.  Only the
+    neighbours of a dropped vertex are looked at again."""
+    todo = mask
+    while todo:
+        v = (todo & -todo).bit_length() - 1
+        todo ^= 1 << v
+        if not (succ[v] & mask and pred[v] & mask):
+            mask ^= 1 << v
+            todo |= (succ[v] | pred[v]) & mask
+    return mask
 
 
 def _mais(succ: list[int], pred: list[int], mask: int, memo: dict[int, int]) -> int:
@@ -267,16 +275,9 @@ def _mais_frame(
 ) -> Generator[int, int, int]:
     """One frame of ``_mais``: the MAIS of mask, yielding each bitmask
     whose MAIS it needs."""
-    total = 0
-    while True:  # peel the vertices that lie on no cycle
-        rest = mask
-        for v in _bits(mask):
-            if not (succ[v] & rest and pred[v] & rest):
-                rest ^= 1 << v
-        if rest == mask:
-            break
-        total += (mask ^ rest).bit_count()
-        mask = rest
+    core = _core(succ, pred, mask)
+    total = (mask ^ core).bit_count()
+    mask = core
     while mask:
         low = mask & -mask
         v = low.bit_length() - 1
@@ -360,14 +361,11 @@ def receiver_rows(
 
 
 def cycle_length_if_cycle(g: SideInformationGraph) -> int | None:
-    """N when the instance is one directed cycle through all vertices, else None."""
+    """N when the instance is one directed cycle through all vertices, in
+    any labelling, else None: every receiver knows exactly one message
+    and the cycle through receiver 1 has N vertices."""
     if any(len(k) != 1 for k in g.side):
         return None
-    visited = [False] * (g.n + 1)
-    v = 1
-    for _ in range(g.n):
-        if visited[v]:
-            return None
-        visited[v] = True
-        (v,) = g.side_info(v)
-    return g.n if v == 1 and all(visited[1:]) else None
+    succ, _ = _adjacency(g)
+    cycle = _cycle_through(succ, 0, (1 << g.n) - 1)
+    return g.n if cycle is not None and len(cycle) == g.n else None

@@ -257,6 +257,16 @@ def test_parse_error_exit(tmp_path):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("command", ["minrank", "tradeoff"])
+def test_header_other_than_n_is_input_error(command, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("Nodes=2\n1: 2\n2: 1\n", encoding="utf-8")
+    out = tmp_path / "w.json"
+    assert main([command, "--graph", str(bad), "--out", str(out)]) == EXIT_INPUT
+    assert "line 1: expected 'N=<int>' header" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_profile_command(tmp_path, capsys):
     code_path = tmp_path / "c.json"
     save_code(cycle_scalar_code(5, 2, 1), code_path)
@@ -547,7 +557,7 @@ def _readme_session():
 def test_readme_session(tmp_path, monkeypatch, capsys):
     graph, steps = _readme_session()
     assert [argv[0] for argv, _ in steps] == [
-        "minrank", "construct", "verify", "tradeoff", "oracle",
+        "minrank", "construct", "verify", "construct", "verify", "tradeoff", "oracle",
     ]
     monkeypatch.chdir(tmp_path)
     Path("cycle4.txt").write_text(graph, encoding="utf-8")

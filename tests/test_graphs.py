@@ -3,7 +3,8 @@
 import inspect
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, product
+from math import factorial
 
 import pytest
 
@@ -53,6 +54,14 @@ def test_parse_rejects_out_of_range():
         parse_graph("N=2\n1: 5\n")
 
 
+def test_parse_header_key_is_exactly_n():
+    assert parse_graph("N = 2\n1: 2\n") == parse_graph("N=2\n1: 2\n")
+    for header in ("Nodes=2", "Nx = 2", "n=2", "M=2"):
+        with pytest.raises(GraphParseError, match="expected 'N=<int>' header") as err:
+            parse_graph(f"# comment\n{header}\n1: 2\n")
+        assert "line 2" in str(err.value)
+
+
 def test_parse_comments_and_blanks():
     g = parse_graph("# instance\n\nN=3  # three receivers\n1: 2 3\n2:\n3: 1\n")
     assert g.side_info(1) == {2, 3}
@@ -68,6 +77,16 @@ def test_parse_allows_omitted_receivers():
 def test_format_round_trip():
     g = graph_from_side_info([{2, 3}, set(), {1}])
     assert parse_graph(format_graph(g)) == g
+
+
+def test_receiver_index_out_of_range_is_refused():
+    g = directed_cycle(3)
+    for i in (0, -1, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            g.side_info(i)
+        for m in (1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                receiver_rows(g, m, i)
 
 
 def test_graph_rejects_self_side_info():
@@ -149,13 +168,16 @@ def test_girth_matches_brute_force_on_every_small_digraph():
     for n in (1, 2, 3, 4):
         for g in _all_digraphs(n):
             graphs += 1
-            assert shortest_directed_cycle(g) == oracle_shortest_cycle(g)
+            expected = oracle_shortest_cycle(g)
+            assert shortest_directed_cycle(g) == expected
+            assert has_directed_cycle(g) == (expected is not None)
     assert graphs == 1 + 4 + 64 + 4096
 
 
-def test_girth_absent_iff_topological_order():
+def test_girth_and_cycle_test_match_path_enumeration_on_seeded_digraphs():
     # Against the path-enumerating reference, which shares no code with
-    # the topological-order test inside shortest_directed_cycle.
+    # the peel to the core inside has_directed_cycle and
+    # shortest_directed_cycle.
     rng = random.Random(7)
     acyclic = 0
     for _ in range(300):
@@ -163,6 +185,7 @@ def test_girth_absent_iff_topological_order():
         expected = oracle_shortest_cycle(g)
         acyclic += expected is None
         assert shortest_directed_cycle(g) == expected
+        assert has_directed_cycle(g) == (expected is not None)
     assert 20 < acyclic < 280
 
 
@@ -179,11 +202,11 @@ def _all_digraphs(n):
 
 def _brute_mais(g, vertices):
     """Largest induced acyclic subset of vertices, trying every subset,
-    largest first."""
+    largest first, each tested by the path-enumerating reference."""
     vs = sorted(vertices)
     for size in range(len(vs), 0, -1):
         for s in combinations(vs, size):
-            if not has_directed_cycle(induced_subgraph(g, s)[0]):
+            if oracle_shortest_cycle(induced_subgraph(g, s)[0]) is None:
                 return size
     return 0
 
@@ -296,9 +319,22 @@ def test_receiver_rows_rejects_short_messages():
 
 
 def test_cycle_length_detection():
-    assert cycle_length_if_cycle(directed_cycle(5)) == 5
-    # relabeled cycle is accepted
-    g = graph_from_side_info([{3}, {1}, {2}])
-    assert cycle_length_if_cycle(g) == 3
+    assert cycle_length_if_cycle(graph_from_side_info([set()])) is None
     assert cycle_length_if_cycle(graph_from_side_info([{2}, set()])) is None
     assert cycle_length_if_cycle(graph_from_side_info([{2}, {1}, set()])) is None
+    # Every graph in which each receiver knows one message: one n-cycle in
+    # any labelling, which is accepted, or shorter cycles with paths
+    # running into them (rho shapes) or side by side.  The graph is one
+    # n-cycle iff its shortest cycle has n vertices.
+    cycles = graphs = 0
+    for n in range(2, 7):
+        others = [[j for j in range(1, n + 1) if j != i] for i in range(1, n + 1)]
+        for pick in product(*others):
+            g = graph_from_side_info([{j} for j in pick])
+            graphs += 1
+            length, _ = oracle_shortest_cycle(g)
+            expected = n if length == n else None
+            cycles += expected is not None
+            assert cycle_length_if_cycle(g) == expected
+    assert graphs == sum((n - 1) ** n for n in range(2, 7))
+    assert cycles == sum(factorial(n - 1) for n in range(2, 7))
