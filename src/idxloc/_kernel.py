@@ -21,18 +21,18 @@ for as long as the search keeps its tables.  A search sizes each
 receiver's least query set with ``first_query_set`` and builds the
 witness query sets with ``min_query_sets`` only for the encoders it
 keeps.  ``minrank_dfs`` fills fitting matrices column by column on an
-incremental echelon basis, bounded by a table of rank floors from the
-caller: it stops once the best rank reaches floors[0], and it descends
-into a column at depth d only while the prefix rank plus floors[d + 1],
-a bound on the rank of the later columns on rows the prefix leaves zero,
-is below the best rank, since such a matrix is block triangular and has
+incremental echelon basis.  It keeps the mask of rows that some chosen
+column touches, and descends into a column only while the prefix rank
+plus a floor on the untouched rows, a bound from the caller on the rank
+of the later columns there, is below the best rank: the chosen columns
+vanish on those rows, so the matrix is block triangular there and has
 at least the rank of both diagonal blocks together.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import product
+from itertools import compress, product
 from operator import itemgetter
 
 __all__ = [
@@ -325,7 +325,7 @@ def min_query_sets(tables, ks, max_size):
     return tuple(out)
 
 
-def minrank_dfs(n: int, q: int, free_rows, floors):
+def minrank_dfs(n: int, q: int, free_rows, stop: int, floor):
     """Minimum rank over all matrices with unit diagonal and free entries
     confined to the given rows per column; everything else is zero.
 
@@ -334,25 +334,30 @@ def minrank_dfs(n: int, q: int, free_rows, floors):
     column's free digits enumerated as an ascending base-q counter with
     the smallest free row in the least significant digit.
 
-    floors: n + 1 lower bounds on rank, floors[n] = 0.  Stop rule: the
-    search ends once the best rank found is at most floors[0], a lower
-    bound on the minimum.  Depth bound: for d >= 1, floors[d] bounds the
-    rank of columns d..n-1 on the rows where columns 0..d-1 must be zero
-    (neither their own nor free rows), and a column chosen at depth d is
-    descended into only if its prefix rank plus floors[d + 1] is below
-    the best rank, because the chosen columns vanish on those rows, so
-    the matrix is block triangular there and its rank is at least the
-    prefix rank plus that bound.  Both rules cut only subtrees holding
-    no matrix of rank below the best, so for any valid floors the result
-    is the first minimum-rank matrix in counter order; [1] + [0] * n
-    cuts only at rank 1.
+    Stop rule: the search ends once the best rank found is at most stop,
+    a lower bound on the minimum.  Depth bound: floor(untouched) is a
+    lower bound on the rank of the columns not yet chosen on the rows of
+    the 0-based bitmask untouched, the rows where every chosen column is
+    0 (a free entry set to 0 leaves its row untouched).  Those rows all
+    lie past the chosen columns, since each column has a unit diagonal,
+    so the later columns include the square submatrix on them.  A column
+    is descended into only if its prefix rank plus the floor of the rows
+    it and the columns before it leave untouched is below the best rank,
+    because the chosen columns vanish on those rows, so the matrix is
+    block triangular there and its rank is at least that sum.  floor is
+    called at most once per mask, and its values are kept for this call
+    only.  Both rules cut only subtrees holding no matrix of rank below
+    the best, so for any valid stop and floor the result is the first
+    minimum-rank matrix in counter order; stop 1 and a floor of 0 cut
+    only at rank 1.
 
     Returns (minrank, witness columns as digit tuples).
     """
     best = n + 1
     best_cols = ()
     cols = [None] * n
-    stop = floors[0]
+    full = (1 << n) - 1
+    floors = {}  # untouched mask -> floor(mask)
 
     # An incremental basis, pushed and popped along the DFS, costs one
     # reduction per column instead of re-eliminating the whole prefix.
@@ -373,35 +378,48 @@ def minrank_dfs(n: int, q: int, free_rows, floors):
         ]
         for i, free in enumerate(free_rows)
     ]
+    # The rows a column touches: for q = 2 the column itself, otherwise
+    # the support of its digits.
+    if q == 2:
+        support = None
+    else:
+        units = [1 << r for r in range(n)]
+
+        def support(col):
+            return sum(compress(units, col))
 
     # Depth-first over columns without recursion, so n is not bounded by
     # the interpreter's recursion limit: each open depth above the
-    # current one keeps its candidate iterator, its prefix rank and the
-    # token of the column it descended through.
+    # current one keeps its candidate iterator, its prefix rank, the rows
+    # its prefix touches and the token of the column it descended through.
     stack = []
-    depth, partial_rank = 0, 0
+    depth, partial_rank, touched = 0, 0, 0
     candidates = map(join, product(*factors[0]))
     while best > stop:
-        floor = floors[depth + 1]
         for col in candidates:
             h = push(col)
             rank = partial_rank if h is None else partial_rank + 1
-            if rank + floor < best:
-                cols[depth] = col
-                if depth + 1 < n:
-                    stack.append((candidates, partial_rank, h))
-                    depth, partial_rank = depth + 1, rank
-                    candidates = map(join, product(*factors[depth]))
-                    break
-                best = rank
-                best_cols = tuple(cols)
+            if rank < best:
+                after = touched | (col if support is None else support(col))
+                low = floors.get(after)
+                if low is None:
+                    low = floors[after] = floor(full ^ after)
+                if rank + low < best:
+                    cols[depth] = col
+                    if depth + 1 < n:
+                        stack.append((candidates, partial_rank, touched, h))
+                        depth, partial_rank, touched = depth + 1, rank, after
+                        candidates = map(join, product(*factors[depth]))
+                        break
+                    best = rank
+                    best_cols = tuple(cols)
             pop(h)
             if best <= stop:
                 break
         else:
             if not stack:
                 break
-            candidates, partial_rank, h = stack.pop()
+            candidates, partial_rank, touched, h = stack.pop()
             depth -= 1
             pop(h)
     return best, tuple(unpack(col, n) for col in best_cols)

@@ -60,15 +60,20 @@ def minrank_bruteforce(
     below by the largest induced acyclic vertex sets (MAIS), whose
     columns are unit triangular on their own rows.  Stop rule: the search
     ends at a matrix of rank MAIS(G), the least any fitting matrix has.
-    Depth bound: columns 1..d vanish on every row that is neither their
-    own nor in their side sets, and on those rows the later columns have
-    rank at least the MAIS a_d of the subgraph the rows induce, so the
-    matrix is block triangular there with rank at least the prefix rank
-    plus a_d; a branch where that sum reaches the best rank found is
-    pruned.  Neither rule changes the witness, the first min-rank matrix
-    in the search order.  Refuses to start (BudgetExceededError) when the
-    raw search space q**(sum |K_i|) exceeds the budget, so a returned
-    answer is always exact.
+    Depth bound: the columns chosen so far are zero on some rows, those
+    they may not touch and those where a free entry is 0; on those rows
+    the later columns have rank at least the MAIS of the subgraph the
+    rows induce (Bar-Yossef, Birk, Jayram and Kol), so the matrix is
+    block triangular there with rank at least the prefix rank plus that
+    MAIS, and a branch where that sum reaches the best rank found is
+    pruned.  On the n-cycle a free entry set to 0 leaves a path of rows
+    untouched, whose MAIS leaves no room for rank n-1, so past the first
+    matrix only fills with every free entry nonzero are searched on
+    (over F_2, the one all-ones fill).  Neither rule changes the
+    witness, the first min-rank matrix in the search order.  Refuses to
+    start (BudgetExceededError) when the raw search space
+    q**(sum |K_i|) exceeds the budget, so a returned answer is always
+    exact.
     """
     require_prime(q)
     budget = DEFAULT_MINRANK_BUDGET if budget is None else budget
@@ -80,20 +85,12 @@ def minrank_bruteforce(
             f"min-rank search space q^{total_free} exceeds budget {budget}"
         )
     free_rows = tuple(receiver_rows(g, 1, i)[1] for i in range(1, g.n + 1))
-    # floors[d + 1] is the MAIS of the rows that columns 0..d leave
-    # untouched, which all lie past d since each column has a unit
-    # diagonal; it is recomputed only when column d touches a new row,
-    # and every floor shares one adjacency and memo.
+    # One sizer gives the stop and every floor, sharing one adjacency
+    # and one memo of component values for this call.
     mais = acyclic_sizer(g)
-    floors = [mais()]
-    untouched = set(range(g.n))
-    for d, free in enumerate(free_rows):
-        touched = untouched & {d, *free}
-        if touched:
-            untouched -= touched
-            floor = mais([v + 1 for v in untouched])
-        floors.append(floor)
-    value, columns = _kernel.minrank_dfs(g.n, q, free_rows, floors)
+    value, columns = _kernel.minrank_dfs(
+        g.n, q, free_rows, mais((1 << g.n) - 1), mais
+    )
     witness = FittingMatrix(FqMatrix.from_columns(columns, g.n, q))
     if not witness.fits(g):
         raise AssertionError("witness does not fit the graph")

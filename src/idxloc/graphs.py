@@ -163,14 +163,25 @@ def shortest_directed_cycle(
     first along its lexicographically smallest shortest path, so the
     search from s on the vertices s and above finds the smallest of the
     shortest cycles whose lowest vertex is s, and the lowest s reaching
-    the girth gives the witness.  The searches start from and run inside
-    the core of g only: every vertex of a cycle lies in it, and so does
-    every vertex of a shortest path from s to a vertex that reaches s.
+    the girth gives the witness.  The search from s runs inside the core
+    of the vertices s and above, which holds every cycle through s
+    among them; a vertex it leaves out reaches no vertex that reaches s,
+    so it is the parent of no vertex on such a cycle and the witness is
+    unchanged.  That core is kept as ``rest``: once s is searched it is
+    dropped, and only its neighbours are peeled again, so on one long
+    cycle a single search empties it.
     """
     succ, pred = _adjacency(g)
-    core = _core(succ, pred, (1 << g.n) - 1)
-    cycles = (_cycle_through(succ, s, core & -1 << s) for s in _bits(core))
-    best = min((c for c in cycles if c is not None), key=len, default=None)
+    rest = _core(succ, pred, (1 << g.n) - 1)
+    best = None
+    while rest:
+        low = rest & -rest
+        s = low.bit_length() - 1
+        cycle = _cycle_through(succ, s, rest)
+        if cycle is not None and (best is None or len(cycle) < len(best)):
+            best = cycle
+        rest ^= low
+        rest = _core(succ, pred, rest, (succ[s] | pred[s]) & rest)
     if best is None:
         return None
     return len(best), tuple(v + 1 for v in reversed(best))
@@ -193,11 +204,20 @@ def max_acyclic_induced(
     are memoized on them.  The branching keeps its own stack, so its depth
     is not bounded by the interpreter's recursion limit.
     """
-    return acyclic_sizer(g)(vertices)
+    if vertices is None:
+        mask = (1 << g.n) - 1
+    else:
+        mask = 0
+        for v in vertices:
+            if not 1 <= v <= g.n:
+                raise ValueError(f"vertex {v} out of range [1, {g.n}]")
+            mask |= 1 << (v - 1)
+    return acyclic_sizer(g)(mask)
 
 
-def acyclic_sizer(g: SideInformationGraph) -> Callable[[Iterable[int] | None], int]:
-    """The function ``vertices -> max_acyclic_induced(g, vertices)``, for
+def acyclic_sizer(g: SideInformationGraph) -> Callable[[int], int]:
+    """The function ``mask -> max_acyclic_induced(g, vertices)``, where
+    mask is the int bitmask of the vertices (bit v - 1 for vertex v), for
     many vertex sets of one graph: its calls share one bitmask adjacency
     and one memo, since a component's value depends only on its vertices.
     Every vertex outside g's core lies on no cycle of g, so it is peeled
@@ -207,15 +227,7 @@ def acyclic_sizer(g: SideInformationGraph) -> Callable[[Iterable[int] | None], i
     full = (1 << g.n) - 1
     dead = full ^ _core(succ, pred, full)
 
-    def size(vertices: Iterable[int] | None = None) -> int:
-        if vertices is None:
-            mask = full
-        else:
-            mask = 0
-            for v in vertices:
-                if not 1 <= v <= g.n:
-                    raise ValueError(f"vertex {v} out of range [1, {g.n}]")
-                mask |= 1 << (v - 1)
+    def size(mask: int) -> int:
         peeled = mask & dead
         return peeled.bit_count() + _mais(succ, pred, mask ^ peeled, memo)
 
@@ -233,13 +245,20 @@ def _adjacency(g: SideInformationGraph) -> tuple[list[int], list[int]]:
     return succ, pred
 
 
-def _core(succ: list[int], pred: list[int], mask: int) -> int:
+def _core(
+    succ: list[int], pred: list[int], mask: int, todo: int | None = None
+) -> int:
     """The core of the subgraph induced on the bitmask mask: what is left
     after dropping every vertex with no in- or out-neighbour left, until
     none is left to drop.  Each dropped vertex lies on no cycle inside
-    mask, and the core is empty iff that subgraph is acyclic.  Only the
-    neighbours of a dropped vertex are looked at again."""
-    todo = mask
+    mask, and the core is empty iff that subgraph is acyclic.  todo is
+    the bitmask of vertices to check, by default all of mask; a vertex
+    of mask left out must have an in- and an out-neighbour in mask,
+    which holds for every vertex of a core less some vertices but their
+    neighbours.  Only the neighbours of a dropped vertex are looked at
+    again."""
+    if todo is None:
+        todo = mask
     while todo:
         v = (todo & -todo).bit_length() - 1
         todo ^= 1 << v

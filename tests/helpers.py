@@ -85,6 +85,34 @@ def oracle_shortest_cycle(g: SideInformationGraph):
     return best
 
 
+def oracle_bfs_shortest_cycle(g: SideInformationGraph):
+    """``oracle_shortest_cycle`` by a breadth-first search over ascending
+    neighbours from every start s on the vertices s and above, keeping
+    the first shortest cycle; it peels nothing, so it serves as the
+    reference on graphs too dense for path enumeration."""
+    best = None
+    for s in range(1, g.n + 1):
+        parent = {s: None}
+        frontier = [s]
+        found = None
+        while frontier and found is None:
+            step = []
+            for u in frontier:
+                if s in g.side_info(u):
+                    found = [u]
+                    while parent[found[-1]] is not None:
+                        found.append(parent[found[-1]])
+                    break
+                for w in sorted(g.side_info(u)):
+                    if w > s and w not in parent:
+                        parent[w] = u
+                        step.append(w)
+            frontier = step
+        if found is not None and (best is None or len(found) < best[0]):
+            best = (len(found), tuple(reversed(found)))
+    return best
+
+
 def random_matrix(rng: random.Random, rows: int, cols: int, q: int) -> FqMatrix:
     return FqMatrix(
         rows, cols, q, tuple(rng.randrange(q) for _ in range(rows * cols))

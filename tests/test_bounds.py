@@ -1,6 +1,7 @@
 """Min-rank search, closed-form curve, converse checks, Pareto oracles."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -191,9 +192,9 @@ def test_minrank_witness_is_pinned(q, side, value, rows):
 
 
 def test_minrank_floors_change_no_answer():
-    # The MAIS floors may only cut subtrees holding no better matrix, so
-    # the search must end on the value and witness of the floors
-    # [1] + [0] * n, which cut nothing but the rank-1 stop.
+    # The MAIS stop and floors may only cut subtrees holding no better
+    # matrix, so the search must end on the value and witness of the
+    # stop 1 and the floor 0, which cut nothing but the rank-1 stop.
     rng = random.Random(12)
     most_edges = {2: 12, 3: 8, 5: 6}
     below_n = 0
@@ -207,7 +208,7 @@ def test_minrank_floors_change_no_answer():
             side[i].add(j + 1)
         g = graph_from_side_info(side)
         free = tuple(tuple(sorted(j - 1 for j in k)) for k in side)
-        value, columns = _kernel.minrank_dfs(n, q, free, [1] + [0] * n)
+        value, columns = _kernel.minrank_dfs(n, q, free, 1, lambda untouched: 0)
         got_value, witness = minrank_bruteforce(g, q)
         assert got_value == value
         assert witness.matrix == FqMatrix.from_columns(columns, n, q)
@@ -224,6 +225,27 @@ def test_minrank_disjoint_two_cycles_at_the_budget():
     assert value == 12
     assert witness.fits(g)
     assert rank(witness.matrix) == 12
+
+
+def test_minrank_long_cycle_over_f2():
+    # A free entry set to 0 leaves a path of rows untouched, whose MAIS
+    # cuts its branch, so past the first matrix only the all-ones fill
+    # is searched to the end.
+    g = directed_cycle(40)
+    start = time.perf_counter()
+    value, witness = minrank_bruteforce(g, 2, budget=2**40)
+    assert time.perf_counter() - start < 1
+    assert value == 39
+    assert witness.fits(g)
+    assert rank(witness.matrix) == 39
+
+
+def test_minrank_cycle_over_f3():
+    g = directed_cycle(12)
+    value, witness = minrank_bruteforce(g, 3, budget=3**12)
+    assert value == 11
+    assert witness.fits(g)
+    assert rank(witness.matrix) == 11
 
 
 def test_minrank_budget_error():

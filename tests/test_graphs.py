@@ -23,7 +23,7 @@ from idxloc.graphs import (
     shortest_directed_cycle,
 )
 
-from helpers import oracle_shortest_cycle, random_graph
+from helpers import oracle_bfs_shortest_cycle, oracle_shortest_cycle, random_graph
 
 
 def test_parse_three_cycle():
@@ -189,6 +189,21 @@ def test_girth_and_cycle_test_match_path_enumeration_on_seeded_digraphs():
     assert 20 < acyclic < 280
 
 
+def test_girth_matches_per_start_search_on_seeded_digraphs():
+    # Against a breadth-first search from every start s on all vertices
+    # s and above, with no peel to the core, so the shrinking core that
+    # shortest_directed_cycle searches in must leave every witness as is.
+    rng = random.Random(19)
+    acyclic = 0
+    for _ in range(3000):
+        p = rng.choice([0.05, 0.1, 0.2, 0.35, 0.5])
+        g = random_graph(rng, rng.randint(1, 12), p)
+        expected = oracle_bfs_shortest_cycle(g)
+        acyclic += expected is None
+        assert shortest_directed_cycle(g) == expected
+    assert 300 < acyclic < 2700
+
+
 def _all_digraphs(n):
     """Every digraph on n vertices without self-loops."""
     arcs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
@@ -198,6 +213,11 @@ def _all_digraphs(n):
             if mask >> t & 1:
                 side[i - 1].add(j)
         yield graph_from_side_info(side)
+
+
+def _mask(vertices):
+    """The bitmask acyclic_sizer takes: bit v - 1 for each vertex v."""
+    return sum(1 << (v - 1) for v in vertices)
 
 
 def _brute_mais(g, vertices):
@@ -219,10 +239,11 @@ def test_max_acyclic_induced_on_every_small_digraph():
             graphs += 1
             everything = range(1, n + 1)
             mais = acyclic_sizer(g)
-            assert max_acyclic_induced(g) == mais() == _brute_mais(g, everything)
+            assert max_acyclic_induced(g) == mais(_mask(everything))
+            assert mais(_mask(everything)) == _brute_mais(g, everything)
             some = [v for v in everything if rng.random() < 0.6]
             # mais answers on the memo its first call filled.
-            assert max_acyclic_induced(g, some) == mais(some) == _brute_mais(g, some)
+            assert max_acyclic_induced(g, some) == mais(_mask(some)) == _brute_mais(g, some)
     assert graphs == 1 + 4 + 64 + 4096
 
 
@@ -262,9 +283,10 @@ def test_max_acyclic_induced_on_seeded_digraphs():
             g = random_graph(rng, n, edge_prob=rng.choice([0.15, 0.3, 0.5]))
         everything = range(1, n + 1)
         mais = acyclic_sizer(g)
-        assert max_acyclic_induced(g) == mais() == _brute_mais(g, everything)
+        assert max_acyclic_induced(g) == mais(_mask(everything))
+        assert mais(_mask(everything)) == _brute_mais(g, everything)
         some = [v for v in everything if rng.random() < 0.7]
-        assert max_acyclic_induced(g, some) == mais(some) == _brute_mais(g, some)
+        assert max_acyclic_induced(g, some) == mais(_mask(some)) == _brute_mais(g, some)
     assert several > 40
 
 

@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement
 
 from idxloc import _kernel
 from idxloc.bounds import _normalized_columns
-from idxloc.graphs import directed_cycle, graph_from_side_info, receiver_rows
+from idxloc.graphs import acyclic_sizer, directed_cycle, graph_from_side_info, receiver_rows
 from idxloc.linalg import FqMatrix, rank, solve_in_span, unit_vector
 
 from helpers import random_graph
@@ -165,6 +165,44 @@ def test_minrank_dfs_witness_rank_matches():
         q = rng.choice([2, 3])
         g = random_graph(rng, n)
         free = tuple(receiver_rows(g, 1, i)[1] for i in range(1, n + 1))
-        value, columns = _kernel.minrank_dfs(n, q, free, [1] + [0] * n)
+        value, columns = _kernel.minrank_dfs(n, q, free, 1, lambda untouched: 0)
         witness = FqMatrix.from_columns(columns, n, q)
         assert rank(witness) == value
+
+
+def test_minrank_dfs_floor_cuts_on_a_zero_free_entry(monkeypatch):
+    # On the 4-cycle over F_2 a prefix of d + 1 columns has rank d + 1
+    # and the rows no such prefix may touch, d + 2 and on, have MAIS
+    # n - d - 2, so a floor on those rows alone never lifts the sum above
+    # the min-rank n - 1 and cuts no more than the floor 0.  Column d
+    # with its free entry set to 0 also leaves row d + 1 untouched, the
+    # floor there is n - d - 1, and the sum n reaches the rank of the
+    # first matrix found, the identity, so the branch is cut.
+    g = directed_cycle(4)
+    free = tuple(receiver_rows(g, 1, i)[1] for i in range(1, 5))
+    pushes = 0
+    push = _kernel._BitBasis.push
+
+    def counting_push(self, v):
+        nonlocal pushes
+        pushes += 1
+        return push(self, v)
+
+    monkeypatch.setattr(_kernel._BitBasis, "push", counting_push)
+    mais = acyclic_sizer(g)
+    asked = {}
+
+    def floor(untouched):
+        asked[untouched] = asked.get(untouched, 0) + 1
+        return mais(untouched)
+
+    value, columns = _kernel.minrank_dfs(4, 2, free, 3, floor)
+    cut_pushes, pushes = pushes, 0
+    assert (value, columns) == _kernel.minrank_dfs(4, 2, free, 3, lambda untouched: 0)
+    assert value == 3
+    assert columns == ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))
+    assert (cut_pushes, pushes) == (20, 30)
+    # Rows 1, 2 and 3 untouched after column 0 set its free entry to 0:
+    # a path, floor 3, and 1 + 3 reaches the identity's rank 4.
+    assert asked[0b1110] == 1 and mais(0b1110) == 3
+    assert all(count == 1 for count in asked.values())
