@@ -8,6 +8,18 @@ decoding, locality accounting, query pruning, the support normalization
 of receiver-unique columns, and the fitting matrix extracted from a
 scalar decoding plan.
 
+Codes and plans are compiled once, when they are built, into the forms
+that encoding and decoding read.  A code keeps each encoder row packed
+into one int, column k in the k-th field of w bytes, w wide enough that
+a sum of m*n products of two symbols never carries into the next field.
+Encoding scales the packed rows by the message symbols and adds them:
+m*n big-int products over any field, in place of one dot product per
+column, so its cost hangs on the code's shape and hardly on q.  A plan
+entry keeps the support of its witness u with u's values there, so
+decoding a symbol takes two dot products, over the receiver's queries
+and over the side information that u reads.  Nothing is filled in on
+first use.
+
 Receiver, message and codeword-column indices are 1-based; raw matrix
 coordinates are 0-based.
 """
@@ -15,9 +27,11 @@ coordinates are 0-based.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count
+from operator import add, mul
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +43,6 @@ from .linalg import (
     rref,
     solve_each_in_span,
     unit_vector,
-    vector_matrix,
 )
 
 
@@ -49,6 +62,12 @@ class IndexCode:
     matrix has m*n rows (message symbols) and ell columns (codeword
     symbols); queries[i-1] collects the 1-based column indices receiver i
     reads.  The broadcast rate is ell/m.
+
+    Construction also compiles the packed rows that encode reads: row r
+    as one int whose little-endian bytes hold column k in bytes
+    [k*w, (k+1)*w), where w is the fewest bytes that hold
+    m*n*(q-1)**2.  They are derived from matrix and take no part in
+    equality, hashing or repr.
     """
 
     q: int
@@ -56,6 +75,8 @@ class IndexCode:
     n: int
     matrix: FqMatrix
     queries: tuple[frozenset[int], ...]
+    _width: int = field(init=False, compare=False, repr=False)
+    _rows: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
@@ -70,6 +91,21 @@ class IndexCode:
             for k in r:
                 if not 1 <= k <= self.ell:
                     raise ValueError(f"receiver {i} queries out-of-range column {k}")
+        entries = self.matrix.entries
+        width = ((self.m * self.n * (self.q - 1) ** 2).bit_length() + 7) // 8
+        # An entry lies below 2^32 and below 2^(8 * width): its low
+        # min(width, 4) little-endian bytes fill its field, row-major.
+        raw = struct.pack(f"<{len(entries)}I", *entries)
+        fields = bytearray(len(entries) * width)
+        for t in range(min(width, 4)):
+            fields[t::width] = raw[t::4]
+        fields, size = memoryview(fields), self.ell * width
+        rows = tuple([
+            int.from_bytes(fields[r * size : (r + 1) * size], "little")
+            for r in range(self.matrix.rows)
+        ])
+        object.__setattr__(self, "_width", width)
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def ell(self) -> int:
@@ -94,16 +130,33 @@ class PlanEntry:
 
     u is a vector supported on the receiver's side-information indices
     and alpha holds one coefficient per sorted query column, chosen so
-    that sum(alpha_k * L_k) == u + e_j.
+    that sum(alpha_k * L_k) == u + e_j.  Construction also keeps u's
+    support (0-based rows, ascending) and u's values there, which
+    decode_receiver reads; neither takes part in equality, hashing or
+    repr.
     """
 
     demand: int
     u: Vector
     alpha: tuple[int, ...]
+    _support: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _values: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        support = tuple(compress(count(), self.u))
+        object.__setattr__(self, "_support", support)
+        object.__setattr__(self, "_values", tuple(compress(self.u, self.u)))
 
 
 @dataclass(frozen=True)
 class DecodingPlan:
+    """Decoding witnesses of every receiver: receivers[i-1] holds one
+    PlanEntry per demanded symbol of receiver i, in ascending order.
+
+    decode_receiver rejects a plan whose entries for receiver i do not
+    demand exactly its own symbols with one alpha coefficient per query.
+    """
+
     q: int
     m: int
     n: int
@@ -224,10 +277,23 @@ def require_plan(g: SideInformationGraph, code: IndexCode) -> DecodingPlan:
 
 
 def encode(code: IndexCode, x: Sequence[int]) -> Vector:
-    """Codeword c = x^T L for a full message vector of length m*n."""
+    """Codeword c = x^T L for a full message vector of length m*n.
+
+    Symbols outside [0, q) are reduced mod q.  The packed rows of the
+    code, scaled by the reduced symbols and summed, hold sum_r x_r L_rk
+    in field k with no carry between fields; each field is read off its
+    bytes and reduced mod q.  The result equals
+    linalg.vector_matrix(x, code.matrix).
+    """
     if len(x) != code.m * code.n:
         raise ValueError(f"message must have {code.m * code.n} symbols")
-    return vector_matrix(x, code.matrix)
+    q, width = code.q, code._width
+    packed = sum(map(mul, [v % q for v in x], code._rows))
+    packed = packed.to_bytes(code.ell * width, "little")
+    sums = packed[::width]
+    for t in range(1, width):
+        sums = map(add, sums, map((1 << 8 * t).__mul__, packed[t::width]))
+    return tuple([v % q for v in sums])
 
 
 def decode_receiver(
@@ -244,26 +310,43 @@ def decode_receiver(
     side_values with its side rows from graphs.receiver_rows.
     Returns the m demanded symbols in ascending index order; they equal
     the true symbols whenever the inputs come from an encoded message.
+    Symbol j is sum(alpha_k * c_k) - sum(u_s * x_s) mod q, the second sum
+    over the support of u.
+
+    Raises ValueError when the plan is not one of this code and graph:
+    when its q, m or n differ, when receiver i's entries do not demand
+    exactly its own symbols or do not hold one coefficient per query, or
+    when an entry's u reads a row outside receiver i's side information
+    in g.  A plan of another code of the same shape can pass these
+    checks and decode wrongly; ruling that out stays the caller's task.
     """
     _check_structure(g, code)
     if plan.q != code.q or plan.m != code.m or plan.n != code.n:
         raise ValueError("plan does not belong to this code")
     if not 1 <= i <= code.n:
         raise ValueError(f"receiver {i} out of range")
-    r_list = code.query_list(i)
-    if len(queried) != len(r_list):
-        raise ValueError(f"receiver {i} expects {len(r_list)} queried symbols")
+    n_queries = len(code.queries[i - 1])
+    if len(queried) != n_queries:
+        raise ValueError(f"receiver {i} expects {n_queries} queried symbols")
     side_rows = receiver_rows(g, code.m, i)[1]
     if len(side_values) != len(side_rows):
         raise ValueError(f"receiver {i} expects {len(side_rows)} side-info symbols")
-    entries = plan.entries(i)
+    entries = plan.receivers[i - 1]
+    first = (i - 1) * code.m + 1
+    if [(e.demand, len(e.alpha)) for e in entries] != [
+        (j, n_queries) for j in range(first, first + code.m)
+    ]:
+        raise ValueError("plan does not belong to this code")
+    known = dict(zip(side_rows, side_values)).__getitem__
     q = code.q
-    out = []
-    for entry in entries:
-        total = sum(a * c for a, c in zip(entry.alpha, queried))
-        correction = sum(entry.u[s] * v for s, v in zip(side_rows, side_values))
-        out.append((total - correction) % q)
-    return tuple(out)
+    try:
+        return tuple([
+            (sum(map(mul, e.alpha, queried))
+             - sum(map(mul, e._values, map(known, e._support)))) % q
+            for e in entries
+        ])
+    except KeyError:
+        raise ValueError("plan does not belong to this graph") from None
 
 
 def locality_profile(code: IndexCode) -> LocalityProfile:

@@ -95,7 +95,9 @@ class FqMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range")
+        return self.entries[j :: self.cols]
 
     def row_list(self) -> list[Vector]:
         return [self.row(i) for i in range(self.rows)]
@@ -103,24 +105,11 @@ class FqMatrix:
     def column_list(self) -> list[Vector]:
         return [self.column(j) for j in range(self.cols)]
 
-    def transpose(self) -> "FqMatrix":
-        return FqMatrix.from_rows(self.column_list(), self.q) if self.cols else FqMatrix(0, self.rows, self.q, ())
-
     def hstack(self, other: "FqMatrix") -> "FqMatrix":
         if other.rows != self.rows or other.q != self.q:
             raise ValueError("hstack requires matching row count and field")
         rows = [self.row(i) + other.row(i) for i in range(self.rows)]
         return FqMatrix(self.rows, self.cols + other.cols, self.q, tuple(x for r in rows for x in r))
-
-    def mul_vector(self, x: Sequence[int]) -> Vector:
-        """Matrix-vector product m @ x."""
-        if len(x) != self.cols:
-            raise ValueError("vector length mismatch")
-        q = self.q
-        return tuple(
-            sum(self.entries[i * self.cols + j] * x[j] for j in range(self.cols)) % q
-            for i in range(self.rows)
-        )
 
 
 def vector_matrix(x: Sequence[int], m: FqMatrix) -> Vector:

@@ -47,7 +47,7 @@ def oracle_null_space(m: FqMatrix) -> set[tuple[int, ...]]:
     """All vectors x with m @ x == 0, found by full enumeration."""
     out = set()
     for x in product(range(m.q), repeat=m.cols):
-        if all(v == 0 for v in m.mul_vector(x)):
+        if all(sum(a * b for a, b in zip(row, x)) % m.q == 0 for row in m.row_list()):
             out.add(x)
     return out
 

@@ -154,7 +154,7 @@ def test_criterion_6_converse_check_suite():
 
 
 def test_criterion_7_round_trip_sweep():
-    with criterion(7, "encode/decode round trip on every corpus code", None):
+    with criterion(7, "encode/decode round trip on every corpus code", 25.0):
         rng = random.Random(0xC0FFEE)
         for g, code in full_corpus():
             plan = require_plan(g, code)

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from idxloc import linalg
 from idxloc.bounds import converse_checks
@@ -236,6 +238,14 @@ def test_decode_wrong_plan_rejected():
         decode_receiver(g, other, plan, 1, [0], [0])
 
 
+def test_column_vector_out_of_range_raises():
+    _, code = cycle4()
+    assert code.column_vector(code.ell) == code.matrix.column(code.ell - 1)
+    for k in (0, code.ell + 1):
+        with pytest.raises(IndexError):
+            code.column_vector(k)
+
+
 def test_decode_rejects_mismatched_inputs():
     g, code = cycle4()
     plan = require_plan(g, code)
@@ -247,6 +257,160 @@ def test_decode_rejects_mismatched_inputs():
         decode_receiver(g, code, plan, 1, [0, 0], [0])
     with pytest.raises(ValueError, match="side-info symbols"):
         decode_receiver(g, code, plan, 1, [0], [0, 0])
+
+
+def _decode_all(g, code, plan, x):
+    c = encode(code, x)
+    return [
+        decode_receiver(
+            g, code, plan, i,
+            [c[k - 1] for k in code.query_list(i)],
+            [x[s] for s in receiver_rows(g, code.m, i)[1]],
+        )
+        for i in range(1, code.n + 1)
+    ]
+
+
+def test_decode_rejects_a_plan_of_another_graph():
+    # Same N, but every receiver knows another message than in the
+    # directed 4-cycle, so each witness u reads a row g2 does not give.
+    g, code = cycle4()
+    plan = require_plan(g, code)
+    g2 = graph_from_side_info([{3}, {4}, {1}, {2}])
+    x = (1, 0, 1, 1)
+    c = encode(code, x)
+    for i in range(1, 5):
+        queried = [c[k - 1] for k in code.query_list(i)]
+        side = [x[s] for s in receiver_rows(g2, 1, i)[1]]
+        with pytest.raises(ValueError, match="plan does not belong to this graph"):
+            decode_receiver(g2, code, plan, i, queried, side)
+
+
+def test_decode_rejects_a_plan_of_another_code():
+    # Anchor 2 gives receivers 2 and 4 other query counts than anchor 1.
+    g, code = cycle4()
+    plan = require_plan(g, code)
+    other = cycle_scalar_code(4, 2, 2)
+    x = (0, 0, 0, 1)
+    c = encode(other, x)
+    for i in (2, 4):
+        queried = [c[k - 1] for k in other.query_list(i)]
+        side = [x[s] for s in receiver_rows(g, 1, i)[1]]
+        with pytest.raises(ValueError, match="plan does not belong to this code"):
+            decode_receiver(g, other, plan, i, queried, side)
+    # Receivers 2 and 3 both read two columns; with their entries swapped
+    # the alpha lengths fit but the demands do not.
+    r = plan.receivers
+    swapped = DecodingPlan(q=2, m=1, n=4, receivers=(r[0], r[2], r[1], r[3]))
+    c = encode(code, x)
+    with pytest.raises(ValueError, match="plan does not belong to this code"):
+        decode_receiver(g, code, swapped, 2, [c[0], c[1]], [x[2]])
+    # At m = 2, one entry with an alpha coefficient too few.
+    g3, vector = directed_cycle(3), cycle_vector_code(3, 2, 2)
+    plan3 = require_plan(g3, vector)
+    first, second = plan3.entries(1)
+    cut = PlanEntry(demand=second.demand, u=second.u, alpha=second.alpha[:2])
+    short = DecodingPlan(q=2, m=2, n=3, receivers=((first, cut), *plan3.receivers[1:]))
+    with pytest.raises(ValueError, match="plan does not belong to this code"):
+        decode_receiver(g3, vector, short, 1, [0, 0, 0], [0, 0])
+
+
+@st.composite
+def _codes_and_messages(draw):
+    """A code over F_2, F_3 or F_5 with m in 1..3, possibly no columns or
+    some all-zero ones, and a message whose symbols may be negative or
+    at least q."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    ell = draw(st.integers(0, 5))
+    mn = m * n
+    digits = st.lists(st.integers(0, q - 1), min_size=mn, max_size=mn)
+    zero = draw(st.sets(st.integers(0, max(ell - 1, 0))))
+    columns = [(0,) * mn if k in zero else tuple(draw(digits)) for k in range(ell)]
+    queries = tuple(
+        frozenset(draw(st.sets(st.integers(1, ell)))) if ell else frozenset()
+        for _ in range(n)
+    )
+    code = IndexCode(
+        q=q, m=m, n=n, matrix=FqMatrix.from_columns(columns, mn, q), queries=queries
+    )
+    x = draw(st.lists(st.integers(-3 * q, 3 * q), min_size=mn, max_size=mn))
+    return code, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(_codes_and_messages())
+def test_encode_matches_vector_matrix(case):
+    code, x = case
+    c = encode(code, x)
+    assert c == linalg.vector_matrix(x, code.matrix)
+    assert c == encode(code, [v % code.q for v in x])
+    assert len(c) == code.ell
+
+
+@pytest.mark.parametrize(
+    "q, mn", [(3, 63), (3, 64), (5, 16), (257, 3), (65537, 2), (4294967291, 2)]
+)
+def test_encode_fields_wider_than_a_byte(q, mn):
+    """Fields of one and of several bytes, entries of one to four bytes,
+    and the largest sums a field must hold without a carry."""
+    rng = random.Random(q * 100 + mn)
+    ell = 4
+    columns = [(q - 1,) * mn] + [
+        tuple(rng.randrange(q) for _ in range(mn)) for _ in range(ell - 1)
+    ]
+    code = IndexCode(
+        q=q, m=1, n=mn, matrix=FqMatrix.from_columns(columns, mn, q),
+        queries=(frozenset(),) * mn,
+    )
+    for x in ([q - 1] * mn, [-1] * mn, [rng.randrange(-q, 2 * q) for _ in range(mn)]):
+        assert encode(code, x) == linalg.vector_matrix(x, code.matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_codes_and_messages())
+def test_compiled_columns_leave_equality_hash_and_repr(case):
+    code, _ = case
+    twin = IndexCode(
+        q=code.q, m=code.m, n=code.n,
+        matrix=FqMatrix.from_rows(code.matrix.row_list(), code.q),
+        queries=code.queries,
+    )
+    object.__setattr__(twin, "_rows", ())
+    object.__setattr__(twin, "_width", 0)
+    assert twin == code and hash(twin) == hash(code)
+    assert repr(code) == (
+        f"IndexCode(q={code.q!r}, m={code.m!r}, n={code.n!r}, "
+        f"matrix={code.matrix!r}, queries={code.queries!r})"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_compiled_round_trip(q, m, seed, data):
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(2, 3))
+    code = random_decodable_code(rng, g, q, m)
+    assume(code is not None)
+    plan = require_plan(g, code)
+    mn = m * g.n
+    x = data.draw(st.lists(st.integers(-2 * q, 3 * q), min_size=mn, max_size=mn))
+    want = [
+        tuple(x[j] % q for j in receiver_rows(g, m, i)[0]) for i in range(1, g.n + 1)
+    ]
+    assert _decode_all(g, code, plan, x) == want
+    entry = plan.receivers[0][0]
+    twin_entry = PlanEntry(demand=entry.demand, u=entry.u, alpha=entry.alpha)
+    object.__setattr__(twin_entry, "_support", ())
+    assert twin_entry == entry and hash(twin_entry) == hash(entry)
+    for name in ("_support", "_values"):
+        assert name not in repr(plan)
 
 
 def roundtrip_all_messages(g, code, limit=4096, rng_seed=11):
