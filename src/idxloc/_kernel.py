@@ -27,6 +27,14 @@ plus a floor on the untouched rows, a bound from the caller on the rank
 of the later columns there, is below the best rank: the chosen columns
 vanish on those rows, so the matrix is block triangular there and has
 at least the rank of both diagonal blocks together.
+``bounds.minrank_bruteforce`` calls it once per strongly connected
+component that is neither a single vertex nor a cycle, on that
+component's rows alone.  The witness stays the first min-rank matrix of
+the whole graph in counter order: that matrix is block diagonal by
+component, since zeroing the entries between components keeps the rank
+minimal and lowers every column's counter, and a column's counter over
+its component's rows orders it as its counter over all its free rows
+does when the other entries are 0.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from .graphs import (
     max_acyclic_induced,
     receiver_rows,
     shortest_directed_cycle,
+    strongly_connected_components,
 )
 from .linalg import FqMatrix, null_space_basis, require_prime, rref, vector_matrix
 
@@ -55,25 +56,34 @@ def minrank_bruteforce(
 ) -> tuple[int, FittingMatrix]:
     """Exact min-rank of the instance over F_q with a witness.
 
-    Enumerates every matrix with unit diagonal, arbitrary entries at
-    (j, i) for j in K_i and zeros elsewhere, column by column, bounded
-    below by the largest induced acyclic vertex sets (MAIS), whose
-    columns are unit triangular on their own rows.  Stop rule: the search
-    ends at a matrix of rank MAIS(G), the least any fitting matrix has.
-    Depth bound: the columns chosen so far are zero on some rows, those
-    they may not touch and those where a free entry is 0; on those rows
-    the later columns have rank at least the MAIS of the subgraph the
-    rows induce (Bar-Yossef, Birk, Jayram and Kol), so the matrix is
-    block triangular there with rank at least the prefix rank plus that
-    MAIS, and a branch where that sum reaches the best rank found is
-    pruned.  On the n-cycle a free entry set to 0 leaves a path of rows
-    untouched, whose MAIS leaves no room for rank n-1, so past the first
-    matrix only fills with every free entry nonzero are searched on
-    (over F_2, the one all-ones fill).  Neither rule changes the
-    witness, the first min-rank matrix in the search order.  Refuses to
-    start (BudgetExceededError) when the raw search space
-    q**(sum |K_i|) exceeds the budget, so a returned answer is always
-    exact.
+    The witness is the first min-rank matrix with unit diagonal,
+    arbitrary entries at (j, i) for j in K_i and zeros elsewhere, in the
+    order of ``_kernel.minrank_dfs``: columns in ascending order, each an
+    ascending base-q counter over its free entries.  Ordered by the
+    condensation of G, every such matrix is block triangular with one
+    diagonal block per strongly connected component, so its rank is at
+    least the sum of the blocks' ranks, and minrank(G) is the sum of the
+    components' min-ranks (Bar-Yossef, Birk, Jayram and Kol).  Zeroing
+    the entries between components keeps the rank minimal and lowers
+    every column's counter, so the first min-rank matrix is block
+    diagonal, and its blocks are each component's own first witness.
+    Each component is solved alone:
+
+    - a single vertex has min-rank 1 and the unit vector as its column;
+    - a cycle, where every vertex has one out-neighbour in the component,
+      has min-rank |C| - 1: a zero entry leaves the matrix triangular up
+      to order, and with every entry nonzero det(I + weighted cycle) is 0
+      iff the entries multiply to (-1)^|C|, so the first fill sets every
+      entry to 1 but the one in the column of the highest vertex, which
+      is (-1)^|C| mod q;
+    - any other component runs ``_kernel.minrank_dfs`` on its own rows,
+      stopping at its MAIS, the largest induced acyclic vertex set, and
+      pruning a branch once the prefix rank plus the MAIS of the rows
+      the chosen columns leave zero reaches the best rank found.
+
+    Refuses to start (BudgetExceededError) when the raw search space of
+    the whole graph, q**(sum |K_i|), exceeds the budget, so a returned
+    answer is always exact.
     """
     require_prime(q)
     budget = DEFAULT_MINRANK_BUDGET if budget is None else budget
@@ -84,14 +94,38 @@ def minrank_bruteforce(
         raise BudgetExceededError(
             f"min-rank search space q^{total_free} exceeds budget {budget}"
         )
-    free_rows = tuple(receiver_rows(g, 1, i)[1] for i in range(1, g.n + 1))
-    # One sizer gives the stop and every floor, sharing one adjacency
-    # and one memo of component values for this call.
-    mais = acyclic_sizer(g)
-    value, columns = _kernel.minrank_dfs(
-        g.n, q, free_rows, mais((1 << g.n) - 1), mais
-    )
-    witness = FittingMatrix(FqMatrix.from_columns(columns, g.n, q))
+    n = g.n
+    # Row-major entries of the witness: the unit diagonal, then each
+    # component's own entries; entries between components stay 0.
+    entries = [0] * (n * n)
+    entries[:: n + 1] = [1] * n
+    value = 0
+    for comp in strongly_connected_components(g):
+        if len(comp) == 1:
+            value += 1
+            continue
+        vertices = sorted(comp)
+        inside = [g.side[v - 1] & comp for v in vertices]
+        if all(len(out) == 1 for out in inside):
+            value += len(comp) - 1
+            # Every entry 1 but the last, in the highest vertex's column.
+            for v, (j,) in zip(vertices, inside):
+                entries[(j - 1) * n + v - 1] = 1
+            entries[(j - 1) * n + v - 1] = (-1) ** len(comp) % q
+            continue
+        h, _ = induced_subgraph(g, vertices)
+        free_rows = tuple(receiver_rows(h, 1, i)[1] for i in range(1, h.n + 1))
+        # One sizer gives the stop and every floor, sharing one adjacency
+        # and one memo of component values for this call.
+        mais = acyclic_sizer(h)
+        rank, columns = _kernel.minrank_dfs(
+            h.n, q, free_rows, mais((1 << h.n) - 1), mais
+        )
+        value += rank
+        for v, col in zip(vertices, columns):
+            for u, d in zip(vertices, col):
+                entries[(u - 1) * n + v - 1] = d
+    witness = FittingMatrix(FqMatrix(n, n, q, tuple(entries)))
     if not witness.fits(g):
         raise AssertionError("witness does not fit the graph")
     return value, witness

@@ -296,19 +296,15 @@ def _mais_frame(
     whose MAIS it needs."""
     core = _core(succ, pred, mask)
     total = (mask ^ core).bit_count()
-    mask = core
-    while mask:
-        low = mask & -mask
-        v = low.bit_length() - 1
-        comp = _reach(succ, low, mask) & _reach(pred, low, mask)
-        mask ^= comp
-        if comp == low:
+    for comp in _components(succ, pred, core):
+        if comp.bit_count() == 1:
             total += 1
             continue
         value = memo.get(comp)
         if value is None:
             size = comp.bit_count()
             value = 0
+            v = (comp & -comp).bit_length() - 1
             for u in _cycle_through(succ, v, comp):
                 value = max(value, (yield comp ^ (1 << u)))
                 if value == size - 1:
@@ -316,6 +312,31 @@ def _mais_frame(
             memo[comp] = value
         total += value
     return total
+
+
+def strongly_connected_components(g: SideInformationGraph) -> list[frozenset[int]]:
+    """The vertex sets (1-based) of g's strongly connected components,
+    ordered by their lowest vertex.  Every vertex outside g's core lies
+    on no cycle, so it is a component of its own; only the core is
+    searched."""
+    succ, pred = _adjacency(g)
+    full = (1 << g.n) - 1
+    core = _core(succ, pred, full)
+    comps = [1 << v for v in _bits(full ^ core)]
+    comps += _components(succ, pred, core)
+    comps.sort(key=lambda comp: comp & -comp)
+    return [frozenset(v + 1 for v in _bits(comp)) for comp in comps]
+
+
+def _components(succ: list[int], pred: list[int], mask: int) -> Iterator[int]:
+    """The strongly connected components of the subgraph induced on the
+    bitmask mask, as bitmasks, lowest vertex first: the component of a
+    vertex is what it reaches and is reached from inside mask."""
+    while mask:
+        low = mask & -mask
+        comp = _reach(succ, low, mask) & _reach(pred, low, mask)
+        mask ^= comp
+        yield comp
 
 
 def _bits(mask: int) -> Iterator[int]:

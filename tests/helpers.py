@@ -126,6 +126,32 @@ def random_graph(rng: random.Random, n: int, edge_prob: float = 0.5) -> SideInfo
     return graph_from_side_info(side)
 
 
+def blocks_graph(
+    rng: random.Random, n: int
+) -> tuple[SideInformationGraph, list[list[int]]]:
+    """Random strongly connected blocks (a cycle through each block plus
+    chords) joined by edges from earlier blocks to later ones only, so
+    each block of two or more vertices is its own nontrivial strongly
+    connected component; returns the graph and its blocks."""
+    order = rng.sample(range(1, n + 1), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(3, n - 1))))
+    blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    side = [set() for _ in range(n)]
+    for t, block in enumerate(blocks):
+        if len(block) > 1:
+            for a, b in zip(block, block[1:] + block[:1]):
+                side[a - 1].add(b)
+        for a in block:
+            for b in block:
+                if a != b and rng.random() < 0.25:
+                    side[a - 1].add(b)
+            for later in blocks[t + 1:]:
+                for b in later:
+                    if rng.random() < 0.2:
+                        side[a - 1].add(b)
+    return graph_from_side_info(side), blocks
+
+
 def random_decodable_code(
     rng: random.Random,
     g: SideInformationGraph,

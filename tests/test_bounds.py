@@ -1,6 +1,7 @@
 """Min-rank search, closed-form curve, converse checks, Pareto oracles."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -21,10 +22,10 @@ from idxloc.bounds import (
 )
 from idxloc.codes import IndexCode, locality_profile, require_plan
 from idxloc.constructions import cycle_scalar_code, minrank_deficit_code, uncoded
-from idxloc.graphs import directed_cycle, graph_from_side_info
+from idxloc.graphs import acyclic_sizer, directed_cycle, graph_from_side_info
 from idxloc.linalg import FqMatrix, rank
 
-from helpers import random_graph
+from helpers import blocks_graph, random_graph
 
 
 def test_minrank_cycles():
@@ -252,6 +253,90 @@ def test_minrank_budget_error():
     g = directed_cycle(3)
     with pytest.raises(BudgetExceededError):
         minrank_bruteforce(g, 2, budget=1)
+
+
+def test_minrank_long_cycle_over_f3():
+    # Over an odd field the floors cut no fill with every entry nonzero,
+    # so a search on all 40 columns would walk through up to 2^40 of
+    # them; the cycle component is answered in closed form.
+    g = directed_cycle(40)
+    start = time.perf_counter()
+    value, witness = minrank_bruteforce(g, 3, budget=3**40)
+    assert time.perf_counter() - start < 1
+    assert value == 39
+    assert witness.fits(g)
+    assert rank(witness.matrix) == 39
+
+
+def test_minrank_chain_of_pentagons():
+    # Six bidirected 5-cycles, min-rank 3 each over F_2, each with one arc
+    # into the next: 65 free entries, searched one pentagon at a time.
+    side = []
+    for p in range(6):
+        base = 5 * p
+        side += [{base + (v + 1) % 5 + 1, base + (v - 1) % 5 + 1} for v in range(5)]
+        if p < 5:
+            side[base].add(base + 6)
+    g = graph_from_side_info(side)
+    start = time.perf_counter()
+    value, witness = minrank_bruteforce(g, 2, budget=2**70)
+    assert time.perf_counter() - start < 1
+    assert value == 18
+    assert witness.fits(g)
+    assert rank(witness.matrix) == 18
+
+
+def test_minrank_budget_counts_the_whole_graph():
+    # Each 3-cycle alone has 2^3 fills, within a budget of 2^5, but the
+    # budget counts the 2^6 fills of the whole graph and still refuses.
+    g = graph_from_side_info([{2}, {3}, {1}, {5}, {6}, {4}])
+    message = "min-rank search space q^6 exceeds budget 32"
+    with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+        minrank_bruteforce(g, 2, budget=2**5)
+
+
+def _whole_graph_search(g, q):
+    """(min-rank, witness) of the search on all n columns at once, with
+    the MAIS stop and floors of the whole graph."""
+    free = tuple(tuple(sorted(j - 1 for j in k)) for k in g.side)
+    mais = acyclic_sizer(g)
+    value, columns = _kernel.minrank_dfs(g.n, q, free, mais((1 << g.n) - 1), mais)
+    return value, FqMatrix.from_columns(columns, g.n, q)
+
+
+def test_minrank_by_components_matches_the_whole_graph_search():
+    # The witness assembled per component must be the first min-rank
+    # matrix of the search on the whole graph, entry for entry.
+    rng = random.Random(19)
+    cycles = dense = 0
+    for t in range(90):
+        q = (2, 3, 5)[t % 3]
+        g, blocks = blocks_graph(rng, rng.randint(2, 7))
+        value, witness = minrank_bruteforce(g, q, budget=q**40)
+        assert (value, witness.matrix) == _whole_graph_search(g, q)
+        inside = [[len(g.side[v - 1] & set(b)) for v in b] for b in blocks if len(b) > 1]
+        cycles += any(set(outs) == {1} for outs in inside)
+        dense += any(max(outs) > 1 for outs in inside)
+    assert cycles > 45
+    assert dense > 25
+
+
+@pytest.mark.parametrize("q, most", [(3, 9), (5, 8), (7, 7)])
+def test_minrank_relabelled_cycles_match_the_whole_graph_search(q, most):
+    # A random labelling moves the highest vertex, whose column holds the
+    # entry (-1)^n, around the cycle.  The search on the whole graph may
+    # try every nonzero fill, (q - 1)^n of them, which bounds n.
+    rng = random.Random(q)
+    for n in range(2, most + 1):
+        for _ in range(2):
+            order = rng.sample(range(1, n + 1), n)
+            side = [set() for _ in range(n)]
+            for a, b in zip(order, order[1:] + order[:1]):
+                side[a - 1].add(b)
+            g = graph_from_side_info(side)
+            value, witness = minrank_bruteforce(g, q, budget=q**n)
+            assert value == n - 1
+            assert (value, witness.matrix) == _whole_graph_search(g, q)
 
 
 def test_cycle_tradeoff_values():

@@ -21,9 +21,10 @@ from idxloc.graphs import (
     parse_graph,
     receiver_rows,
     shortest_directed_cycle,
+    strongly_connected_components,
 )
 
-from helpers import oracle_bfs_shortest_cycle, oracle_shortest_cycle, random_graph
+from helpers import blocks_graph, oracle_bfs_shortest_cycle, oracle_shortest_cycle, random_graph
 
 
 def test_parse_three_cycle():
@@ -247,38 +248,14 @@ def test_max_acyclic_induced_on_every_small_digraph():
     assert graphs == 1 + 4 + 64 + 4096
 
 
-def _blocks_graph(rng, n):
-    """Random strongly connected blocks (a cycle through each block plus
-    chords) joined by edges from earlier blocks to later ones only, so
-    each block of two or more vertices is its own nontrivial strongly
-    connected component."""
-    order = rng.sample(range(1, n + 1), n)
-    cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(3, n - 1))))
-    blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
-    side = [set() for _ in range(n)]
-    for t, block in enumerate(blocks):
-        if len(block) > 1:
-            for a, b in zip(block, block[1:] + block[:1]):
-                side[a - 1].add(b)
-        for a in block:
-            for b in block:
-                if a != b and rng.random() < 0.25:
-                    side[a - 1].add(b)
-            for later in blocks[t + 1:]:
-                for b in later:
-                    if rng.random() < 0.2:
-                        side[a - 1].add(b)
-    return graph_from_side_info(side), sum(len(b) > 1 for b in blocks)
-
-
 def test_max_acyclic_induced_on_seeded_digraphs():
     rng = random.Random(43)
     several = 0
     for t in range(200):
         n = rng.randint(5, 8)
         if t % 2:
-            g, nontrivial = _blocks_graph(rng, n)
-            several += nontrivial >= 2
+            g, blocks = blocks_graph(rng, n)
+            several += sum(len(b) > 1 for b in blocks) >= 2
         else:
             g = random_graph(rng, n, edge_prob=rng.choice([0.15, 0.3, 0.5]))
         everything = range(1, n + 1)
@@ -288,6 +265,14 @@ def test_max_acyclic_induced_on_seeded_digraphs():
         some = [v for v in everything if rng.random() < 0.7]
         assert max_acyclic_induced(g, some) == mais(_mask(some)) == _brute_mais(g, some)
     assert several > 40
+
+
+def test_strongly_connected_components_are_the_blocks():
+    rng = random.Random(44)
+    for _ in range(100):
+        g, blocks = blocks_graph(rng, rng.randint(2, 9))
+        expected = sorted((frozenset(b) for b in blocks), key=min)
+        assert strongly_connected_components(g) == expected
 
 
 def test_max_acyclic_induced_keeps_its_own_stack():
