@@ -113,7 +113,8 @@ def minrank_bruteforce(
                 entries[(j - 1) * n + v - 1] = 1
             entries[(j - 1) * n + v - 1] = (-1) ** len(comp) % q
             continue
-        h, _ = induced_subgraph(g, vertices)
+        # A component spanning every vertex is g itself, in g's labels.
+        h = g if len(comp) == n else induced_subgraph(g, vertices)[0]
         free_rows = tuple(receiver_rows(h, 1, i)[1] for i in range(1, h.n + 1))
         # One sizer gives the stop and every floor, sharing one adjacency
         # and one memo of component values for this call.

@@ -15,10 +15,14 @@ a sum of m*n products of two symbols never carries into the next field.
 Encoding scales the packed rows by the message symbols and adds them:
 m*n big-int products over any field, in place of one dot product per
 column, so its cost hangs on the code's shape and hardly on q.  A plan
-entry keeps the support of its witness u with u's values there, so
-decoding a symbol takes two dot products, over the receiver's queries
-and over the side information that u reads.  Nothing is filled in on
-first use.
+records the side information of the graph it was verified on, and
+compiles each receiver against it: the common alpha length that its
+code check compares, and per entry u's values with the positions of u's
+support among the receiver's side values.  Decoding a symbol then takes
+the checks and two dot products, over the receiver's queries and over
+the side information that u reads; a plan refuses a graph whose K_i
+differs from the one it was verified on.  Nothing is filled in on first
+use.
 
 Receiver, message and codeword-column indices are 1-based; raw matrix
 coordinates are 0-based.
@@ -130,37 +134,70 @@ class PlanEntry:
 
     u is a vector supported on the receiver's side-information indices
     and alpha holds one coefficient per sorted query column, chosen so
-    that sum(alpha_k * L_k) == u + e_j.  Construction also keeps u's
-    support (0-based rows, ascending) and u's values there, which
-    decode_receiver reads; neither takes part in equality, hashing or
-    repr.
+    that sum(alpha_k * L_k) == u + e_j.
     """
 
     demand: int
     u: Vector
     alpha: tuple[int, ...]
-    _support: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _values: tuple[int, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        support = tuple(compress(count(), self.u))
-        object.__setattr__(self, "_support", support)
-        object.__setattr__(self, "_values", tuple(compress(self.u, self.u)))
 
 
 @dataclass(frozen=True)
 class DecodingPlan:
     """Decoding witnesses of every receiver: receivers[i-1] holds one
-    PlanEntry per demanded symbol of receiver i, in ascending order.
+    PlanEntry per demanded symbol of receiver i, in ascending order, and
+    side[i-1] is the side information K_i of the graph the witnesses
+    were found on.
 
-    decode_receiver rejects a plan whose entries for receiver i do not
-    demand exactly its own symbols with one alpha coefficient per query.
+    Construction compiles each receiver into what decode_receiver reads:
+    the common alpha length of its entries, -1 unless they demand
+    exactly its own m symbols in ascending order with equally many
+    coefficients, and per entry the triple (alpha, u's values, positions
+    of u's support in the receiver's side values), whose rows are m per
+    vertex of sorted(side[i-1]) as graphs.receiver_rows orders them; the
+    receiver's triples are None when some u reads a row outside them.
+    Neither takes part in equality, hashing or repr.  Raises ValueError
+    unless m and n are positive and side holds n sets.
     """
 
     q: int
     m: int
     n: int
     receivers: tuple[tuple[PlanEntry, ...], ...]
+    side: tuple[frozenset[int], ...]
+    _alpha_lengths: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _decoders: tuple[tuple[tuple[tuple[int, ...], ...], ...] | None, ...] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.m < 1 or self.n < 1:
+            raise ValueError("m and n must be positive")
+        if len(self.side) != self.n:
+            raise ValueError("one side-information set per receiver required")
+        m = self.m
+        lengths: list[int] = []
+        decoders: list = []
+        for first, entries, known in zip(count(1, m), self.receivers, self.side):
+            length = len(entries[0].alpha) if len(entries) == m else -1
+            for j, e in enumerate(entries, first):
+                if e.demand != j or len(e.alpha) != length:
+                    length = -1
+                    break
+            lengths.append(length)
+            # Vertex v (0-based) of K_i holds side values p*m .. p*m+m-1,
+            # p its rank in sorted K_i, so row s sits at s + shift[s // m].
+            shift = {j - 1: (p - j + 1) * m for p, j in enumerate(sorted(known))}
+            try:
+                decoders.append(tuple([
+                    (e.alpha, tuple(compress(e.u, e.u)),
+                     tuple([s + shift[s // m] for s in compress(count(), e.u)]))
+                    for e in entries
+                ]))
+            except KeyError:
+                decoders.append(None)
+        object.__setattr__(self, "_alpha_lengths", tuple(lengths))
+        object.__setattr__(self, "_decoders", tuple(decoders))
 
     def entries(self, i: int) -> tuple[PlanEntry, ...]:
         return self.receivers[i - 1]
@@ -266,7 +303,9 @@ def verify_decodable(
         receivers.append(tuple(entries))
     if failures:
         return DecodingFailure(tuple(failures))
-    return DecodingPlan(q=q, m=code.m, n=code.n, receivers=tuple(receivers))
+    return DecodingPlan(
+        q=q, m=code.m, n=code.n, receivers=tuple(receivers), side=g.side
+    )
 
 
 def require_plan(g: SideInformationGraph, code: IndexCode) -> DecodingPlan:
@@ -311,13 +350,17 @@ def decode_receiver(
     Returns the m demanded symbols in ascending index order; they equal
     the true symbols whenever the inputs come from an encoded message.
     Symbol j is sum(alpha_k * c_k) - sum(u_s * x_s) mod q, the second sum
-    over the support of u.
+    over the support of u, whose positions in side_values the plan
+    compiled when it was built: after the checks, each symbol is two dot
+    products, and nothing is expanded or looked up per call.
 
     Raises ValueError when the plan is not one of this code and graph:
     when its q, m or n differ, when receiver i's entries do not demand
     exactly its own symbols or do not hold one coefficient per query, or
-    when an entry's u reads a row outside receiver i's side information
-    in g.  A plan of another code of the same shape can pass these
+    when the plan's K_i is not g's K_i or an entry's u reads a row
+    outside it.  A plan therefore refuses a graph whose K_i differs from
+    the one it was verified on, even where u's support lies inside the
+    new K_i.  A plan of another code of the same shape can pass these
     checks and decode wrongly; ruling that out stays the caller's task.
     """
     _check_structure(g, code)
@@ -328,25 +371,20 @@ def decode_receiver(
     n_queries = len(code.queries[i - 1])
     if len(queried) != n_queries:
         raise ValueError(f"receiver {i} expects {n_queries} queried symbols")
-    side_rows = receiver_rows(g, code.m, i)[1]
-    if len(side_values) != len(side_rows):
-        raise ValueError(f"receiver {i} expects {len(side_rows)} side-info symbols")
-    entries = plan.receivers[i - 1]
-    first = (i - 1) * code.m + 1
-    if [(e.demand, len(e.alpha)) for e in entries] != [
-        (j, n_queries) for j in range(first, first + code.m)
-    ]:
+    n_side = code.m * len(g.side[i - 1])
+    if len(side_values) != n_side:
+        raise ValueError(f"receiver {i} expects {n_side} side-info symbols")
+    if plan._alpha_lengths[i - 1] != n_queries:
         raise ValueError("plan does not belong to this code")
-    known = dict(zip(side_rows, side_values)).__getitem__
-    q = code.q
-    try:
-        return tuple([
-            (sum(map(mul, e.alpha, queried))
-             - sum(map(mul, e._values, map(known, e._support)))) % q
-            for e in entries
-        ])
-    except KeyError:
-        raise ValueError("plan does not belong to this graph") from None
+    decoder = plan._decoders[i - 1]
+    if decoder is None or plan.side[i - 1] != g.side[i - 1]:
+        raise ValueError("plan does not belong to this graph")
+    known, q = side_values.__getitem__, code.q
+    return tuple([
+        (sum(map(mul, alpha, queried))
+         - sum(map(mul, values, map(known, positions)))) % q
+        for alpha, values, positions in decoder
+    ])
 
 
 def locality_profile(code: IndexCode) -> LocalityProfile:

@@ -60,7 +60,9 @@ class FqMatrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        if any(not (0 <= e < self.q) for e in self.entries):
+        if self.entries and not (
+            0 <= min(self.entries) and max(self.entries) < self.q
+        ):
             raise ValueError(f"entries must lie in [0, {self.q})")
 
     @classmethod
@@ -253,4 +255,4 @@ def unit_vector(n: int, position: int) -> Vector:
     """Standard basis vector with a 1 at the given 0-based position."""
     if not 0 <= position < n:
         raise ValueError("unit vector position out of range")
-    return tuple(1 if i == position else 0 for i in range(n))
+    return (0,) * position + (1,) + (0,) * (n - position - 1)

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import compress, count, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -128,7 +128,9 @@ def _reference_verify(g, code):
         receivers.append(tuple(entries))
     if failures:
         return DecodingFailure(tuple(failures))
-    return DecodingPlan(q=q, m=code.m, n=code.n, receivers=tuple(receivers))
+    return DecodingPlan(
+        q=q, m=code.m, n=code.n, receivers=tuple(receivers), side=g.side
+    )
 
 
 def _without_one_query(rng, code):
@@ -301,7 +303,9 @@ def test_decode_rejects_a_plan_of_another_code():
     # Receivers 2 and 3 both read two columns; with their entries swapped
     # the alpha lengths fit but the demands do not.
     r = plan.receivers
-    swapped = DecodingPlan(q=2, m=1, n=4, receivers=(r[0], r[2], r[1], r[3]))
+    swapped = DecodingPlan(
+        q=2, m=1, n=4, receivers=(r[0], r[2], r[1], r[3]), side=g.side
+    )
     c = encode(code, x)
     with pytest.raises(ValueError, match="plan does not belong to this code"):
         decode_receiver(g, code, swapped, 2, [c[0], c[1]], [x[2]])
@@ -310,9 +314,41 @@ def test_decode_rejects_a_plan_of_another_code():
     plan3 = require_plan(g3, vector)
     first, second = plan3.entries(1)
     cut = PlanEntry(demand=second.demand, u=second.u, alpha=second.alpha[:2])
-    short = DecodingPlan(q=2, m=2, n=3, receivers=((first, cut), *plan3.receivers[1:]))
+    short = DecodingPlan(
+        q=2, m=2, n=3, receivers=((first, cut), *plan3.receivers[1:]), side=g3.side
+    )
     with pytest.raises(ValueError, match="plan does not belong to this code"):
         decode_receiver(g3, vector, short, 1, [0, 0, 0], [0, 0])
+
+
+def test_decode_rejects_a_plan_of_a_graph_with_more_side_information():
+    # K_2 grows from {3} to {1, 3}: u of receiver 2 still reads only x_3,
+    # which g2 gives, but the plan was verified on another K_2.
+    g, code = cycle4()
+    plan = require_plan(g, code)
+    g2 = graph_from_side_info([{2}, {1, 3}, {4}, {1}])
+    (entry,) = plan.entries(2)
+    assert set(compress(count(), entry.u)) <= set(receiver_rows(g2, 1, 2)[1])
+    x = (1, 0, 1, 1)
+    c = encode(code, x)
+    side = [x[s] for s in receiver_rows(g2, 1, 2)[1]]
+    with pytest.raises(ValueError, match="plan does not belong to this graph"):
+        decode_receiver(g2, code, plan, 2, [c[k - 1] for k in code.query_list(2)], side)
+    # The receivers whose K_i is unchanged still decode.
+    for i in (1, 3, 4):
+        queried = [c[k - 1] for k in code.query_list(i)]
+        known = [x[s] for s in receiver_rows(g2, 1, i)[1]]
+        assert decode_receiver(g2, code, plan, i, queried, known) == (x[i - 1],)
+
+
+def test_plan_shape_is_validated():
+    g, code = cycle4()
+    plan = require_plan(g, code)
+    for side in (g.side[:3], g.side + (frozenset(),)):
+        with pytest.raises(ValueError, match="one side-information set per receiver"):
+            DecodingPlan(q=2, m=1, n=4, receivers=plan.receivers, side=side)
+    with pytest.raises(ValueError, match="m and n must be positive"):
+        DecodingPlan(q=2, m=0, n=4, receivers=plan.receivers, side=g.side)
 
 
 @st.composite
@@ -405,12 +441,21 @@ def test_compiled_round_trip(q, m, seed, data):
         tuple(x[j] % q for j in receiver_rows(g, m, i)[0]) for i in range(1, g.n + 1)
     ]
     assert _decode_all(g, code, plan, x) == want
-    entry = plan.receivers[0][0]
-    twin_entry = PlanEntry(demand=entry.demand, u=entry.u, alpha=entry.alpha)
-    object.__setattr__(twin_entry, "_support", ())
-    assert twin_entry == entry and hash(twin_entry) == hash(entry)
-    for name in ("_support", "_values"):
-        assert name not in repr(plan)
+    rebuilt = DecodingPlan(
+        q=plan.q, m=plan.m, n=plan.n, side=plan.side,
+        receivers=tuple(
+            tuple(PlanEntry(demand=e.demand, u=e.u, alpha=e.alpha) for e in entries)
+            for entries in plan.receivers
+        ),
+    )
+    assert _decode_all(g, code, rebuilt, x) == want
+    object.__setattr__(rebuilt, "_alpha_lengths", ())
+    object.__setattr__(rebuilt, "_decoders", ())
+    assert rebuilt == plan and hash(rebuilt) == hash(plan)
+    assert repr(rebuilt) == repr(plan) == (
+        f"DecodingPlan(q={plan.q!r}, m={plan.m!r}, n={plan.n!r}, "
+        f"receivers={plan.receivers!r}, side={plan.side!r})"
+    )
 
 
 def roundtrip_all_messages(g, code, limit=4096, rng_seed=11):

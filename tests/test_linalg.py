@@ -40,6 +40,22 @@ def test_matrix_validation():
         FqMatrix(2, 2, 3, (0, 1, 1))  # wrong entry count
     with pytest.raises(ValueError):
         FqMatrix(1, 2, 3, (0, 3))  # entry out of range
+    with pytest.raises(ValueError):
+        FqMatrix(1, 2, 3, (-1, 0))  # negative entry
+    assert FqMatrix(0, 0, 3, ()).entries == ()
+
+
+def test_unit_vector():
+    for n in range(1, 6):
+        for position in range(n):
+            assert unit_vector(n, position) == tuple(
+                1 if i == position else 0 for i in range(n)
+            )
+        for position in (-1, n):
+            with pytest.raises(ValueError, match="out of range"):
+                unit_vector(n, position)
+    with pytest.raises(ValueError, match="out of range"):
+        unit_vector(0, 0)
 
 
 def test_rank_identity():
