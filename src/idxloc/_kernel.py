@@ -6,7 +6,9 @@ tuples (entry ``r`` at 0-based row ``r``) and query sets as tuples of
 positions; the kernel's own vector formats stay inside this module.
 ``_vector_format`` picks int bitmasks for q = 2 and digit tuples for odd
 primes, once per set of tables or min-rank search; results, including
-enumeration order and tie-breaking, are the same for both.
+enumeration order and tie-breaking, are the same for both.  Each format
+has one pivot rule, the lowest nonzero row, and one reduction loop,
+``reduce``, which both the min-rank search and the span transitions call.
 
 Decodability has one test, a table of span transitions per receiver.
 ``receiver_tables`` projects the candidate columns once per search and
@@ -20,8 +22,9 @@ query sets of one receiver, so all of them share one table per receiver
 for as long as the search keeps its tables.  A search sizes each
 receiver's least query set with ``first_query_set`` and builds the
 witness query sets with ``min_query_sets`` only for the encoders it
-keeps.  ``minrank_dfs`` fills fitting matrices column by column on an
-incremental echelon basis.  It keeps the mask of rows that some chosen
+keeps.  ``minrank_dfs`` fills fitting matrices column by column,
+reducing each column against the prefix's reduced columns, a list cut
+back on backtracking.  It keeps the mask of rows that some chosen
 column touches, and descends into a column only while the prefix rank
 plus a floor on the untouched rows, a bound from the caller on the rank
 of the later columns there, is below the best rank: the chosen columns
@@ -52,75 +55,25 @@ __all__ = [
 ]
 
 
-class _BitBasis:
-    """Incremental GF(2) echelon basis on int bitmasks, keyed by highest
-    set bit.  ``push`` returns a token, or None when the vector is already
-    in the span; ``pop(token)`` undoes the latest push not yet undone."""
-
-    __slots__ = ("pivots",)
-
-    def __init__(self):
-        self.pivots: dict[int, int] = {}
-
-    def push(self, v: int):
-        pivots = self.pivots
-        while v:
-            h = v.bit_length() - 1
-            b = pivots.get(h)
-            if b is None:
-                pivots[h] = v
-                return h
-            v ^= b
-        return None
-
-    def pop(self, token) -> None:
-        if token is not None:
-            del self.pivots[token]
-
-
-class _DigitBasis:
-    """Incremental F_q echelon basis on digit sequences, same contract as
-    ``_BitBasis``.  Every basis vector has pivot entry 1 and zeros at the
-    pivots of the vectors pushed before it, so one pass in push order
-    reduces a new vector."""
-
-    __slots__ = ("q", "rows")
-
-    def __init__(self, q: int):
-        self.q = q
-        self.rows = []  # (vector, pivot) in push order
-
-    def push(self, vec):
-        q = self.q
-        for bvec, bp in self.rows:
-            f = vec[bp]
-            if f:
-                vec = [(a - f * b) % q for a, b in zip(vec, bvec)]
-        for piv, x in enumerate(vec):
-            if x:
-                if x != 1:
-                    inv = pow(x, -1, q)
-                    vec = [(y * inv) % q for y in vec]
-                self.rows.append((vec, piv))
-                return piv
-        return None
-
-    def pop(self, token) -> None:
-        if token is not None:
-            self.rows.pop()
-
-
 def _vector_format(q: int):
-    """(new_basis, span_with, entry, join, unpack) for vectors over F_q:
-    int bitmasks, entry t at bit t, for q = 2 and digit tuples otherwise.
-    span_with is the canonical-span step of ``_Transitions``.  join builds
-    a vector from the values entry(t, d) of its digits d, last row first;
-    unpack(v, n) returns the n digits of v."""
+    """(reduce, span_with, entry, join, unpack) for vectors over F_q: int
+    bitmasks, entry t at bit t, for q = 2 and digit tuples otherwise.
+
+    Every vector pivots on its lowest nonzero row: a bitmask on its lowest
+    set bit, a digit tuple on its first nonzero index, scaled so that entry
+    is 1.  reduce(basis, v) makes one pass over a basis in which each
+    vector is 0 at the pivots of the vectors before it, a push-order list
+    and a fully reduced span alike, and returns a falsy value iff v lies in
+    the span; otherwise the reduced v, a bitmask or a (pivot, digit tuple)
+    pair, which is 0 at every pivot of the basis.  span_with is the
+    canonical-span step of ``_Transitions``.  join builds a vector from the
+    values entry(t, d) of its digits d, last row first; unpack(v, n)
+    returns the n digits of v."""
     if q == 2:
-        return _BitBasis, _bit_span_with, lambda t, d: d << t, sum, _bits
+        return _bit_reduce, _bit_span_with, lambda t, d: d << t, sum, _bits
     reverse = itemgetter(slice(None, None, -1))
     return (
-        partial(_DigitBasis, q), partial(_digit_span_with, q),
+        partial(_digit_reduce, q), partial(_digit_span_with, q),
         lambda t, d: d, reverse, lambda v, n: v,
     )
 
@@ -129,39 +82,50 @@ def _bits(v: int, n: int) -> tuple[int, ...]:
     return tuple(v >> t & 1 for t in range(n))
 
 
-def _bit_span_with(span, v):
-    """Fully reduced echelon basis of span + v, and the pivot v adds, or
-    None when v is in span.  span: the basis, ascending int bitmasks, each
-    pivoting on its highest set bit, which every other one leaves 0."""
-    for b in span:
-        if v >> (b.bit_length() - 1) & 1:
+def _bit_reduce(basis, v: int) -> int:
+    for b in basis:
+        if v & b & -b:
             v ^= b
-    if not v:
-        return None
-    h = v.bit_length() - 1
-    return tuple(sorted([b ^ v if b >> h & 1 else b for b in span] + [v])), h
+    return v
 
 
-def _digit_span_with(q, span, v):
-    """``_bit_span_with`` over F_q on digit tuples.  span: ascending
-    (pivot, vector) pairs, each vector pivoting on its last nonzero entry,
-    which is 1 and which every other one leaves 0."""
-    for p, b in span:
+def _digit_reduce(q, basis, v):
+    for p, b in basis:
         f = v[p]
         if f:
             v = [(x - f * y) % q for x, y in zip(v, b)]
-    h = len(v) - 1
-    while h >= 0 and not v[h]:
-        h -= 1
-    if h < 0:
+    for p, x in enumerate(v):
+        if x:
+            if x != 1:
+                inv = pow(x, -1, q)
+                return p, tuple(y * inv % q for y in v)
+            return p, tuple(v)
+    return None
+
+
+def _bit_span_with(span, v):
+    """Fully reduced echelon basis of span + v, and the pivot v adds, or
+    None when v is in span.  span: the basis, ascending int bitmasks."""
+    v = _bit_reduce(span, v)
+    if not v:
         return None
-    inv = pow(v[h], -1, q)
-    v = tuple(x * inv % q for x in v)
+    h = v & -v
+    span = tuple(sorted([b ^ v if b & h else b for b in span] + [v]))
+    return span, h.bit_length() - 1
+
+
+def _digit_span_with(q, span, v):
+    """``_bit_span_with`` over F_q on digit tuples.  span: the basis,
+    ascending (pivot, vector) pairs."""
+    grown = _digit_reduce(q, span, v)
+    if grown is None:
+        return None
+    h, v = grown
     rows = [
         (p, tuple((x - b[h] * y) % q for x, y in zip(b, v))) if b[h] else (p, b)
         for p, b in span
     ]
-    return tuple(sorted(rows + [(h, v)])), h
+    return tuple(sorted(rows + [grown])), h
 
 
 class _Transitions:
@@ -170,18 +134,21 @@ class _Transitions:
 
     A state is a subspace of the receiver's proj span, numbered in order
     of discovery from 0, the zero space, and keyed by its fully reduced
-    echelon basis.  The demand rows are proj's lowest entries and every
-    basis vector pivots on its highest nonzero entry, so the vectors
-    pivoting on a demand row span exactly the part of the state that is
-    zero off the demand rows, and gaps[s], |demand rows| less their
-    number, is the receiver's gap |demands| - (rank A - rank B).
-    rows[s][k] is the state that column k leads to from s, or None until
-    ``step`` computes it."""
+    echelon basis.  The demand rows are proj's highest entries, from
+    index ``threshold`` on, and every basis vector pivots on its lowest
+    nonzero entry, so the vectors pivoting on a demand row span exactly
+    the part of the state that is zero off the demand rows, and gaps[s],
+    |demand rows| less their number, is the receiver's gap
+    |demands| - (rank A - rank B).  rows[s][k] is the state that column
+    k leads to from s, or None until ``step`` computes it."""
 
-    __slots__ = ("demands", "proj", "span_with", "spans", "index", "gaps", "rows")
+    __slots__ = (
+        "demands", "threshold", "proj", "span_with", "spans", "index", "gaps", "rows"
+    )
 
-    def __init__(self, demands, proj, span_with):
+    def __init__(self, demands, threshold, proj, span_with):
         self.demands = demands
+        self.threshold = threshold
         self.proj = proj
         self.span_with = span_with
         self.spans = [()]
@@ -206,7 +173,7 @@ class _Transitions:
             if t is None:
                 t = self.index[span] = len(self.spans)
                 self.spans.append(span)
-                self.gaps.append(self.gaps[s] - (pivot < self.demands))
+                self.gaps.append(self.gaps[s] - (pivot >= self.threshold))
                 self.rows.append(None)
         self.rows[s][k] = t
         return t
@@ -228,7 +195,9 @@ def receiver_tables(columns, q, rows):
     receiver, its (demand rows, side rows) from ``graphs.receiver_rows``,
     0-based.  A table's ``demands`` is |demand rows| and its ``proj[k]``
     is column k with the receiver's side rows removed, hashable, with the
-    demand rows as its lowest entries.  Receiver i decodes from a column
+    other rows first and the demand rows last, as its highest entries,
+    so that they are the pivots of the part of a span that is zero off
+    them (see ``_Transitions``).  Receiver i decodes from a column
     set T iff rank(proj[T]) - rank(proj_b[T]) == |demand rows|, where
     proj_b drops the demand rows from proj as well.  Each table is empty
     when built and fills in as the enumerators of this module walk it, so
@@ -240,11 +209,12 @@ def receiver_tables(columns, q, rows):
     tables = []
     for demand_rows, side_rows in rows:
         keep = [
-            *demand_rows,
             *(r for r in range(mn) if r not in side_rows and r not in demand_rows),
+            *demand_rows,
         ]
         proj = _project(entry, join, q, columns, keep)
-        tables.append(_Transitions(len(demand_rows), proj, span_with))
+        threshold = len(keep) - len(demand_rows)
+        tables.append(_Transitions(len(demand_rows), threshold, proj, span_with))
     return tables
 
 
@@ -359,6 +329,12 @@ def minrank_dfs(n: int, q: int, free_rows, stop: int, floor):
     minimum-rank matrix in counter order; stop 1 and a floor of 0 cut
     only at rank 1.
 
+    The prefix's rank is kept as a plain list of its reduced columns,
+    each pivoting on its lowest nonzero row: a column is reduced against
+    it once, the rank with the column is the list's length plus 1 when
+    the reduced column is nonzero, a descent appends that column, and
+    backtracking cuts the list back to the length it had.
+
     Returns (minrank, witness columns as digit tuples).
     """
     best = n + 1
@@ -367,14 +343,12 @@ def minrank_dfs(n: int, q: int, free_rows, stop: int, floor):
     full = (1 << n) - 1
     floors = {}  # untouched mask -> floor(mask)
 
-    # An incremental basis, pushed and popped along the DFS, costs one
-    # reduction per column instead of re-eliminating the whole prefix.
-    # Unlike the encoder searches it keeps no table of span transitions:
-    # its spans are subspaces of F_q^n, too many to tabulate once n is
-    # more than a few.
-    new_basis, _, entry, join, unpack = _vector_format(q)
-    basis = new_basis()
-    push, pop = basis.push, basis.pop
+    # One reduction per column against the prefix's reduced columns,
+    # instead of re-eliminating the whole prefix.  Unlike the encoder
+    # searches it keeps no table of span transitions: its spans are
+    # subspaces of F_q^n, too many to tabulate once n is more than a few.
+    reduce, _, entry, join, unpack = _vector_format(q)
+    basis = []
     # Per column, the values each entry may take, last row first, since
     # product() steps its last factor fastest; tuples, which product()
     # takes without copying.
@@ -398,15 +372,16 @@ def minrank_dfs(n: int, q: int, free_rows, stop: int, floor):
 
     # Depth-first over columns without recursion, so n is not bounded by
     # the interpreter's recursion limit: each open depth above the
-    # current one keeps its candidate iterator, its prefix rank, the rows
-    # its prefix touches and the token of the column it descended through.
+    # current one keeps its candidate iterator, the rows its prefix
+    # touches and its prefix rank, the length the basis is cut back to
+    # when the search returns there.
     stack = []
-    depth, partial_rank, touched = 0, 0, 0
+    depth, touched = 0, 0
     candidates = map(join, product(*factors[0]))
     while best > stop:
         for col in candidates:
-            h = push(col)
-            rank = partial_rank if h is None else partial_rank + 1
+            v = reduce(basis, col)
+            rank = len(basis) + 1 if v else len(basis)
             if rank < best:
                 after = touched | (col if support is None else support(col))
                 low = floors.get(after)
@@ -415,19 +390,20 @@ def minrank_dfs(n: int, q: int, free_rows, stop: int, floor):
                 if rank + low < best:
                     cols[depth] = col
                     if depth + 1 < n:
-                        stack.append((candidates, partial_rank, touched, h))
-                        depth, partial_rank, touched = depth + 1, rank, after
+                        stack.append((candidates, touched, len(basis)))
+                        if v:
+                            basis.append(v)
+                        depth, touched = depth + 1, after
                         candidates = map(join, product(*factors[depth]))
                         break
                     best = rank
                     best_cols = tuple(cols)
-            pop(h)
-            if best <= stop:
-                break
+                    if best <= stop:
+                        break
         else:
             if not stack:
                 break
-            candidates, partial_rank, touched, h = stack.pop()
+            candidates, touched, rank = stack.pop()
+            del basis[rank:]
             depth -= 1
-            pop(h)
     return best, tuple(unpack(col, n) for col in best_cols)

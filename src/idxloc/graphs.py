@@ -220,16 +220,13 @@ def acyclic_sizer(g: SideInformationGraph) -> Callable[[int], int]:
     mask is the int bitmask of the vertices (bit v - 1 for vertex v), for
     many vertex sets of one graph: its calls share one bitmask adjacency
     and one memo, since a component's value depends only on its vertices.
-    Every vertex outside g's core lies on no cycle of g, so it is peeled
-    from every set in one step."""
+    Each set is peeled to its own core by ``_mais``, so vertices on no
+    cycle cost no search."""
     succ, pred = _adjacency(g)
     memo: dict[int, int] = {}
-    full = (1 << g.n) - 1
-    dead = full ^ _core(succ, pred, full)
 
     def size(mask: int) -> int:
-        peeled = mask & dead
-        return peeled.bit_count() + _mais(succ, pred, mask ^ peeled, memo)
+        return _mais(succ, pred, mask, memo)
 
     return size
 

@@ -158,6 +158,59 @@ def test_min_query_sets_respects_cap():
             assert all(len(first) <= cap for first in a)
 
 
+def test_reduce_is_falsy_exactly_on_the_span():
+    # Bases in push order, as minrank_dfs keeps them, and fully reduced
+    # spans, as the transitions key them, against linalg's span test.
+    rng = random.Random(21)
+    for q in (2, 3, 5):
+        reduce, span_with, entry, join, _ = _kernel._vector_format(q)
+
+        def pack(digits):
+            # join takes the entry values last row first.
+            return join(tuple(entry(t, d) for t, d in reversed(list(enumerate(digits)))))
+
+        def pivot(v):
+            if q == 2:
+                return (v & -v).bit_length() - 1
+            return v[0]
+
+        for _ in range(80):
+            n = rng.randint(1, 5)
+            gens = [
+                tuple(rng.randrange(q) for _ in range(n))
+                for _ in range(rng.randint(0, 4))
+            ]
+            pushed, span = [], ()
+            for g in gens:
+                v = reduce(pushed, pack(g))
+                if v:
+                    pushed.append(v)
+                grown = span_with(span, pack(g))
+                if grown is not None:
+                    span = grown[0]
+            assert len(pushed) == len(span)
+            for _ in range(12):
+                if gens and rng.random() < 0.5:
+                    coeffs = [rng.randrange(q) for _ in gens]
+                    target = tuple(
+                        sum(c * g[r] for c, g in zip(coeffs, gens)) % q for r in range(n)
+                    )
+                else:
+                    target = tuple(rng.randrange(q) for _ in range(n))
+                if gens:
+                    inside = solve_in_span(gens, target, q) is not None
+                else:
+                    inside = not any(target)
+                for basis in (pushed, span):
+                    v = reduce(basis, pack(target))
+                    assert (not v) == inside
+                    if v:
+                        p = pivot(v)
+                        digits = v[1] if q != 2 else _kernel._bits(v, n)
+                        assert digits[p] == 1 and not any(digits[:p])
+                        assert p not in {pivot(b) for b in basis}
+
+
 def test_minrank_dfs_witness_rank_matches():
     rng = random.Random(78)
     for _ in range(40):
@@ -180,15 +233,15 @@ def test_minrank_dfs_floor_cuts_on_a_zero_free_entry(monkeypatch):
     # first matrix found, the identity, so the branch is cut.
     g = directed_cycle(4)
     free = tuple(receiver_rows(g, 1, i)[1] for i in range(1, 5))
-    pushes = 0
-    push = _kernel._BitBasis.push
+    reductions = 0
+    reduce = _kernel._bit_reduce
 
-    def counting_push(self, v):
-        nonlocal pushes
-        pushes += 1
-        return push(self, v)
+    def counting_reduce(basis, v):
+        nonlocal reductions
+        reductions += 1
+        return reduce(basis, v)
 
-    monkeypatch.setattr(_kernel._BitBasis, "push", counting_push)
+    monkeypatch.setattr(_kernel, "_bit_reduce", counting_reduce)
     mais = acyclic_sizer(g)
     asked = {}
 
@@ -197,11 +250,11 @@ def test_minrank_dfs_floor_cuts_on_a_zero_free_entry(monkeypatch):
         return mais(untouched)
 
     value, columns = _kernel.minrank_dfs(4, 2, free, 3, floor)
-    cut_pushes, pushes = pushes, 0
+    cut_reductions, reductions = reductions, 0
     assert (value, columns) == _kernel.minrank_dfs(4, 2, free, 3, lambda untouched: 0)
     assert value == 3
     assert columns == ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))
-    assert (cut_pushes, pushes) == (20, 30)
+    assert (cut_reductions, reductions) == (20, 30)
     # Rows 1, 2 and 3 untouched after column 0 set its free entry to 0:
     # a path, floor 3, and 1 + 3 reaches the identity's rank 4.
     assert asked[0b1110] == 1 and mais(0b1110) == 3
