@@ -32,6 +32,7 @@ from .bounds import (
 from .codes import (
     DecodingFailure,
     IndexCode,
+    LocalityProfile,
     _normalize_unique_columns,
     load_code,
     locality_profile,
@@ -100,17 +101,13 @@ def _load_code(path: str) -> IndexCode:
         raise CliError(f"cannot load code file: {exc}") from exc
 
 
-def _profile_line(code: IndexCode) -> str:
-    p = locality_profile(code)
+def _profile_line(p: LocalityProfile) -> str:
     return f"beta={fmt_frac(p.beta)} r={fmt_frac(p.r)} r_avg={fmt_frac(p.r_avg)}"
 
 
 def cmd_minrank(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    try:
-        value, witness = minrank_bruteforce(g, args.q, args.budget)
-    except BudgetExceededError as exc:
-        raise CliError(str(exc), EXIT_BUDGET) from exc
+    value, witness = minrank_bruteforce(g, args.q, args.budget)
     out = args.out
     if out is None:
         out = str(Path(args.graph).with_suffix("")) + "_minrank_witness.json"
@@ -150,7 +147,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise CliError(str(exc)) from exc
     save_code(code, args.out)
-    print(_profile_line(code))
+    print(_profile_line(locality_profile(code)))
     return EXIT_OK
 
 
@@ -167,7 +164,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"undecodable receiver={i} symbol={j}")
         return EXIT_FAIL
     print("PASS")
-    print(_profile_line(code))
+    print(_profile_line(locality_profile(code)))
     sizes = " ".join(str(len(r)) for r in code.queries)
     print(f"queries_per_receiver={sizes}")
     report = converse_checks(g, code, result, args.budget)
@@ -187,9 +184,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    code = _load_code(args.code)
-    print(_profile_line(code))
-    p = locality_profile(code)
+    p = locality_profile(_load_code(args.code))
+    print(_profile_line(p))
     per = " ".join(fmt_frac(x) for x in p.per_receiver)
     print(f"r_i={per}")
     return EXIT_OK
@@ -220,19 +216,14 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     points: list[ParetoPoint] = []
-    try:
-        for ell in range(1, args.ell + 1):
-            if args.m == 1:
-                found = exhaustive_scalar_search(
-                    g, args.q, ell, args.r, args.budget
-                )
-            else:
-                found = exhaustive_vector_search(
-                    g, args.q, args.m, ell, args.r, args.budget
-                )
-            points.extend(found)
-    except BudgetExceededError as exc:
-        raise CliError(str(exc), EXIT_BUDGET) from exc
+    for ell in range(1, args.ell + 1):
+        if args.m == 1:
+            found = exhaustive_scalar_search(g, args.q, ell, args.r, args.budget)
+        else:
+            found = exhaustive_vector_search(
+                g, args.q, args.m, ell, args.r, args.budget
+            )
+        points.extend(found)
     merged = pareto_merge(points)
     out_path = Path(args.out)
     lines = ["beta,r,r_avg,witness_file"]
@@ -260,7 +251,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(f"normalize failed: {exc}") from exc
     save_code(normalized, args.out)
-    print(_profile_line(normalized))
+    print(_profile_line(locality_profile(normalized)))
     return EXIT_OK
 
 
@@ -342,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except OSError as exc:  # reads are reported where they happen
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT

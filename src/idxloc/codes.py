@@ -8,21 +8,20 @@ decoding, locality accounting, query pruning, the support normalization
 of receiver-unique columns, and the fitting matrix extracted from a
 scalar decoding plan.
 
-Codes and plans are compiled once, when they are built, into the forms
-that encoding and decoding read.  A code keeps each encoder row packed
-into one int, column k in the k-th field of w bytes, w wide enough that
-a sum of m*n products of two symbols never carries into the next field.
-Encoding scales the packed rows by the message symbols and adds them:
-m*n big-int products over any field, in place of one dot product per
-column, so its cost hangs on the code's shape and hardly on q.  A plan
-records the side information of the graph it was verified on, and
-compiles each receiver against it: the common alpha length that its
-code check compares, and per entry u's values with the positions of u's
-support among the receiver's side values.  Decoding a symbol then takes
-the checks and two dot products, over the receiver's queries and over
-the side information that u reads; a plan refuses a graph whose K_i
-differs from the one it was verified on.  Nothing is filled in on first
-use.
+A code is compiled once, when it is built, into the form that encoding
+reads: each encoder row packed into one int, column k in the k-th field
+of w bytes, w wide enough that a sum of m*n products of two symbols
+never carries into the next field.  Encoding scales the packed rows by
+the message symbols and adds them: m*n big-int products over any field,
+in place of one dot product per column, so its cost hangs on the code's
+shape and hardly on q.  A plan holds exactly the functional each
+receiver evaluates: per demanded symbol, one alpha coefficient per
+sorted query column and one u coefficient per side-information row, in
+graphs.receiver_rows order.  It records the side information of the
+graph it was verified on and is validated when built, so decoding a
+symbol takes the checks and two dot products, over the receiver's
+queries and over its side values, and a plan refuses a graph whose K_i
+differs from the one it was verified on.
 
 Receiver, message and codeword-column indices are 1-based; raw matrix
 coordinates are 0-based.
@@ -132,9 +131,10 @@ class IndexCode:
 class PlanEntry:
     """Decoding witness for one demanded symbol j of receiver i.
 
-    u is a vector supported on the receiver's side-information indices
-    and alpha holds one coefficient per sorted query column, chosen so
-    that sum(alpha_k * L_k) == u + e_j.
+    alpha holds one coefficient per sorted query column and u one per
+    side-information row s_1, s_2, ... of receiver i, in the order of
+    graphs.receiver_rows, chosen so that
+    sum(alpha_k * L_k) == e_j + sum(u_t * e_{s_t}).
     """
 
     demand: int
@@ -149,15 +149,11 @@ class DecodingPlan:
     side[i-1] is the side information K_i of the graph the witnesses
     were found on.
 
-    Construction compiles each receiver into what decode_receiver reads:
-    the common alpha length of its entries, -1 unless they demand
-    exactly its own m symbols in ascending order with equally many
-    coefficients, and per entry the triple (alpha, u's values, positions
-    of u's support in the receiver's side values), whose rows are m per
-    vertex of sorted(side[i-1]) as graphs.receiver_rows orders them; the
-    receiver's triples are None when some u reads a row outside them.
-    Neither takes part in equality, hashing or repr.  Raises ValueError
-    unless m and n are positive and side holds n sets.
+    A plan is validated when built.  Raises ValueError unless m and n
+    are positive, side and receivers hold one item per receiver, the
+    entries of receiver i demand exactly its own m symbols in ascending
+    order and hold equally many alpha coefficients, and each entry's u
+    holds m * |K_i| coefficients.
     """
 
     q: int
@@ -165,39 +161,29 @@ class DecodingPlan:
     n: int
     receivers: tuple[tuple[PlanEntry, ...], ...]
     side: tuple[frozenset[int], ...]
-    _alpha_lengths: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _decoders: tuple[tuple[tuple[tuple[int, ...], ...], ...] | None, ...] = field(
-        init=False, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
         if len(self.side) != self.n:
             raise ValueError("one side-information set per receiver required")
+        if len(self.receivers) != self.n:
+            raise ValueError("one tuple of entries per receiver required")
         m = self.m
-        lengths: list[int] = []
-        decoders: list = []
-        for first, entries, known in zip(count(1, m), self.receivers, self.side):
-            length = len(entries[0].alpha) if len(entries) == m else -1
-            for j, e in enumerate(entries, first):
-                if e.demand != j or len(e.alpha) != length:
-                    length = -1
-                    break
-            lengths.append(length)
-            # Vertex v (0-based) of K_i holds side values p*m .. p*m+m-1,
-            # p its rank in sorted K_i, so row s sits at s + shift[s // m].
-            shift = {j - 1: (p - j + 1) * m for p, j in enumerate(sorted(known))}
-            try:
-                decoders.append(tuple([
-                    (e.alpha, tuple(compress(e.u, e.u)),
-                     tuple([s + shift[s // m] for s in compress(count(), e.u)]))
-                    for e in entries
-                ]))
-            except KeyError:
-                decoders.append(None)
-        object.__setattr__(self, "_alpha_lengths", tuple(lengths))
-        object.__setattr__(self, "_decoders", tuple(decoders))
+        # Receiver i demands the m symbols after those of receiver i-1.
+        for i, first, entries, known in zip(
+            count(1), count(1, m), self.receivers, self.side
+        ):
+            if [e.demand for e in entries] != list(range(first, first + m)):
+                raise ValueError(
+                    f"receiver {i} must demand its own symbols in ascending order"
+                )
+            if len({len(e.alpha) for e in entries}) != 1:
+                raise ValueError(f"receiver {i} entries hold unequal alpha lengths")
+            if any(len(e.u) != m * len(known) for e in entries):
+                raise ValueError(
+                    f"receiver {i} entries need {m * len(known)} u coefficients"
+                )
 
     def entries(self, i: int) -> tuple[PlanEntry, ...]:
         return self.receivers[i - 1]
@@ -295,11 +281,8 @@ def verify_decodable(
             if sol is None:
                 failures.append((i, j + 1))
                 continue
-            alpha = sol[: len(cols)]
-            u = [0] * mn
-            for s, c in zip(side_rows, sol[len(cols) :]):
-                u[s] = (-c) % q
-            entries.append(PlanEntry(demand=j + 1, u=tuple(u), alpha=tuple(alpha)))
+            u = tuple((-c) % q for c in sol[len(cols) :])
+            entries.append(PlanEntry(demand=j + 1, u=u, alpha=tuple(sol[: len(cols)])))
         receivers.append(tuple(entries))
     if failures:
         return DecodingFailure(tuple(failures))
@@ -349,19 +332,17 @@ def decode_receiver(
     side_values with its side rows from graphs.receiver_rows.
     Returns the m demanded symbols in ascending index order; they equal
     the true symbols whenever the inputs come from an encoded message.
-    Symbol j is sum(alpha_k * c_k) - sum(u_s * x_s) mod q, the second sum
-    over the support of u, whose positions in side_values the plan
-    compiled when it was built: after the checks, each symbol is two dot
-    products, and nothing is expanded or looked up per call.
+    Symbol j is sum(alpha_k * c_k) - sum(u_t * x_{s_t}) mod q: after the
+    checks, two dot products, and nothing is expanded or looked up per
+    call.
 
     Raises ValueError when the plan is not one of this code and graph:
-    when its q, m or n differ, when receiver i's entries do not demand
-    exactly its own symbols or do not hold one coefficient per query, or
-    when the plan's K_i is not g's K_i or an entry's u reads a row
-    outside it.  A plan therefore refuses a graph whose K_i differs from
-    the one it was verified on, even where u's support lies inside the
-    new K_i.  A plan of another code of the same shape can pass these
-    checks and decode wrongly; ruling that out stays the caller's task.
+    when its q, m or n differ, when receiver i's entries do not hold one
+    coefficient per query, or when the plan's K_i is not g's K_i.  A
+    plan therefore refuses a graph whose K_i differs from the one it was
+    verified on.  A plan of another code of the same shape can pass
+    these checks and decode wrongly; ruling that out stays the caller's
+    task.
     """
     _check_structure(g, code)
     if plan.q != code.q or plan.m != code.m or plan.n != code.n:
@@ -374,16 +355,15 @@ def decode_receiver(
     n_side = code.m * len(g.side[i - 1])
     if len(side_values) != n_side:
         raise ValueError(f"receiver {i} expects {n_side} side-info symbols")
-    if plan._alpha_lengths[i - 1] != n_queries:
+    entries = plan.receivers[i - 1]
+    if len(entries[0].alpha) != n_queries:
         raise ValueError("plan does not belong to this code")
-    decoder = plan._decoders[i - 1]
-    if decoder is None or plan.side[i - 1] != g.side[i - 1]:
+    if plan.side[i - 1] != g.side[i - 1]:
         raise ValueError("plan does not belong to this graph")
-    known, q = side_values.__getitem__, code.q
+    q = code.q
     return tuple([
-        (sum(map(mul, alpha, queried))
-         - sum(map(mul, values, map(known, positions)))) % q
-        for alpha, values, positions in decoder
+        (sum(map(mul, e.alpha, queried)) - sum(map(mul, e.u, side_values))) % q
+        for e in entries
     ])
 
 
@@ -506,7 +486,9 @@ def fitting_matrix_from_plan(
     g: SideInformationGraph, code: IndexCode, plan: DecodingPlan
 ) -> FittingMatrix:
     """Stack the witnesses u_i + e_i of a scalar (m = 1) plan into an
-    n-by-n matrix fitting the graph."""
+    n-by-n matrix fitting the graph: column i holds 1 at row i and u's
+    coefficients at the rows of the sorted vertices of plan.side[i-1],
+    which are receiver i's side rows at m = 1."""
     if code.m != 1:
         raise ValueError("fitting matrices are a scalar-code concept (m must be 1)")
     _check_structure(g, code)
@@ -515,7 +497,9 @@ def fitting_matrix_from_plan(
     columns = []
     for i in range(1, code.n + 1):
         (entry,) = plan.entries(i)
-        col = list(entry.u)
+        col = [0] * code.n
+        for v, c in zip(sorted(plan.side[i - 1]), entry.u):
+            col[v - 1] = c
         col[i - 1] = (col[i - 1] + 1) % code.q
         columns.append(tuple(col))
     fm = FittingMatrix(FqMatrix.from_columns(columns, code.n, code.q))

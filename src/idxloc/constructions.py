@@ -96,7 +96,6 @@ def time_share(
             raise ValueError("codes must share the instance's receiver count")
         require_plan(g, c)
     m_total = sum(c.m for c in codes)
-    ell_total = sum(c.ell for c in codes)
     mn = m_total * g.n
 
     columns: list[Vector] = []
@@ -104,14 +103,17 @@ def time_share(
     col_offset = 0
     m_offset = 0
     for c in codes:
+        # Row t of receiver i's block in code c is row m_offset + t of its
+        # block in the combined code.
+        lift = [0] * (c.m * g.n)
+        for i in range(1, g.n + 1):
+            combined = receiver_rows(g, m_total, i)[0][m_offset:]
+            for r, row in zip(receiver_rows(g, c.m, i)[0], combined):
+                lift[r] = row
         for k in range(1, c.ell + 1):
-            part = c.column_vector(k)
             lifted = [0] * mn
-            for i in range(1, g.n + 1):
-                for t in range(1, c.m + 1):
-                    lifted[(i - 1) * m_total + m_offset + t - 1] = part[
-                        (i - 1) * c.m + t - 1
-                    ]
+            for r, v in zip(lift, c.column_vector(k)):
+                lifted[r] = v
             columns.append(tuple(lifted))
         for i in range(1, g.n + 1):
             queries[i - 1].update(col_offset + k for k in c.queries[i - 1])

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import compress, count, product
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -52,7 +52,9 @@ def test_verify_cycle_code_witnesses():
     # Receiver 2 queries columns 1 and 2 with coefficients (1, q-1).
     (entry,) = plan.entries(2)
     assert entry.alpha == (1, 1)  # q = 2, so q-1 = 1
-    assert set(s + 1 for s in range(4) if entry.u[s]) <= {3}
+    # c_1 + c_2 = x_2 + x_3: u holds one coefficient, for x_3.
+    assert plan.side[1] == {3}
+    assert entry.u == (1,)
 
 
 def test_verify_cycle_code_witnesses_f3():
@@ -96,7 +98,8 @@ def _reference_verify(g, code):
     side-info unit vectors] keeps each generator outside the span of the
     ones kept before it, each demand unit vector is solved uniquely in
     that basis, and the coefficients are scattered back with zeros on the
-    generators left out."""
+    generators left out.  u negates the side-info coefficients, one per
+    side row."""
     mn, q = code.m * code.n, code.q
     failures, receivers = [], []
     for i in range(1, code.n + 1):
@@ -119,11 +122,9 @@ def _reference_verify(g, code):
             coeffs = [0] * len(gens)
             for b, c in zip(basis, sol):
                 coeffs[b] = c
-            u = [0] * mn
-            for s, c in zip(side_rows, coeffs[len(cols):]):
-                u[s] = (-c) % q
+            u = tuple((-c) % q for c in coeffs[len(cols):])
             entries.append(
-                PlanEntry(demand=j + 1, u=tuple(u), alpha=tuple(coeffs[: len(cols)]))
+                PlanEntry(demand=j + 1, u=u, alpha=tuple(coeffs[: len(cols)]))
             )
         receivers.append(tuple(entries))
     if failures:
@@ -300,25 +301,6 @@ def test_decode_rejects_a_plan_of_another_code():
         side = [x[s] for s in receiver_rows(g, 1, i)[1]]
         with pytest.raises(ValueError, match="plan does not belong to this code"):
             decode_receiver(g, other, plan, i, queried, side)
-    # Receivers 2 and 3 both read two columns; with their entries swapped
-    # the alpha lengths fit but the demands do not.
-    r = plan.receivers
-    swapped = DecodingPlan(
-        q=2, m=1, n=4, receivers=(r[0], r[2], r[1], r[3]), side=g.side
-    )
-    c = encode(code, x)
-    with pytest.raises(ValueError, match="plan does not belong to this code"):
-        decode_receiver(g, code, swapped, 2, [c[0], c[1]], [x[2]])
-    # At m = 2, one entry with an alpha coefficient too few.
-    g3, vector = directed_cycle(3), cycle_vector_code(3, 2, 2)
-    plan3 = require_plan(g3, vector)
-    first, second = plan3.entries(1)
-    cut = PlanEntry(demand=second.demand, u=second.u, alpha=second.alpha[:2])
-    short = DecodingPlan(
-        q=2, m=2, n=3, receivers=((first, cut), *plan3.receivers[1:]), side=g3.side
-    )
-    with pytest.raises(ValueError, match="plan does not belong to this code"):
-        decode_receiver(g3, vector, short, 1, [0, 0, 0], [0, 0])
 
 
 def test_decode_rejects_a_plan_of_a_graph_with_more_side_information():
@@ -328,7 +310,9 @@ def test_decode_rejects_a_plan_of_a_graph_with_more_side_information():
     plan = require_plan(g, code)
     g2 = graph_from_side_info([{2}, {1, 3}, {4}, {1}])
     (entry,) = plan.entries(2)
-    assert set(compress(count(), entry.u)) <= set(receiver_rows(g2, 1, 2)[1])
+    # u's one coefficient is for row 2, x_3, which g2 also gives.
+    assert receiver_rows(g, 1, 2)[1] == (2,) and len(entry.u) == 1
+    assert 2 in receiver_rows(g2, 1, 2)[1]
     x = (1, 0, 1, 1)
     c = encode(code, x)
     side = [x[s] for s in receiver_rows(g2, 1, 2)[1]]
@@ -349,6 +333,77 @@ def test_plan_shape_is_validated():
             DecodingPlan(q=2, m=1, n=4, receivers=plan.receivers, side=side)
     with pytest.raises(ValueError, match="m and n must be positive"):
         DecodingPlan(q=2, m=0, n=4, receivers=plan.receivers, side=g.side)
+    # A plan with a receiver missing once decoded receivers 1-3 and
+    # raised IndexError at 4.
+    for receivers in (plan.receivers[:3], plan.receivers + ((),)):
+        with pytest.raises(
+            ValueError, match="^one tuple of entries per receiver required$"
+        ):
+            DecodingPlan(q=2, m=1, n=4, receivers=receivers, side=g.side)
+
+
+def test_plan_construction_refuses_malformed_entries():
+    g, code = cycle4()
+    plan = require_plan(g, code)
+    r = plan.receivers
+    # Receivers 2 and 3 both read two columns; with their entries swapped
+    # the alpha lengths fit but the demands do not.
+    with pytest.raises(
+        ValueError, match="^receiver 2 must demand its own symbols in ascending order$"
+    ):
+        DecodingPlan(q=2, m=1, n=4, receivers=(r[0], r[2], r[1], r[3]), side=g.side)
+    g3, vector = directed_cycle(3), cycle_vector_code(3, 2, 2)
+    plan3 = require_plan(g3, vector)
+    first, second = plan3.entries(1)
+    rest = plan3.receivers[1:]
+    for entries in ((second, first), (first,), (first, second, second)):
+        with pytest.raises(
+            ValueError,
+            match="^receiver 1 must demand its own symbols in ascending order$",
+        ):
+            DecodingPlan(q=2, m=2, n=3, receivers=(entries, *rest), side=g3.side)
+    # At m = 2, one entry with an alpha coefficient too few.
+    cut = PlanEntry(demand=second.demand, u=second.u, alpha=second.alpha[:2])
+    with pytest.raises(
+        ValueError, match="^receiver 1 entries hold unequal alpha lengths$"
+    ):
+        DecodingPlan(q=2, m=2, n=3, receivers=((first, cut), *rest), side=g3.side)
+    # K_1 = {2} gives receiver 1 two side rows at m = 2.
+    for u in (second.u[:1], second.u + (0,)):
+        wrong = PlanEntry(demand=second.demand, u=u, alpha=second.alpha)
+        with pytest.raises(
+            ValueError, match="^receiver 1 entries need 2 u coefficients$"
+        ):
+            DecodingPlan(
+                q=2, m=2, n=3, receivers=((first, wrong), *rest), side=g3.side
+            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5)), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_plan_entries_are_functionals_on_queries_and_side_rows(q, m, seed):
+    # sum_k alpha_k L_k == e_j + sum_t u_t e_{s_t}, with s_t the t-th side
+    # row of the receiver in receiver_rows order.
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(2, 3))
+    code = random_decodable_code(rng, g, q, m)
+    assume(code is not None)
+    plan = require_plan(g, code)
+    mn = m * g.n
+    for i in range(1, g.n + 1):
+        demand_rows, side_rows = receiver_rows(g, m, i)
+        cols = [code.column_vector(k) for k in code.query_list(i)]
+        assert [e.demand for e in plan.entries(i)] == [j + 1 for j in demand_rows]
+        for j, entry in zip(demand_rows, plan.entries(i)):
+            assert len(entry.alpha) == len(cols)
+            assert len(entry.u) == len(side_rows)
+            lhs = [0] * mn
+            for a, col in zip(entry.alpha, cols):
+                lhs = [(x + a * y) % q for x, y in zip(lhs, col)]
+            rhs = list(unit_vector(mn, j))
+            for s, c in zip(side_rows, entry.u):
+                rhs[s] = (rhs[s] + c) % q
+            assert lhs == rhs
 
 
 @st.composite
@@ -449,8 +504,6 @@ def test_compiled_round_trip(q, m, seed, data):
         ),
     )
     assert _decode_all(g, code, rebuilt, x) == want
-    object.__setattr__(rebuilt, "_alpha_lengths", ())
-    object.__setattr__(rebuilt, "_decoders", ())
     assert rebuilt == plan and hash(rebuilt) == hash(plan)
     assert repr(rebuilt) == repr(plan) == (
         f"DecodingPlan(q={plan.q!r}, m={plan.m!r}, n={plan.n!r}, "
