@@ -37,8 +37,7 @@ from .graphs import (
 from .linalg import FqMatrix, null_space_basis, require_prime, rref, vector_matrix
 
 DEFAULT_MINRANK_BUDGET = 2**24
-DEFAULT_SCALAR_SEARCH_BUDGET = 2**22
-DEFAULT_VECTOR_SEARCH_BUDGET = 2**24
+DEFAULT_SEARCH_BUDGET = 2**24
 NULL_ENUMERATION_LIMIT = 4096
 
 
@@ -245,15 +244,44 @@ def _normalized_columns(mn: int, q: int) -> list[tuple[int, ...]]:
     return [col for col in columns if next(filter(None, col), 0) == 1]
 
 
-def _search(
+def exhaustive_vector_search(
     g: SideInformationGraph,
     q: int,
     m: int,
     ell: int,
-    locality_cap: Fraction | int | None,
-    budget: int,
+    locality_cap: Fraction | int | None = None,
+    budget: int | None = None,
 ) -> list[ParetoPoint]:
+    """Pareto frontier over all codes of message length m and length
+    exactly ell; m = 1 gives the scalar codes.
+
+    Enumerates encoders column by column over one representative per
+    scaling class of the nonzero columns of m*N rows (first nonzero
+    entry 1); the columns of an encoder are nondecreasing as base-q
+    numbers (row 0 least significant), since permutations only relabel
+    queries.  Columns are chosen depth-first, and a column prefix from
+    which some receiver cannot decode with the columns still to come is
+    skipped with all its completions, so only decodable encoders are
+    tested further.  Each receiver's least query-set size comes from a
+    subset search in increasing cardinality, memoized on the receiver's
+    view of the encoder's columns, so the reported profile is the best
+    achievable for that encoder.  Sizing stops once an encoder's profile
+    can no longer enter the frontier, the search ends once the frontier
+    holds the best possible profile (every |R_i| = m), and the query
+    sets themselves are built only for the frontier's encoders.
+    Deterministic output: the first encoder found in nondecreasing order
+    wins a tie.
+
+    Refuses to start (BudgetExceededError) when the size of the search
+    space, C(K + ell - 1, ell) encoders for the K = (q^(m*N) - 1)/(q - 1)
+    normalized columns, exceeds the budget (DEFAULT_SEARCH_BUDGET when
+    None); the pruning does not change this count.  Past that check, a
+    length below the acyclic-set bound (ell < m|S| for an induced
+    acyclic vertex set S) returns an empty frontier without enumerating
+    any encoder.
+    """
     require_prime(q)
+    budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
     if m < 1 or ell < 1:
         raise ValueError("m and ell must be positive")
     mn = m * g.n
@@ -345,52 +373,8 @@ def exhaustive_scalar_search(
     locality_cap: Fraction | int | None = None,
     budget: int | None = None,
 ) -> list[ParetoPoint]:
-    """Pareto frontier over all scalar codes of length exactly ell.
-
-    Enumerates encoders column by column over one representative per
-    scaling class (first nonzero entry 1), skipping zero columns; the
-    columns of an encoder are nondecreasing as base-q numbers (row 0
-    least significant), since permutations only relabel queries.
-    Columns are chosen depth-first, and a column prefix from which some
-    receiver cannot decode with the columns still to come is skipped
-    with all its completions, so only decodable encoders are tested
-    further.  Each receiver's least query-set size comes from a
-    subset search in increasing cardinality, memoized on the receiver's
-    view of the encoder's columns, so the reported profile is the best
-    achievable for that encoder.  Sizing stops once an encoder's
-    profile can no longer enter the frontier, the search ends once the
-    frontier holds the best possible profile (every |R_i| = 1), and
-    the query sets themselves are built only for the frontier's
-    encoders.  Deterministic output: the first encoder found in
-    nondecreasing order wins a tie.
-
-    Refuses to start (BudgetExceededError) when the size of the search
-    space, C(K + ell - 1, ell) encoders for the K = (q^N - 1)/(q - 1)
-    normalized columns, exceeds the budget; the pruning does not change
-    this count.  Past that check, a length below the acyclic-set bound
-    (ell < |S| for an induced acyclic vertex set S) returns an empty
-    frontier without enumerating any encoder.
-    """
-    budget = DEFAULT_SCALAR_SEARCH_BUDGET if budget is None else budget
-    return _search(g, q, 1, ell, locality_cap, budget)
-
-
-def exhaustive_vector_search(
-    g: SideInformationGraph,
-    q: int,
-    m: int,
-    ell: int,
-    locality_cap: Fraction | int | None = None,
-    budget: int | None = None,
-) -> list[ParetoPoint]:
-    """Pareto frontier over vector codes of message length m and length
-    exactly ell; same contract as the scalar search, including the
-    pruning of prefixes that cannot decode, with M*N rows, so the budget
-    bounds C(K + ell - 1, ell) for K = (q^(M*N) - 1)/(q - 1), the best
-    possible profile has every |R_i| = m, and the acyclic-set bound
-    reads ell < m|S|."""
-    budget = DEFAULT_VECTOR_SEARCH_BUDGET if budget is None else budget
-    return _search(g, q, m, ell, locality_cap, budget)
+    """``exhaustive_vector_search`` at message length 1."""
+    return exhaustive_vector_search(g, q, 1, ell, locality_cap, budget)
 
 
 @dataclass(frozen=True)

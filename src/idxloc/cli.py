@@ -24,7 +24,6 @@ from .bounds import (
     ParetoPoint,
     converse_checks,
     cycle_tradeoff,
-    exhaustive_scalar_search,
     exhaustive_vector_search,
     minrank_bruteforce,
     pareto_merge,
@@ -217,13 +216,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     points: list[ParetoPoint] = []
     for ell in range(1, args.ell + 1):
-        if args.m == 1:
-            found = exhaustive_scalar_search(g, args.q, ell, args.r, args.budget)
-        else:
-            found = exhaustive_vector_search(
-                g, args.q, args.m, ell, args.r, args.budget
-            )
-        points.extend(found)
+        points.extend(
+            exhaustive_vector_search(g, args.q, args.m, ell, args.r, args.budget)
+        )
     merged = pareto_merge(points)
     out_path = Path(args.out)
     lines = ["beta,r,r_avg,witness_file"]

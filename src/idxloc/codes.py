@@ -548,12 +548,11 @@ def code_from_json_dict(doc: dict) -> IndexCode:
     require_prime(q)
     if len(rows) != m * n or any(len(r) != ell for r in rows):
         raise ValueError("encoder array shape does not match M, N, ell")
-    matrix = FqMatrix.from_rows(rows, q) if rows else FqMatrix.zeros(0, ell, q)
     return IndexCode(
         q=q,
         m=m,
         n=n,
-        matrix=matrix,
+        matrix=FqMatrix.from_rows(rows, q),
         queries=tuple(frozenset(r) for r in queries),
     )
 

@@ -187,11 +187,8 @@ def shortest_directed_cycle(
     return len(best), tuple(v + 1 for v in reversed(best))
 
 
-def max_acyclic_induced(
-    g: SideInformationGraph, vertices: Iterable[int] | None = None
-) -> int:
-    """Size of a largest induced acyclic vertex set (MAIS) of g, or of the
-    subgraph induced on ``vertices`` (1-based, possibly empty) when given.
+def max_acyclic_induced(g: SideInformationGraph) -> int:
+    """Size of a largest induced acyclic vertex set (MAIS) of g.
 
     Exact.  Vertices with no in- or out-neighbour left are dropped until
     none is left to drop; each lies on no cycle and joins every largest
@@ -204,20 +201,12 @@ def max_acyclic_induced(
     are memoized on them.  The branching keeps its own stack, so its depth
     is not bounded by the interpreter's recursion limit.
     """
-    if vertices is None:
-        mask = (1 << g.n) - 1
-    else:
-        mask = 0
-        for v in vertices:
-            if not 1 <= v <= g.n:
-                raise ValueError(f"vertex {v} out of range [1, {g.n}]")
-            mask |= 1 << (v - 1)
-    return acyclic_sizer(g)(mask)
+    return acyclic_sizer(g)((1 << g.n) - 1)
 
 
 def acyclic_sizer(g: SideInformationGraph) -> Callable[[int], int]:
-    """The function ``mask -> max_acyclic_induced(g, vertices)``, where
-    mask is the int bitmask of the vertices (bit v - 1 for vertex v), for
+    """The function from a vertex set to the MAIS of the subgraph of g it
+    induces, the set an int bitmask (bit v - 1 for vertex v), for
     many vertex sets of one graph: its calls share one bitmask adjacency
     and one memo, since a component's value depends only on its vertices.
     Each set is peeled to its own core by ``_mais``, so vertices on no

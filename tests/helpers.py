@@ -210,22 +210,31 @@ def all_digraphs_without_2cycles(n: int):
         yield graph_from_side_info(side)
 
 
-def malformed_code_docs() -> list[tuple[str, dict]]:
-    """(name, document) pairs a code loader must refuse: the document of
-    the scalar 4-cycle code over F_2 with one field of the wrong JSON type.
-    Truncating the floats would give back that code."""
+def malformed_code_docs() -> list[tuple[str, dict, str]]:
+    """(name, document, message) triples a code loader must refuse with
+    ValueError(message): the document of the scalar 4-cycle code over F_2
+    with one field of the wrong JSON type or value, or with M = 0 and so
+    no encoder rows.  Truncating the floats would give back that code."""
     doc = code_to_json_dict(cycle_scalar_code(4, 2, 1))
     rows, queries = doc["L"], doc["queries"]
+    malformed = "malformed code document: "
+    lists = malformed + "{} must be a list of lists"
+    entry = malformed + "an entry of {} must be an integer, got {}"
     return [
-        ("L-int", dict(doc, L=5)),
-        ("queries-int", dict(doc, queries=5)),
-        ("L-flat", dict(doc, L=[x for row in rows for x in row])),
-        ("L-row-int", dict(doc, L=[1, *rows[1:]])),
-        ("L-entry-null", dict(doc, L=[[None, *rows[0][1:]], *rows[1:]])),
-        ("L-entry-float", dict(doc, L=[[1.7, *rows[0][1:]], *rows[1:]])),
-        ("query-null", dict(doc, queries=[[None], *queries[1:]])),
-        ("query-set-null", dict(doc, queries=[None, *queries[1:]])),
-        ("q-float", dict(doc, q=2.5)),
-        ("q-bool", dict(doc, q=True)),
-        ("q-zero", dict(doc, q=0)),
+        ("L-int", dict(doc, L=5), lists.format("L")),
+        ("queries-int", dict(doc, queries=5), lists.format("queries")),
+        ("L-flat", dict(doc, L=[x for row in rows for x in row]), lists.format("L")),
+        ("L-row-int", dict(doc, L=[1, *rows[1:]]), lists.format("L")),
+        ("L-entry-null", dict(doc, L=[[None, *rows[0][1:]], *rows[1:]]),
+         entry.format("L", None)),
+        ("L-entry-float", dict(doc, L=[[1.7, *rows[0][1:]], *rows[1:]]),
+         entry.format("L", 1.7)),
+        ("query-null", dict(doc, queries=[[None], *queries[1:]]),
+         entry.format("queries", None)),
+        ("query-set-null", dict(doc, queries=[None, *queries[1:]]),
+         lists.format("queries")),
+        ("q-float", dict(doc, q=2.5), malformed + "q must be an integer, got 2.5"),
+        ("q-bool", dict(doc, q=True), malformed + "q must be an integer, got True"),
+        ("q-zero", dict(doc, q=0), "field modulus must be prime, got 0"),
+        ("M-zero", dict(doc, M=0, L=[]), "m and n must be positive"),
     ]

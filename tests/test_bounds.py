@@ -9,6 +9,7 @@ import pytest
 
 from idxloc import _kernel
 from idxloc.bounds import (
+    DEFAULT_SEARCH_BUDGET,
     BudgetExceededError,
     converse_checks,
     cycle_tradeoff,
@@ -544,6 +545,25 @@ def test_scalar_search_budget_counts_encoders(q, ell, encoders):
     assert exhaustive_scalar_search(g, q, ell, budget=encoders)
     with pytest.raises(BudgetExceededError, match=f"{encoders} encoders"):
         exhaustive_scalar_search(g, q, ell, budget=encoders - 1)
+
+
+def test_scalar_search_uses_the_one_default_budget(monkeypatch):
+    # The edgeless 7-vertex graph over F_2 has K = 127 normalized columns:
+    # C(130, 4) = 11,358,880 encoders at ell = 4 lie within the default of
+    # 2^24, and its MAIS of 7 then rules every length below 7 out with no
+    # encoder enumerated; C(131, 5) = 297,602,656 at ell = 5 do not.
+    def refuse(*args):
+        raise AssertionError("enumerated a length the acyclic-set bound rules out")
+
+    monkeypatch.setattr(_kernel, "decodable_encoders", refuse)
+    g = graph_from_side_info([set()] * 7)
+    assert DEFAULT_SEARCH_BUDGET == 2**24
+    assert exhaustive_scalar_search(g, 2, 4) == []
+    with pytest.raises(
+        BudgetExceededError,
+        match="search enumerates 297602656 encoders, exceeding budget 16777216",
+    ):
+        exhaustive_scalar_search(g, 2, 5)
 
 
 def test_scalar_search_locality_cap_filters():

@@ -69,6 +69,13 @@ def test_minrank_cycle(cycle3_file, tmp_path, capsys):
     assert len(doc["A"]) == 3
 
 
+def test_minrank_writes_its_witness_beside_the_graph(cycle3_file, tmp_path, capsys):
+    assert main(["minrank", "--graph", str(cycle3_file)]) == EXIT_OK
+    witness = tmp_path / "cycle3_minrank_witness.json"
+    assert capsys.readouterr().out == f"minrank=2\nwitness={witness}\n"
+    assert json.loads(witness.read_text())["A"] == [[1, 0, 1], [1, 1, 0], [0, 1, 1]]
+
+
 def test_minrank_dag(tmp_path, capsys):
     g = graph_from_side_info([{2}, {3}, set()])
     path = tmp_path / "dag.txt"
@@ -128,6 +135,23 @@ def test_construct_deficit(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert "beta=3 r=2 r_avg=5/4" in capsys.readouterr().out
+
+
+def test_construct_deficit_refuses_an_acyclic_graph(tmp_path, capsys):
+    path = tmp_path / "dag.txt"
+    path.write_text(format_graph(graph_from_side_info([{2}, {3}, set()])), encoding="utf-8")
+    out = tmp_path / "d.json"
+    code = main(
+        ["construct", "--graph", str(path), "--scheme", "deficit", "--out", str(out)]
+    )
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: graph has no directed cycle; its min-rank equals n and the "
+        "uncoded scheme is already optimal\n"
+    )
+    assert not out.exists()
 
 
 def test_construct_deficit_on_a_long_cycle(tmp_path, capsys):
@@ -308,19 +332,81 @@ def test_oracle_scalar_csv(cycle3_file, tmp_path, capsys):
     out = tmp_path / "pareto.csv"
     code = main(
         ["oracle", "--graph", str(cycle3_file), "--q", "2", "--M", "1",
-         "--ell", "3", "--out", str(out)]
+         "--ell", "4", "--out", str(out)]
     )
     assert code == EXIT_OK
     text = out.read_text()
-    assert text.splitlines()[0] == "beta,r,r_avg,witness_file"
-    assert "2,2,4/3" in text
-    assert "3,1,1" in text
-    # witness files decode against the instance
+    # The (4, 1, 1) point of length 4 is dominated by (3, 1, 1) of length
+    # 3, so the merge across lengths drops it.
     g = parse_graph(cycle3_file.read_text())
+    assert (4, 1, 1) in [p.profile() for p in idxloc.exhaustive_scalar_search(g, 2, 4)]
+    assert text == (
+        "beta,r,r_avg,witness_file\n"
+        "2,2,4/3,pareto_witness_1.json\n"
+        "3,1,1,pareto_witness_2.json\n"
+    )
+    assert capsys.readouterr().out == text
+    # witness files decode against the instance
     for line in text.strip().splitlines()[1:]:
         witness_name = line.split(",")[3]
         witness = load_code(tmp_path / witness_name)
         require_plan(g, witness)
+
+
+@pytest.mark.parametrize("cap", ["1", "3/2"])
+def test_oracle_locality_cap(cycle3_file, tmp_path, capsys, cap):
+    # Both caps allow one query per receiver, so only the uncoded profile
+    # is left.
+    out = tmp_path / "pareto.csv"
+    code = main(
+        ["oracle", "--graph", str(cycle3_file), "--ell", "3", "--r", cap,
+         "--out", str(out)]
+    )
+    assert code == EXIT_OK
+    text = "beta,r,r_avg,witness_file\n3,1,1,pareto_witness_1.json\n"
+    assert out.read_text() == text
+    assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--r", "0"], "--r must be at least 1", id="r-zero"),
+    pytest.param(["--r", "1/0"], "bad rational '1/0': Fraction(1, 0)", id="r-over-zero"),
+    pytest.param(
+        ["--r", "x"], "bad rational 'x': invalid literal for int() with base 10: 'x'",
+        id="r-word",
+    ),
+    pytest.param(["--M", "0"], "--M must be at least 1", id="M-zero"),
+    pytest.param(["--budget", "0"], "--budget must be positive", id="budget-zero"),
+    pytest.param(["--ell", "0"], "--ell must be at least 1", id="ell-zero"),
+])
+def test_oracle_refuses_out_of_range_flags(cycle3_file, tmp_path, capsys, flags, message):
+    # A flag given twice takes its last value, so flags may override --ell.
+    out = tmp_path / "p.csv"
+    code = main(
+        ["oracle", "--graph", str(cycle3_file), "--ell", "3", "--out", str(out)]
+        + flags
+    )
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_oracle_runs_a_scalar_search_within_the_default_budget(tmp_path, capsys):
+    # At ell = 4 the edgeless 7-vertex graph spans C(130, 4) = 11,358,880
+    # scalar encoders, within the default budget; its MAIS of 7 exceeds
+    # every length, so no code exists and no encoder is enumerated.
+    path = tmp_path / "edgeless.txt"
+    path.write_text("N=7\n", encoding="utf-8")
+    out = tmp_path / "p.csv"
+    code = main(
+        ["oracle", "--graph", str(path), "--M", "1", "--ell", "4", "--out", str(out)]
+    )
+    assert code == EXIT_OK
+    assert out.read_text() == "beta,r,r_avg,witness_file\n"
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("beta,r,r_avg,witness_file\n", "")
 
 
 def test_oracle_vector_csv(cycle3_file, tmp_path):
@@ -339,18 +425,6 @@ def test_oracle_budget_exit(cycle4_file, tmp_path):
          "--ell", "4", "--budget", "16", "--out", str(tmp_path / "p.csv")]
     )
     assert code == EXIT_BUDGET
-
-
-def test_oracle_rejects_ell_below_one(cycle3_file, tmp_path, capsys):
-    out = tmp_path / "p.csv"
-    code = main(
-        ["oracle", "--graph", str(cycle3_file), "--ell", "0", "--out", str(out)]
-    )
-    assert code == EXIT_INPUT
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --ell must be at least 1\n"
-    assert not out.exists()
 
 
 def test_oracle_deterministic(cycle3_file, tmp_path):
@@ -390,6 +464,30 @@ def test_normalize_command(cycle3_file, tmp_path, capsys):
     g = parse_graph(cycle3_file.read_text())
     require_plan(g, normalized)
     assert locality_profile(normalized) == locality_profile(code)
+
+
+def test_normalize_refuses_an_undecodable_code(cycle3_file, tmp_path, capsys):
+    # One column x_1 + x_2: receiver 1 knows x_2 and decodes, receivers 2
+    # and 3 do not.
+    code = IndexCode(
+        q=2, m=1, n=3,
+        matrix=FqMatrix.from_columns([(1, 1, 0)], 3, 2),
+        queries=(frozenset({1}),) * 3,
+    )
+    src = tmp_path / "src.json"
+    save_code(code, src)
+    out = tmp_path / "norm.json"
+    assert main(
+        ["normalize", "--graph", str(cycle3_file), "--code", str(src),
+         "--out", str(out)]
+    ) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: normalize failed: code is not decodable at (receiver, symbol):"
+        " (2,2), (3,3)\n"
+    )
+    assert not out.exists()
 
 
 def test_normalize_verifies_once(cycle5_file, tmp_path, monkeypatch):
@@ -599,9 +697,12 @@ def test_help_lists_exactly_the_declared_flags(command, capsys):
 
 @pytest.mark.parametrize("command", ["verify", "profile", "normalize"])
 @pytest.mark.parametrize(
-    "doc", [pytest.param(doc, id=name) for name, doc in malformed_code_docs()]
+    "doc, message",
+    [pytest.param(doc, message, id=name) for name, doc, message in malformed_code_docs()],
 )
-def test_malformed_code_file_is_input_error(command, doc, cycle4_file, tmp_path, capsys):
+def test_malformed_code_file_is_input_error(
+    command, doc, message, cycle4_file, tmp_path, capsys
+):
     code_path = tmp_path / "bad.json"
     code_path.write_text(json.dumps(doc), encoding="utf-8")
     argv = {
@@ -613,5 +714,5 @@ def test_malformed_code_file_is_input_error(command, doc, cycle4_file, tmp_path,
     assert main(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: cannot load code file: ")
+    assert captured.err == f"error: cannot load code file: {message}\n"
     assert not (tmp_path / "n.json").exists()

@@ -955,8 +955,10 @@ def test_json_rejects_bad_shape():
 
 
 @pytest.mark.parametrize(
-    "doc", [pytest.param(doc, id=name) for name, doc in malformed_code_docs()]
+    "doc, message",
+    [pytest.param(doc, message, id=name) for name, doc, message in malformed_code_docs()],
 )
-def test_json_rejects_wrong_types(doc):
-    with pytest.raises(ValueError):
+def test_json_rejects_wrong_types(doc, message):
+    with pytest.raises(ValueError) as exc:
         code_from_json_dict(doc)
+    assert str(exc.value) == message

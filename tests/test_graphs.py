@@ -244,7 +244,8 @@ def test_max_acyclic_induced_on_every_small_digraph():
             assert mais(_mask(everything)) == _brute_mais(g, everything)
             some = [v for v in everything if rng.random() < 0.6]
             # mais answers on the memo its first call filled.
-            assert max_acyclic_induced(g, some) == mais(_mask(some)) == _brute_mais(g, some)
+            assert mais(_mask(some)) == _brute_mais(g, some)
+            assert mais(0) == 0
     assert graphs == 1 + 4 + 64 + 4096
 
 
@@ -263,7 +264,7 @@ def test_max_acyclic_induced_on_seeded_digraphs():
         assert max_acyclic_induced(g) == mais(_mask(everything))
         assert mais(_mask(everything)) == _brute_mais(g, everything)
         some = [v for v in everything if rng.random() < 0.7]
-        assert max_acyclic_induced(g, some) == mais(_mask(some)) == _brute_mais(g, some)
+        assert mais(_mask(some)) == _brute_mais(g, some)
     assert several > 40
 
 
@@ -289,15 +290,6 @@ def test_max_acyclic_induced_keeps_its_own_stack():
     finally:
         sys.setrecursionlimit(limit)
     assert value == n // 2
-
-
-def test_max_acyclic_induced_rejects_bad_vertices():
-    g = directed_cycle(3)
-    assert max_acyclic_induced(g, []) == 0
-    with pytest.raises(ValueError, match="out of range"):
-        max_acyclic_induced(g, [0])
-    with pytest.raises(ValueError, match="out of range"):
-        max_acyclic_induced(g, [4])
 
 
 def test_receiver_rows_layout():

@@ -109,9 +109,9 @@ def test_decodable_encoders_yields_the_decodable_multisets_in_order():
 def test_warm_transitions_answer_as_fresh_ones():
     # One set of tables serves a whole search: the encoder enumeration
     # stays suspended while the query sets of each encoder it yields are
-    # computed on the same transitions, as in bounds._search.  Every
-    # answer must equal that of tables built fresh for the question and
-    # that of linalg.  A sample of the columns keeps q = 5 small.
+    # computed on the same transitions, as in exhaustive_vector_search.
+    # Every answer must equal that of tables built fresh for the question
+    # and that of linalg.  A sample of the columns keeps q = 5 small.
     rng = random.Random(61)
     instances = [
         (directed_cycle(3), 1, 3),
