@@ -266,22 +266,37 @@ def exhaustive_vector_search(
     subset search in increasing cardinality, memoized on the receiver's
     view of the encoder's columns, so the reported profile is the best
     achievable for that encoder.  Sizing stops once an encoder's profile
-    can no longer enter the frontier, the search ends once the frontier
-    holds the best possible profile (every |R_i| = m), and the query
-    sets themselves are built only for the frontier's encoders.
-    Deterministic output: the first encoder found in nondecreasing order
-    wins a tie.
+    can no longer enter the frontier, and the query sets themselves are
+    built only for the frontier's encoders.  Deterministic output: the
+    first encoder found in nondecreasing order wins a tie.
 
-    Refuses to start (BudgetExceededError) when the size of the search
-    space, C(K + ell - 1, ell) encoders for the K = (q^(m*N) - 1)/(q - 1)
+    The search ends once an encoder reaches a proven floor on every
+    profile of length ell.  If receiver i decodes from exactly m
+    columns, their projections off K_i span exactly its own block, so
+    each of them is nonzero on block i and zero outside block i and the
+    blocks of K_i.  Receivers sharing such a column are thus pairwise
+    mutual neighbours (j in K_i and i in K_j), at most d + 1 of them when
+    no receiver has more than d mutual neighbours.  Counting (receiver,
+    column) pairs, at most u = min(N, floor(ell (d + 1) / m)) receivers
+    have |R_i| = m, and every other one needs m + 1 columns, so every
+    profile (max |R_i|, sum |R_i|) is at least (m + [u < N],
+    (m + 1) N - u).  The first encoder reaching that floor dominates or
+    ties every later one.
+
+    Refuses to start with ValueError when the budget is not positive,
+    and with BudgetExceededError when the size of the search space,
+    C(K + ell - 1, ell) encoders for the K = (q^(m*N) - 1)/(q - 1)
     normalized columns, exceeds the budget (DEFAULT_SEARCH_BUDGET when
-    None); the pruning does not change this count.  Past that check, a
-    length below the acyclic-set bound (ell < m|S| for an induced
-    acyclic vertex set S) returns an empty frontier without enumerating
-    any encoder.
+    None); the pruning does not change this count.  Past that check, an
+    empty frontier is returned without enumerating any encoder when the
+    locality cap allows only m columns per receiver while u < N, or when
+    the length is below the acyclic-set bound (ell < m|S| for an induced
+    acyclic vertex set S).
     """
     require_prime(q)
     budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    if budget <= 0:
+        raise ValueError("budget must be positive")
     if m < 1 or ell < 1:
         raise ValueError("m and ell must be positive")
     mn = m * g.n
@@ -302,6 +317,13 @@ def exhaustive_vector_search(
         if cap < 1:
             raise ValueError("locality cap below 1 admits no code")
         max_size = min(ell, int(cap * m))
+    # Receivers that query only m columns share them only with mutual
+    # neighbours, so at most `tight` receivers have |R_i| = m; the others
+    # need m + 1 columns, which a cap of m columns refuses.
+    mutual = max(sum(i in g.side[j - 1] for j in k) for i, k in enumerate(g.side, 1))
+    tight = min(g.n, ell * (mutual + 1) // m)
+    if tight < g.n and max_size == m:
+        return []
     # Any decodable code has ell >= m|S| for every induced acyclic vertex
     # set S (the MAIS bound of Bar-Yossef, Birk, Jayram and Kol), so a
     # larger acyclic set leaves nothing to search.
@@ -317,12 +339,13 @@ def exhaustive_vector_search(
     # the multiset of its proj columns, so it is memoized on them, and
     # the witness query sets are built for the final frontier alone.  Every
     # receiver needs at least its m demanded columns, so a receiver not
-    # yet sized counts m, and (m, m*N) is the best possible profile.
-    best = (m, m * g.n)
+    # yet sized counts m.  No profile lies below `floor`, so the first
+    # encoder reaching it ends the search.
+    floor = (m + (tight < g.n), (m + 1) * g.n - tight)
     memos = [{} for _ in tables]
     frontier: list[tuple[int, int, tuple[int, ...]]] = []
     for ks in _kernel.decodable_encoders(tables, range(len(columns)), ell, True):
-        mx, sm = best
+        mx, sm = m, m * g.n
         for table, memo in zip(tables, memos):
             proj = table.proj
             key = tuple(sorted([proj[k] for k in ks]))
@@ -343,7 +366,7 @@ def exhaustive_vector_search(
                 entry for entry in frontier if not (mx <= entry[0] and sm <= entry[1])
             ]
             frontier.append((mx, sm, ks))
-            if (mx, sm) == best:
+            if (mx, sm) == floor:
                 break
 
     points = []

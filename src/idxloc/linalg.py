@@ -86,10 +86,6 @@ class FqMatrix:
     def identity(cls, n: int, q: int) -> "FqMatrix":
         return cls(n, n, q, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, q: int) -> "FqMatrix":
-        return cls(rows, cols, q, (0,) * (rows * cols))
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 

@@ -256,6 +256,21 @@ def test_minrank_budget_error():
         minrank_bruteforce(g, 2, budget=1)
 
 
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda budget: minrank_bruteforce(directed_cycle(3), 2, budget),
+        lambda budget: exhaustive_scalar_search(directed_cycle(3), 2, 2, budget=budget),
+        lambda budget: exhaustive_vector_search(directed_cycle(3), 2, 2, 4, budget=budget),
+    ],
+    ids=["minrank", "scalar", "vector"],
+)
+@pytest.mark.parametrize("budget", [0, -1])
+def test_non_positive_budget_is_refused_before_counting(search, budget):
+    with pytest.raises(ValueError, match="^budget must be positive$"):
+        search(budget)
+
+
 def test_minrank_long_cycle_over_f3():
     # Over an odd field the floors cut no fill with every entry nonzero,
     # so a search on all 40 columns would walk through up to 2^40 of
@@ -511,6 +526,42 @@ def test_search_skips_lengths_below_the_acyclic_set_bound(monkeypatch):
         exhaustive_vector_search(directed_cycle(3), 2, 2, 4)
     with pytest.raises(AssertionError, match="acyclic-set bound"):
         exhaustive_scalar_search(certified, 2, 3)
+
+
+def test_search_skips_caps_below_the_locality_floor(monkeypatch):
+    # No two receivers of the certified graph are mutual neighbours, so at
+    # ell = 3 at most 3 of its 4 receivers query one column; a cap of one
+    # column per receiver proves the frontier empty before any encoder is
+    # enumerated.  At ell = N = 4 every receiver may query one column.
+    def refuse(*args):
+        raise AssertionError("enumerated a cap the locality floor rules out")
+
+    monkeypatch.setattr(_kernel, "decodable_encoders", refuse)
+    certified = graph_from_side_info([{2}, {3}, {1, 4}, {2}])
+    assert exhaustive_scalar_search(certified, 2, 3, locality_cap=1) == []
+    assert exhaustive_scalar_search(certified, 2, 3, locality_cap=Fraction(3, 2)) == []
+    with pytest.raises(AssertionError, match="locality floor"):
+        exhaustive_scalar_search(certified, 2, 4, locality_cap=1)
+
+
+def test_search_stops_at_the_locality_floor(monkeypatch):
+    # At ell = 3 the certified graph's floor is (max, sum) = (2, 5); the
+    # search stops at the first encoder reaching it, before the end of the
+    # decodable encoders.  Query-set searches (repeat False) go uncounted.
+    certified = graph_from_side_info([{2}, {3}, {1, 4}, {2}])
+    enumerate_all = _kernel.decodable_encoders
+    pulled = []
+
+    def counted(tables, candidates, size, repeat):
+        for ks in enumerate_all(tables, candidates, size, repeat):
+            if repeat:
+                pulled.append((tables, candidates, size))
+            yield ks
+
+    monkeypatch.setattr(_kernel, "decodable_encoders", counted)
+    pts = exhaustive_scalar_search(certified, 2, 3)
+    assert [(p.r, p.r_avg) for p in pts] == [(2, Fraction(5, 4))]
+    assert 0 < len(pulled) < sum(1 for _ in enumerate_all(*pulled[0], True))
 
 
 def test_scalar_search_cycle3_len2():

@@ -72,6 +72,21 @@ def reference_search(g, q, m, ell, locality_cap=None):
     return sorted(points, key=lambda p: p[:3])
 
 
+def locality_floor(g, m, ell):
+    """The least (max |R_i|, sum |R_i|) any code of length ell can have:
+    at most u = min(N, ell (d + 1) // m) receivers query only m columns,
+    where d is the most mutual neighbours (j in K_i, i in K_j) of one
+    receiver, and every other receiver queries at least m + 1."""
+    d = max(sum(i in g.side[j - 1] for j in k) for i, k in enumerate(g.side, 1))
+    u = min(g.n, ell * (d + 1) // m)
+    return (m + (u < g.n), (m + 1) * g.n - u)
+
+
+def _frontier(points, g, m):
+    """Integer profiles (max |R_i|, sum |R_i|) of reference points."""
+    return [(r * m, r_avg * m * g.n) for _, r, r_avg, _, _ in points]
+
+
 CYCLE3 = directed_cycle(3)
 CYCLE4 = directed_cycle(4)
 TWO_CYCLE = graph_from_side_info([{2}, {1}])
@@ -80,23 +95,28 @@ CERTIFIED4 = graph_from_side_info([{2}, {3}, {1, 4}, {2}])
 CERTIFIED4B = graph_from_side_info([{2, 4}, {3}, {1}, {2}])
 
 CASES = [
-    # (graph, q, m, ell, locality cap, frontier reaches (m, m*N))
+    # (graph, q, m, ell, locality cap, frontier reaches (m, m*N)).  Every
+    # frontier lies on or above locality_floor(g, m, ell), where the search
+    # stops; the comments name the cases whose frontier is that floor.
     (CYCLE3, 3, 1, 1, None, False),  # empty by the acyclic-set bound
-    (CYCLE3, 2, 1, 2, None, False),
-    (CYCLE3, 3, 1, 2, None, False),
+    (CYCLE3, 2, 1, 2, None, False),  # the floor (2, 4)
+    (CYCLE3, 3, 1, 2, None, False),  # the floor (2, 4)
     (CYCLE3, 2, 1, 3, 1, True),
-    (CYCLE4, 2, 1, 3, None, False),
-    (CYCLE4, 2, 1, 3, 1, False),  # the cap rejects every encoder
-    (MIXED3, 3, 1, 2, None, True),
+    (CYCLE4, 2, 1, 3, None, False),  # above the floor (2, 5)
+    (CYCLE4, 2, 1, 3, 1, False),  # empty by the floor: u = 3 < 4
+    (MIXED3, 3, 1, 2, None, True),  # 1 and 2 are mutual neighbours: u = N
     (MIXED3, 3, 1, 3, None, True),
     (MIXED3, 3, 1, 3, 1, True),
-    (CERTIFIED4, 2, 1, 3, None, False),
-    (CERTIFIED4, 2, 1, 3, 2, False),
-    (CERTIFIED4B, 2, 1, 3, None, False),
-    (CERTIFIED4B, 2, 1, 3, 1, False),
+    (CERTIFIED4, 2, 1, 3, None, False),  # the floor (2, 5)
+    (CERTIFIED4, 2, 1, 3, 2, False),  # the floor (2, 5)
+    (CERTIFIED4B, 2, 1, 3, None, False),  # the floor (2, 5)
+    (CERTIFIED4B, 2, 1, 3, 1, False),  # empty by the floor
     (TWO_CYCLE, 3, 2, 1, None, False),  # empty by the acyclic-set bound
     (TWO_CYCLE, 3, 2, 2, None, True),
     (TWO_CYCLE, 2, 2, 3, Fraction(3, 2), True),
+    (CERTIFIED4, 2, 1, 3, 1, False),  # empty by the floor
+    (CERTIFIED4, 2, 1, 4, 1, True),  # u = N at ell = N
+    (MIXED3, 2, 1, 2, None, True),  # u = N, so the floor is (m, m*N)
 ]
 
 
@@ -106,6 +126,37 @@ def test_search_matches_reference(g, q, m, ell, cap, reaches_bound):
         (p.beta, p.r, p.r_avg, p.witness.matrix.entries, p.witness.queries)
         for p in exhaustive_vector_search(g, q, m, ell, cap)
     ]
-    assert got == reference_search(g, q, m, ell, cap)
+    want = reference_search(g, q, m, ell, cap)
+    assert got == want
     bound = (Fraction(ell, m), Fraction(1), Fraction(1))
     assert ([p[:3] for p in got] == [bound]) == reaches_bound
+    floor = locality_floor(g, m, ell)
+    assert all(mx >= floor[0] and sm >= floor[1] for mx, sm in _frontier(want, g, m))
+
+
+def _digraphs(n):
+    arcs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    for present in product((False, True), repeat=len(arcs)):
+        side = [set() for _ in range(n)]
+        for (i, j), p in zip(arcs, present):
+            if p:
+                side[i - 1].add(j)
+        yield graph_from_side_info(side)
+
+
+def test_search_matches_reference_on_every_3_vertex_digraph():
+    # 64 digraphs, each at ell 2 and 3, uncapped and with every receiver
+    # held to one column, over F_2; no reference frontier lies below the
+    # floor.
+    for g in _digraphs(3):
+        for ell, cap in product((2, 3), (None, 1)):
+            got = [
+                (p.beta, p.r, p.r_avg, p.witness.matrix.entries, p.witness.queries)
+                for p in exhaustive_vector_search(g, 2, 1, ell, cap)
+            ]
+            want = reference_search(g, 2, 1, ell, cap)
+            assert got == want, (g.side, ell, cap)
+            floor = locality_floor(g, 1, ell)
+            assert all(
+                mx >= floor[0] and sm >= floor[1] for mx, sm in _frontier(want, g, 1)
+            ), (g.side, ell, cap)
