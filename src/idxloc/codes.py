@@ -8,20 +8,24 @@ decoding, locality accounting, query pruning, the support normalization
 of receiver-unique columns, and the fitting matrix extracted from a
 scalar decoding plan.
 
-A code is compiled once, when it is built, into the form that encoding
-reads: each encoder row packed into one int, column k in the k-th field
-of w bytes, w wide enough that a sum of m*n products of two symbols
-never carries into the next field.  Encoding scales the packed rows by
-the message symbols and adds them: m*n big-int products over any field,
-in place of one dot product per column, so its cost hangs on the code's
-shape and hardly on q.  A plan holds exactly the functional each
-receiver evaluates: per demanded symbol, one alpha coefficient per
-sorted query column and one u coefficient per side-information row, in
-graphs.receiver_rows order.  It records the side information of the
-graph it was verified on and is validated when built, so decoding a
-symbol takes the checks and two dot products, over the receiver's
-queries and over its side values, and a plan refuses a graph whose K_i
-differs from the one it was verified on.
+Encoding and decoding are one packed big-int product each.  A matrix
+with entries in [0, q) is packed row by row: row r becomes one int
+whose little-endian bytes hold column k in the k-th field of w bytes,
+w wide enough that a sum of t products of two symbols never carries
+into the next field, where t is the number of rows a product sums.
+Scaling the packed rows by the symbols and adding them gives every
+column's dot product at once, so the cost hangs on the shape and
+hardly on q.  Encoding packs the encoder, t = m*n.  A plan holds
+exactly the functional each receiver evaluates: per demanded symbol,
+one alpha coefficient per sorted query column and one u coefficient per
+side-information row, in graphs.receiver_rows order; decoding packs,
+per receiver, its decoding matrix, one row per query column with the
+alphas of its m symbols and one per side row with their (-u) mod q, so
+t = |R_i| + m*|K_i|.  Codes and plans pack on first use and keep the
+result, so building or verifying a code packs nothing.  A plan records
+the side information of the graph it was verified on and is validated
+when built, and it refuses a graph whose K_i differs from the one it
+was verified on.
 
 Receiver, message and codeword-column indices are 1-based; raw matrix
 coordinates are 0-based.
@@ -31,9 +35,10 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
+from functools import cached_property
+from itertools import chain, compress, count, islice
 from operator import add, mul
 from pathlib import Path
 from typing import Sequence
@@ -66,11 +71,11 @@ class IndexCode:
     symbols); queries[i-1] collects the 1-based column indices receiver i
     reads.  The broadcast rate is ell/m.
 
-    Construction also compiles the packed rows that encode reads: row r
-    as one int whose little-endian bytes hold column k in bytes
-    [k*w, (k+1)*w), where w is the fewest bytes that hold
-    m*n*(q-1)**2.  They are derived from matrix and take no part in
-    equality, hashing or repr.
+    The encoder rows that encode reads are packed on first use and kept:
+    _packed is (w, rows), with row r as one int whose little-endian
+    bytes hold column k in bytes [k*w, (k+1)*w), where w is the fewest
+    bytes that hold m*n*(q-1)**2.  It is derived from matrix and takes
+    no part in equality, hashing or repr.
     """
 
     q: int
@@ -78,8 +83,6 @@ class IndexCode:
     n: int
     matrix: FqMatrix
     queries: tuple[frozenset[int], ...]
-    _width: int = field(init=False, compare=False, repr=False)
-    _rows: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
@@ -94,21 +97,11 @@ class IndexCode:
             for k in r:
                 if not 1 <= k <= self.ell:
                     raise ValueError(f"receiver {i} queries out-of-range column {k}")
-        entries = self.matrix.entries
-        width = ((self.m * self.n * (self.q - 1) ** 2).bit_length() + 7) // 8
-        # An entry lies below 2^32 and below 2^(8 * width): its low
-        # min(width, 4) little-endian bytes fill its field, row-major.
-        raw = struct.pack(f"<{len(entries)}I", *entries)
-        fields = bytearray(len(entries) * width)
-        for t in range(min(width, 4)):
-            fields[t::width] = raw[t::4]
-        fields, size = memoryview(fields), self.ell * width
-        rows = tuple([
-            int.from_bytes(fields[r * size : (r + 1) * size], "little")
-            for r in range(self.matrix.rows)
-        ])
-        object.__setattr__(self, "_width", width)
-        object.__setattr__(self, "_rows", rows)
+
+    @cached_property
+    def _packed(self) -> tuple[int, tuple[int, ...]]:
+        width = _field_width(self.matrix.rows, self.q)
+        return width, _pack(self.matrix.row_list(), width)
 
     @property
     def ell(self) -> int:
@@ -154,6 +147,14 @@ class DecodingPlan:
     entries of receiver i demand exactly its own m symbols in ascending
     order and hold equally many alpha coefficients, and each entry's u
     holds m * |K_i| coefficients.
+
+    The decoding matrices that decode_receiver reads are packed on first
+    use and kept: _packed is (w, rows), where rows[i-1] holds one int
+    per query column of receiver i, with the alpha coefficients of its
+    m entries, reduced mod q, as fields, then one int per side row, with
+    the entries' (-u) mod q.  w is the fewest bytes that hold
+    t*(q-1)**2 for the largest t = |R_i| + m*|K_i|.  It is derived from
+    receivers and takes no part in equality, hashing or repr.
     """
 
     q: int
@@ -184,6 +185,18 @@ class DecodingPlan:
                 raise ValueError(
                     f"receiver {i} entries need {m * len(known)} u coefficients"
                 )
+
+    @cached_property
+    def _packed(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        q = self.q
+        matrices = [
+            [[a % q for a in col] for col in zip(*(e.alpha for e in entries))]
+            + [[-u % q for u in row] for row in zip(*(e.u for e in entries))]
+            for entries in self.receivers
+        ]
+        width = _field_width(max(map(len, matrices)), q)
+        rows = iter(_pack([row for matrix in matrices for row in matrix], width))
+        return width, tuple(tuple(islice(rows, len(matrix))) for matrix in matrices)
 
     def entries(self, i: int) -> tuple[PlanEntry, ...]:
         return self.receivers[i - 1]
@@ -247,6 +260,48 @@ class FittingMatrix:
         return True
 
 
+def _field_width(terms: int, q: int) -> int:
+    """The fewest bytes, at least one, that hold terms*(q-1)**2: a field
+    of that width holds a sum of terms products of two symbols in
+    [0, q)."""
+    return max(1, ((terms * (q - 1) ** 2).bit_length() + 7) // 8)
+
+
+def _pack(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
+    """Each row as one int whose little-endian bytes hold entry k in
+    bytes [k*width, (k+1)*width).  Entries lie in [0, q) for a field
+    width of _field_width, so each lies below 2^32 and 2^(8 * width)."""
+    entries = [v for row in rows for v in row]
+    # The low min(width, 4) little-endian bytes of an entry fill its
+    # field, row-major.
+    raw = struct.pack(f"<{len(entries)}I", *entries)
+    fields = bytearray(len(entries) * width)
+    for t in range(min(width, 4)):
+        fields[t::width] = raw[t::4]
+    fields, start, packed = memoryview(fields), 0, []
+    for row in rows:
+        end = start + len(row) * width
+        packed.append(int.from_bytes(fields[start:end], "little"))
+        start = end
+    return tuple(packed)
+
+
+def _product(
+    x: Sequence[int], rows: Sequence[int], width: int, cols: int, q: int
+) -> Vector:
+    """x^T A mod q for the matrix A whose rows _pack packed at this width
+    into cols fields.  Symbols are reduced mod q first, so the packed
+    rows, scaled by them and summed, hold sum_r x_r A_rk in field k with
+    no carry between fields; each field is read off its bytes and
+    reduced mod q."""
+    packed = sum(map(mul, [v % q for v in x], rows))
+    packed = packed.to_bytes(cols * width, "little")
+    sums = packed[::width]
+    for t in range(1, width):
+        sums = map(add, sums, map((1 << 8 * t).__mul__, packed[t::width]))
+    return tuple([v % q for v in sums])
+
+
 def _check_structure(g: SideInformationGraph, code: IndexCode) -> None:
     if code.n != g.n:
         raise ValueError(f"code has {code.n} receivers but graph has {g.n}")
@@ -301,21 +356,14 @@ def require_plan(g: SideInformationGraph, code: IndexCode) -> DecodingPlan:
 def encode(code: IndexCode, x: Sequence[int]) -> Vector:
     """Codeword c = x^T L for a full message vector of length m*n.
 
-    Symbols outside [0, q) are reduced mod q.  The packed rows of the
-    code, scaled by the reduced symbols and summed, hold sum_r x_r L_rk
-    in field k with no carry between fields; each field is read off its
-    bytes and reduced mod q.  The result equals
-    linalg.vector_matrix(x, code.matrix).
+    Symbols outside [0, q) are reduced mod q.  One packed product of
+    the message with the code's packed rows, which the first call packs;
+    the result equals linalg.vector_matrix(x, code.matrix).
     """
     if len(x) != code.m * code.n:
         raise ValueError(f"message must have {code.m * code.n} symbols")
-    q, width = code.q, code._width
-    packed = sum(map(mul, [v % q for v in x], code._rows))
-    packed = packed.to_bytes(code.ell * width, "little")
-    sums = packed[::width]
-    for t in range(1, width):
-        sums = map(add, sums, map((1 << 8 * t).__mul__, packed[t::width]))
-    return tuple([v % q for v in sums])
+    width, rows = code._packed
+    return _product(x, rows, width, code.ell, code.q)
 
 
 def decode_receiver(
@@ -332,9 +380,10 @@ def decode_receiver(
     side_values with its side rows from graphs.receiver_rows.
     Returns the m demanded symbols in ascending index order; they equal
     the true symbols whenever the inputs come from an encoded message.
-    Symbol j is sum(alpha_k * c_k) - sum(u_t * x_{s_t}) mod q: after the
-    checks, two dot products, and nothing is expanded or looked up per
-    call.
+    Symbol j is sum(alpha_k * c_k) - sum(u_t * x_{s_t}) mod q, inputs
+    outside [0, q) included: after the checks, one packed product of
+    queried followed by side_values with receiver i's packed decoding
+    matrix, which the plan packs for every receiver on its first decode.
 
     Raises ValueError when the plan is not one of this code and graph:
     when its q, m or n differ, when receiver i's entries do not hold one
@@ -360,11 +409,8 @@ def decode_receiver(
         raise ValueError("plan does not belong to this code")
     if plan.side[i - 1] != g.side[i - 1]:
         raise ValueError("plan does not belong to this graph")
-    q = code.q
-    return tuple([
-        (sum(map(mul, e.alpha, queried)) - sum(map(mul, e.u, side_values))) % q
-        for e in entries
-    ])
+    width, rows = plan._packed
+    return _product([*queried, *side_values], rows[i - 1], width, code.m, code.q)
 
 
 def locality_profile(code: IndexCode) -> LocalityProfile:
@@ -537,7 +583,8 @@ def _json_int_lists(value, what: str) -> list[list[int]]:
 def code_from_json_dict(doc: dict) -> IndexCode:
     """The code a JSON document describes.  Raises ValueError unless q, M,
     N and ell are integers, q is prime, and L and queries are lists of
-    lists of integers of the right shape."""
+    lists of integers of the right shape with every entry of L in
+    [0, q): an entry outside is refused, not reduced mod q."""
     try:
         fields = [doc[key] for key in ("q", "M", "N", "ell", "L", "queries")]
     except (KeyError, TypeError) as exc:
@@ -546,6 +593,11 @@ def code_from_json_dict(doc: dict) -> IndexCode:
     rows = _json_int_lists(fields[4], "L")
     queries = _json_int_lists(fields[5], "queries")
     require_prime(q)
+    for x in chain.from_iterable(rows):
+        if not 0 <= x < q:
+            raise ValueError(
+                f"malformed code document: an entry of L must lie in [0, q), got {x}"
+            )
     if len(rows) != m * n or any(len(r) != ell for r in rows):
         raise ValueError("encoder array shape does not match M, N, ell")
     return IndexCode(

@@ -214,7 +214,8 @@ def malformed_code_docs() -> list[tuple[str, dict, str]]:
     """(name, document, message) triples a code loader must refuse with
     ValueError(message): the document of the scalar 4-cycle code over F_2
     with one field of the wrong JSON type or value, or with M = 0 and so
-    no encoder rows.  Truncating the floats would give back that code."""
+    no encoder rows.  Truncating the floats, or reducing the entries of L
+    mod q, would give back a code the document does not hold."""
     doc = code_to_json_dict(cycle_scalar_code(4, 2, 1))
     rows, queries = doc["L"], doc["queries"]
     malformed = "malformed code document: "
@@ -233,6 +234,10 @@ def malformed_code_docs() -> list[tuple[str, dict, str]]:
          entry.format("queries", None)),
         ("query-set-null", dict(doc, queries=[None, *queries[1:]]),
          lists.format("queries")),
+        ("L-entry-q", dict(doc, L=[[3, *rows[0][1:]], *rows[1:]]),
+         malformed + "an entry of L must lie in [0, q), got 3"),
+        ("L-entry-negative", dict(doc, L=[[-1, *rows[0][1:]], *rows[1:]]),
+         malformed + "an entry of L must lie in [0, q), got -1"),
         ("q-float", dict(doc, q=2.5), malformed + "q must be an integer, got 2.5"),
         ("q-bool", dict(doc, q=True), malformed + "q must be an integer, got True"),
         ("q-zero", dict(doc, q=0), "field modulus must be prime, got 0"),

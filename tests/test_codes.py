@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from idxloc import codes as codes_module
 from idxloc import linalg
-from idxloc.bounds import converse_checks
+from idxloc.bounds import converse_checks, exhaustive_vector_search
+from idxloc.cli import main as cli_main
 from idxloc.codes import (
     DecodingFailure,
     DecodingPlan,
@@ -27,12 +29,19 @@ from idxloc.codes import (
     prune_queries,
     query_partition,
     require_plan,
+    save_code,
     verify_decodable,
 )
 from idxloc.constructions import cycle_scalar_code, cycle_vector_code, uncoded
-from idxloc.graphs import directed_cycle, graph_from_side_info, receiver_rows
+from idxloc.graphs import (
+    directed_cycle,
+    format_graph,
+    graph_from_side_info,
+    receiver_rows,
+)
 from idxloc.linalg import FqMatrix, null_space_basis, rank, unit_vector
 
+from corpus import full_corpus
 from helpers import (
     malformed_code_docs,
     normalization_contract,
@@ -459,22 +468,167 @@ def test_encode_fields_wider_than_a_byte(q, mn):
         assert encode(code, x) == linalg.vector_matrix(x, code.matrix)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_codes_and_messages())
-def test_compiled_columns_leave_equality_hash_and_repr(case):
-    code, _ = case
-    twin = IndexCode(
+def _star_code(q, n):
+    """Receiver 1 knows every other message and reads column 1,
+    (q-1) * (x_1 + ... + x_n); receiver j > 1 knows nothing and reads
+    column j, (q-1) * x_j.  With the hand-built plan, receiver 1 reads
+    x_1 = (q-1)^-1 * c_1 - sum of the others, so alpha = (q-1)^-1 = q-1
+    and every u is 1: every packed entry is q-1, and only receiver 1
+    sums n terms."""
+    g = graph_from_side_info([set(range(2, n + 1))] + [set()] * (n - 1))
+    columns = [(q - 1,) * n] + [
+        tuple(q - 1 if r == j else 0 for r in range(n)) for j in range(1, n)
+    ]
+    code = IndexCode(
+        q=q, m=1, n=n, matrix=FqMatrix.from_columns(columns, n, q),
+        queries=tuple(frozenset({i}) for i in range(1, n + 1)),
+    )
+    plan = DecodingPlan(
+        q=q, m=1, n=n, side=g.side,
+        receivers=((PlanEntry(demand=1, u=(1,) * (n - 1), alpha=(q - 1,)),),)
+        + tuple(
+            (PlanEntry(demand=i, u=(), alpha=(q - 1,)),) for i in range(2, n + 1)
+        ),
+    )
+    return g, code, plan
+
+
+def _reference_decode(plan, i, queried, side_values):
+    """(sum alpha_k c_k - sum u_t x_t) mod q, two dot products per symbol."""
+    return tuple(
+        (
+            sum(a * c for a, c in zip(e.alpha, queried))
+            - sum(u * x for u, x in zip(e.u, side_values))
+        ) % plan.q
+        for e in plan.entries(i)
+    )
+
+
+@pytest.mark.parametrize(
+    "q, n, width",
+    [(3, 63, 1), (3, 64, 2), (5, 16, 2), (257, 2, 3), (65537, 2, 5),
+     (4294967291, 2, 9)],
+)
+def test_decode_fields_wider_than_a_byte(q, n, width):
+    """Decoding fields of one to nine bytes, where receiver 1 sums the
+    largest terms its fields must hold without a carry, n products of
+    q-1 by q-1, and the other receivers one each."""
+    g, code, plan = _star_code(q, n)
+    rng = random.Random(q * 100 + n)
+    top = [q - 1] * (n - 1)
+    assert decode_receiver(g, code, plan, 1, [q - 1], top) == (
+        _reference_decode(plan, 1, [q - 1], top)
+    )
+    assert plan._packed[0] == width
+    for x in ([q - 1] * n, [-1] * n, [rng.randrange(-q, 2 * q) for _ in range(n)]):
+        c = encode(code, x)
+        for i in range(1, n + 1):
+            side = [x[s] for s in receiver_rows(g, 1, i)[1]]
+            queried = [c[i - 1] + q * rng.randint(-2, 2)]
+            assert decode_receiver(g, code, plan, i, queried, side) == (x[i - 1] % q,)
+
+
+def test_decode_matches_two_dot_products_on_the_corpus():
+    rng = random.Random(7)
+    for g, code in full_corpus():
+        plan = require_plan(g, code)
+        q, mn = code.q, code.m * code.n
+        for _ in range(4):
+            x = [rng.randrange(-2 * q, 3 * q) for _ in range(mn)]
+            c = encode(code, x)
+            for i in range(1, code.n + 1):
+                demand_rows, side_rows = receiver_rows(g, code.m, i)
+                queried = [
+                    c[k - 1] + q * rng.randint(-3, 3) for k in code.query_list(i)
+                ]
+                side = [x[s] for s in side_rows]
+                got = decode_receiver(g, code, plan, i, queried, side)
+                assert got == _reference_decode(plan, i, queried, side)
+                assert got == tuple(x[j] % q for j in demand_rows)
+
+
+def test_plan_coefficients_outside_the_field_decode_like_their_reduced_twin():
+    rng = random.Random(5)
+    for g, code in (cycle4(), (directed_cycle(5), cycle_vector_code(5, 3, 5))):
+        plan = require_plan(g, code)
+        q = plan.q
+        shifted = DecodingPlan(
+            q=q, m=plan.m, n=plan.n, side=plan.side,
+            receivers=tuple(
+                tuple(
+                    PlanEntry(
+                        demand=e.demand,
+                        u=tuple(v + q * rng.randint(-3, 3) for v in e.u),
+                        alpha=tuple(a + q * rng.randint(-3, 3) for a in e.alpha),
+                    )
+                    for e in entries
+                )
+                for entries in plan.receivers
+            ),
+        )
+        assert shifted != plan
+        for _ in range(5):
+            x = [rng.randrange(-q, 2 * q) for _ in range(code.m * code.n)]
+            assert _decode_all(g, code, shifted, x) == _decode_all(g, code, plan, x)
+
+
+def _fresh_copy(code):
+    return IndexCode(
         q=code.q, m=code.m, n=code.n,
         matrix=FqMatrix.from_rows(code.matrix.row_list(), code.q),
         queries=code.queries,
     )
-    object.__setattr__(twin, "_rows", ())
-    object.__setattr__(twin, "_width", 0)
-    assert twin == code and hash(twin) == hash(code)
-    assert repr(code) == (
-        f"IndexCode(q={code.q!r}, m={code.m!r}, n={code.n!r}, "
-        f"matrix={code.matrix!r}, queries={code.queries!r})"
-    )
+
+
+def test_compiled_columns_leave_equality_hash_and_repr():
+    # The packed forms are cached on first use; a packed code or plan
+    # equals, hashes and prints like a twin that packed nothing.
+    for g, corpus_code in full_corpus()[::7]:
+        code = _fresh_copy(corpus_code)
+        plan = require_plan(g, code)
+        assert "_packed" not in vars(code) and "_packed" not in vars(plan)
+        _decode_all(g, code, plan, [0] * (code.m * code.n))
+        assert "_packed" in vars(code) and "_packed" in vars(plan)
+        twin_plan = DecodingPlan(
+            q=plan.q, m=plan.m, n=plan.n, receivers=plan.receivers, side=plan.side
+        )
+        for packed, twin in ((code, _fresh_copy(code)), (plan, twin_plan)):
+            assert "_packed" not in vars(twin)
+            assert packed == twin and hash(packed) == hash(twin)
+            assert repr(packed) == repr(twin) and "_packed" not in repr(packed)
+        assert repr(code) == (
+            f"IndexCode(q={code.q!r}, m={code.m!r}, n={code.n!r}, "
+            f"matrix={code.matrix!r}, queries={code.queries!r})"
+        )
+
+
+def test_only_encoding_and_decoding_pack(monkeypatch, tmp_path):
+    calls = []
+
+    def counting_pack(rows, width):
+        calls.append(width)
+        return pack(rows, width)
+
+    pack = codes_module._pack
+    monkeypatch.setattr(codes_module, "_pack", counting_pack)
+    g, code = cycle4()
+    graph_path, code_path = tmp_path / "cycle4.txt", tmp_path / "code.json"
+    graph_path.write_text(format_graph(g), encoding="utf-8")
+    save_code(code, code_path)
+    argv = ["verify", "--graph", str(graph_path), "--code", str(code_path)]
+    assert cli_main(argv) == 0
+    assert exhaustive_vector_search(directed_cycle(3), 2, 1, 2)
+    assert calls == []
+    code = cycle_vector_code(5, 3, 5)
+    g = directed_cycle(5)
+    plan = require_plan(g, code)
+    assert calls == []
+    for x in ([1] * 25, [2] * 25, list(range(25))):
+        encode(code, x)
+    assert len(calls) == 1
+    for x in ([1] * 25, [2] * 25, list(range(25))):
+        _decode_all(g, code, plan, x)
+    assert len(calls) == 2
 
 
 @settings(max_examples=60, deadline=None)
