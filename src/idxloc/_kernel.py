@@ -22,9 +22,16 @@ query sets of one receiver, so all of them share one table per receiver
 for as long as the search keeps its tables.  A search sizes each
 receiver's least query set with ``first_query_set`` and builds the
 witness query sets with ``min_query_sets`` only for the encoders it
-keeps.  ``minrank_dfs`` fills fitting matrices column by column,
-reducing each column against the prefix's reduced columns, a list cut
-back on backtracking.  It keeps the mask of rows that some chosen
+keeps.  A table may also stand for a virtual receiver, one that demands
+a set of rows on which every decodable code has full rank and knows
+every other row: ``bounds.exhaustive_vector_search`` adds one per
+maximum induced acyclic vertex set, ahead of the real receivers, to the
+tables it enumerates encoders on, and sizes and builds query sets on
+the real receivers' tables alone.
+
+``minrank_dfs`` fills fitting matrices column by column, reducing each
+column against the prefix's reduced columns, a list cut back on
+backtracking.  It keeps the mask of rows that some chosen
 column touches, and descends into a column only while the prefix rank
 plus a floor on the untouched rows, a bound from the caller on the rank
 of the later columns there, is below the best rank: the chosen columns
@@ -203,6 +210,13 @@ def receiver_tables(columns, q, rows):
     when built and fills in as the enumerators of this module walk it, so
     every enumeration on the same tables, the encoders of one search and
     the query sets of its encoders alike, shares what the others computed.
+
+    A virtual receiver, given as demand rows D and every other row as its
+    side rows, gets a table whose proj is each column restricted to D and
+    whose gap is |D| - rank(proj[T]).  It decodes from T iff T has full
+    rank on the rows D, so on tables ahead of the real receivers' it lets
+    ``decodable_encoders`` skip a prefix once more of its columns are
+    dependent on D than the length less |D|.
     """
     _, span_with, entry, join, _ = _vector_format(q)
     mn = len(columns[0])

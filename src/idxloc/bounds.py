@@ -26,6 +26,7 @@ from .codes import (
 )
 from .graphs import (
     SideInformationGraph,
+    _acyclic_sets,
     acyclic_sizer,
     has_directed_cycle,
     induced_subgraph,
@@ -270,6 +271,17 @@ def exhaustive_vector_search(
     built only for the frontier's encoders.  Deterministic output: the
     first encoder found in nondecreasing order wins a tie.
 
+    Every decodable code has rank m|S| on the rows of each induced
+    acyclic vertex set S (the MAIS bound of Bar-Yossef, Birk, Jayram and
+    Kol, IEEE Trans. IT 2011).  When ell <= m*MAIS + 1, each maximum such
+    S joins the encoder enumeration as a virtual receiver that demands
+    the m|S| rows of S and knows every other row, so a prefix is skipped
+    once more of its columns are dependent on those rows than
+    ell - m|S|.  These receivers cut only prefixes with no decodable
+    completion, and sizing and the witness query sets use the real
+    receivers alone, so the frontier and its witnesses are unchanged.
+    Longer codes are searched without them.
+
     The search ends once an encoder reaches a proven floor on every
     profile of length ell.  If receiver i decodes from exactly m
     columns, their projections off K_i span exactly its own block, so
@@ -324,14 +336,23 @@ def exhaustive_vector_search(
     tight = min(g.n, ell * (mutual + 1) // m)
     if tight < g.n and max_size == m:
         return []
-    # Any decodable code has ell >= m|S| for every induced acyclic vertex
-    # set S (the MAIS bound of Bar-Yossef, Birk, Jayram and Kol), so a
-    # larger acyclic set leaves nothing to search.
-    if m * max_acyclic_induced(g) > ell:
+    # Any decodable code has rank m|S| on the rows of every induced
+    # acyclic vertex set S, so ell >= m|S| and a larger acyclic set leaves
+    # nothing to search.  Near that bound each maximum S becomes a virtual
+    # receiver, demanding S's rows and knowing every other row, ahead of
+    # the real ones in the encoder enumeration alone.
+    mais = max_acyclic_induced(g)
+    if m * mais > ell:
         return []
+    virtual = []
+    if ell <= m * mais + 1:
+        for s in _acyclic_sets(g, mais):
+            demand = tuple(r for v in s for r in range(v * m, (v + 1) * m))
+            virtual.append((demand, tuple(r for r in range(mn) if r not in demand)))
     columns = _normalized_columns(mn, q)
     rows = [receiver_rows(g, m, i) for i in range(1, g.n + 1)]
-    tables = _kernel.receiver_tables(columns, q, rows)
+    everyone = _kernel.receiver_tables(columns, q, virtual + rows)
+    tables = everyone[len(virtual):]
 
     # Frontier bookkeeping on integer profiles (max |R_i|, sum |R_i|);
     # beta is constant within one call so dominance reduces to these two.
@@ -344,7 +365,7 @@ def exhaustive_vector_search(
     floor = (m + (tight < g.n), (m + 1) * g.n - tight)
     memos = [{} for _ in tables]
     frontier: list[tuple[int, int, tuple[int, ...]]] = []
-    for ks in _kernel.decodable_encoders(tables, range(len(columns)), ell, True):
+    for ks in _kernel.decodable_encoders(everyone, range(len(columns)), ell, True):
         mx, sm = m, m * g.n
         for table, memo in zip(tables, memos):
             proj = table.proj

@@ -8,6 +8,7 @@ indices are 1-based throughout the public API.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Generator, Iterable, Iterator
 
 
@@ -218,6 +219,18 @@ def acyclic_sizer(g: SideInformationGraph) -> Callable[[int], int]:
         return _mais(succ, pred, mask, memo)
 
     return size
+
+
+def _acyclic_sets(g: SideInformationGraph, size: int) -> list[tuple[int, ...]]:
+    """The induced acyclic vertex sets of g with exactly size vertices, as
+    ascending tuples of 0-based vertices in lexicographic order: the
+    ``combinations(range(g.n), size)`` whose core is empty.  At size
+    ``max_acyclic_induced(g)`` these are the maximum ones."""
+    succ, pred = _adjacency(g)
+    return [
+        s for s in combinations(range(g.n), size)
+        if not _core(succ, pred, sum(1 << v for v in s))
+    ]
 
 
 def _adjacency(g: SideInformationGraph) -> tuple[list[int], list[int]]:

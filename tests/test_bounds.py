@@ -21,12 +21,21 @@ from idxloc.bounds import (
     pareto_merge,
     scalar_bounds_minrank_deficit,
 )
-from idxloc.codes import IndexCode, locality_profile, require_plan
+from idxloc.codes import (
+    DecodingFailure, IndexCode, locality_profile, require_plan, verify_decodable,
+)
 from idxloc.constructions import cycle_scalar_code, minrank_deficit_code, uncoded
-from idxloc.graphs import acyclic_sizer, directed_cycle, graph_from_side_info
+from idxloc.graphs import (
+    _acyclic_sets,
+    acyclic_sizer,
+    directed_cycle,
+    graph_from_side_info,
+    max_acyclic_induced,
+    parse_graph,
+)
 from idxloc.linalg import FqMatrix, rank
 
-from helpers import blocks_graph, random_graph
+from helpers import blocks_graph, random_graph, random_matrix
 
 
 def test_minrank_cycles():
@@ -562,6 +571,66 @@ def test_search_stops_at_the_locality_floor(monkeypatch):
     pts = exhaustive_scalar_search(certified, 2, 3)
     assert [(p.r, p.r_avg) for p in pts] == [(2, Fraction(5, 4))]
     assert 0 < len(pulled) < sum(1 for _ in enumerate_all(*pulled[0], True))
+
+
+@pytest.mark.parametrize("q, m", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)])
+def test_decodable_codes_have_full_rank_on_every_maximum_acyclic_set(q, m):
+    # The bound behind the search's virtual receivers: a decodable code
+    # has rank m|S| on the rows of every induced acyclic set S.  Codes are
+    # rejection-sampled at lengths from m * MAIS, where the bound is
+    # tight, up to m * N, each receiver querying every column.
+    rng = random.Random(f"acyclic-rank:{q}:{m}")
+    codes = tight = 0
+    while codes < 100:
+        n = rng.randint(2, 5 if m == 1 else 4)
+        g = random_graph(rng, n, edge_prob=rng.choice([0.4, 0.6, 0.8]))
+        mais = max_acyclic_induced(g)
+        ell = rng.randint(m * mais, min(m * n, m * mais + 2))
+        queries = (frozenset(range(1, ell + 1)),) * n
+        code = IndexCode(q, m, n, random_matrix(rng, m * n, ell, q), queries)
+        if isinstance(verify_decodable(g, code), DecodingFailure):
+            continue
+        codes += 1
+        tight += ell == m * mais
+        sets = _acyclic_sets(g, mais)
+        assert sets
+        for s in sets:
+            rows = [code.matrix.row(v * m + a) for v in s for a in range(m)]
+            assert rank(FqMatrix.from_rows(rows, q)) == m * mais, (g.side, s)
+    assert tight >= 20
+
+
+def test_acyclic_set_receivers_cut_the_certified_search(monkeypatch):
+    # At ell 3 = MAIS the two maximum acyclic sets of this certified
+    # min-rank n-1 graph, {1, 3, 4} and {2, 3, 4}, need full rank on
+    # their rows, which cuts most prefixes before their last column: 35
+    # span steps in all, 267 without those receivers.  The frontier is
+    # the deficit-one optimum.
+    steps = []
+    step = _kernel._Transitions.step
+
+    def counted(self, s, k):
+        steps.append(k)
+        return step(self, s, k)
+
+    monkeypatch.setattr(_kernel._Transitions, "step", counted)
+    g = parse_graph("N=4\n1: 3 4\n2: 1\n3: 2\n4: 2\n")
+    pts = exhaustive_scalar_search(g, 2, 3)
+    assert [p.profile() for p in pts] == [(3, 2, Fraction(5, 4))]
+    assert 0 < len(steps) <= 40
+
+
+def test_acyclic_set_receivers_answer_a_7_vertex_query():
+    # A min-rank n-1 graph of girth 3 whose MAIS is 6: over F_2 at ell 6
+    # the search space holds 6,547,258,432 encoders, and the search stops
+    # at the first encoder reaching the floor (2, 8) after a few hundred
+    # span steps.
+    g = parse_graph("N=7\n1: 2 4 6\n2: 3\n3: 1\n4: 5\n5: 1\n6: 7\n7: 1\n")
+    start = time.perf_counter()
+    pts = exhaustive_scalar_search(g, 2, 6, budget=8589934592)
+    assert time.perf_counter() - start < 2
+    assert [p.profile() for p in pts] == [(6, 2, Fraction(8, 7))]
+    assert scalar_bounds_minrank_deficit(g, 2) == (2, Fraction(8, 7))
 
 
 def test_scalar_search_cycle3_len2():

@@ -10,6 +10,7 @@ import pytest
 
 from idxloc.graphs import (
     GraphParseError,
+    _acyclic_sets,
     acyclic_sizer,
     cycle_length_if_cycle,
     directed_cycle,
@@ -246,6 +247,26 @@ def test_max_acyclic_induced_on_every_small_digraph():
             # mais answers on the memo its first call filled.
             assert mais(_mask(some)) == _brute_mais(g, some)
             assert mais(0) == 0
+    assert graphs == 1 + 4 + 64 + 4096
+
+
+def test_acyclic_sets_match_a_subset_scan_on_every_small_digraph():
+    # Against the path-enumerating reference on every subset, so the
+    # sets at the MAIS are the maximum induced acyclic sets.
+    graphs = 0
+    for n in (1, 2, 3, 4):
+        for g in _all_digraphs(n):
+            graphs += 1
+            by_size = [[] for _ in range(n + 1)]
+            for size in range(1, n + 1):
+                for s in combinations(range(n), size):
+                    sub = induced_subgraph(g, [v + 1 for v in s])[0]
+                    if oracle_shortest_cycle(sub) is None:
+                        by_size[size].append(s)
+            mais = max_acyclic_induced(g)
+            assert by_size[mais] and not any(by_size[mais + 1:])
+            for size in range(1, n + 1):
+                assert _acyclic_sets(g, size) == by_size[size], (g.side, size)
     assert graphs == 1 + 4 + 64 + 4096
 
 
