@@ -273,14 +273,13 @@ def exhaustive_vector_search(
 
     Every decodable code has rank m|S| on the rows of each induced
     acyclic vertex set S (the MAIS bound of Bar-Yossef, Birk, Jayram and
-    Kol, IEEE Trans. IT 2011).  When ell <= m*MAIS + 1, each maximum such
-    S joins the encoder enumeration as a virtual receiver that demands
-    the m|S| rows of S and knows every other row, so a prefix is skipped
-    once more of its columns are dependent on those rows than
-    ell - m|S|.  These receivers cut only prefixes with no decodable
-    completion, and sizing and the witness query sets use the real
-    receivers alone, so the frontier and its witnesses are unchanged.
-    Longer codes are searched without them.
+    Kol, IEEE Trans. IT 2011).  Each maximum such S joins the encoder
+    enumeration as a virtual receiver that demands the m|S| rows of S and
+    knows every other row, so a prefix is skipped once more of its
+    columns are dependent on those rows than ell - m|S|.  These receivers
+    cut only prefixes with no decodable completion, and sizing and the
+    witness query sets use the real receivers alone, so the frontier and
+    its witnesses are unchanged.
 
     The search ends once an encoder reaches a proven floor on every
     profile of length ell.  If receiver i decodes from exactly m
@@ -338,17 +337,16 @@ def exhaustive_vector_search(
         return []
     # Any decodable code has rank m|S| on the rows of every induced
     # acyclic vertex set S, so ell >= m|S| and a larger acyclic set leaves
-    # nothing to search.  Near that bound each maximum S becomes a virtual
-    # receiver, demanding S's rows and knowing every other row, ahead of
-    # the real ones in the encoder enumeration alone.
+    # nothing to search.  Each maximum S becomes a virtual receiver,
+    # demanding S's rows and knowing every other row, ahead of the real
+    # ones in the encoder enumeration alone.
     mais = max_acyclic_induced(g)
     if m * mais > ell:
         return []
     virtual = []
-    if ell <= m * mais + 1:
-        for s in _acyclic_sets(g, mais):
-            demand = tuple(r for v in s for r in range(v * m, (v + 1) * m))
-            virtual.append((demand, tuple(r for r in range(mn) if r not in demand)))
+    for s in _acyclic_sets(g, mais):
+        demand = tuple(r for v in s for r in range(v * m, (v + 1) * m))
+        virtual.append((demand, tuple(r for r in range(mn) if r not in demand)))
     columns = _normalized_columns(mn, q)
     rows = [receiver_rows(g, m, i) for i in range(1, g.n + 1)]
     everyone = _kernel.receiver_tables(columns, q, virtual + rows)

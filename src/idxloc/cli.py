@@ -33,7 +33,6 @@ from .codes import (
     IndexCode,
     LocalityProfile,
     _normalize_unique_columns,
-    _write_in_place,
     load_code,
     locality_profile,
     prune_queries,
@@ -116,7 +115,7 @@ def cmd_minrank(args: argparse.Namespace) -> int:
         "N": g.n,
         "A": [list(witness.matrix.row(i)) for i in range(g.n)],
     }
-    _write_in_place(out, json.dumps(doc, sort_keys=True) + "\n")
+    Path(out).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
     print(f"minrank={value}")
     print(f"witness={out}")
     return EXIT_OK
@@ -207,7 +206,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
         r += step
     text = "\n".join(lines) + "\n"
     if args.out:
-        _write_in_place(args.out, text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -230,7 +229,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             f"{fmt_frac(point.beta)},{fmt_frac(point.r)},"
             f"{fmt_frac(point.r_avg)},{witness_file.name}"
         )
-    _write_in_place(out_path, "\n".join(lines) + "\n")
+    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     for line in lines:
         print(line)
     return EXIT_OK

@@ -34,8 +34,6 @@ coordinates are 0-based.
 from __future__ import annotations
 
 import json
-import os
-import stat
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -611,36 +609,10 @@ def code_from_json_dict(doc: dict) -> IndexCode:
     )
 
 
-def _write_in_place(path: str | Path, text: str) -> None:
-    """Write text to path as UTF-8, overwriting an existing file in place.
-
-    The file is opened without O_TRUNC, written from its start and then,
-    if it is a regular file, cut to the length of the text, so the bytes
-    it holds and the mode a new file gets (0o666 less the umask) are
-    those of ``Path.write_text``, an error names the path as it does, and
-    a device or pipe such as /dev/null, which cannot be cut, is written
-    as that writes it.  Truncating to zero first frees the file's blocks,
-    which on a file system mounted with discard are discarded, and ext4
-    then flushes the rewritten file when it is closed: rewriting a short
-    output that way costs tens of microseconds more than rewriting it in
-    place.  A write interrupted before the cut can leave a stale tail of
-    the old file after the new bytes, as an interrupted truncating write
-    leaves a partial file.
-    """
-    data = memoryview(text.encode("utf-8"))
-    fd = os.open(os.fspath(path), os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        written = 0
-        while written < len(data):
-            written += os.write(fd, data[written:])
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, written)
-    finally:
-        os.close(fd)
-
-
 def save_code(code: IndexCode, path: str | Path) -> None:
-    _write_in_place(path, json.dumps(code_to_json_dict(code), sort_keys=True) + "\n")
+    Path(path).write_text(
+        json.dumps(code_to_json_dict(code), sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def load_code(path: str | Path) -> IndexCode:

@@ -591,77 +591,6 @@ def test_unwritable_out_is_input_error(command, cycle3_file, tmp_path, capsys):
     )
 
 
-def _rewrite_everywhere(work, command, filler):
-    """Run command writing into the new directory work, first filling
-    every path it may write with filler unless filler is None; returns
-    the directory's files."""
-    work.mkdir()
-    graph = work / "g.txt"
-    graph.write_text("N=4\n1: 2\n2: 3\n3: 4\n4: 1\n", encoding="utf-8")
-    out = work / "out.csv"
-    argv = {
-        "oracle": ["oracle", "--graph", str(graph), "--ell", "3", "--out", str(out)],
-        "minrank": ["minrank", "--graph", str(graph), "--out", str(out)],
-        "tradeoff": ["tradeoff", "--graph", str(graph), "--out", str(out)],
-        "construct": ["construct", "--graph", str(graph), "--scheme", "cycle-vector",
-                      "--M", "2", "--out", str(out)],
-    }[command]
-    if filler is not None:
-        for name in ("out.csv", "out_witness_1.json", "out_witness_2.json"):
-            (work / name).write_bytes(filler)
-    assert main(argv) == EXIT_OK
-    return {p.name: p.read_bytes() for p in sorted(work.iterdir())}
-
-
-@pytest.mark.parametrize("command", ["oracle", "minrank", "tradeoff", "construct"])
-def test_outputs_overwrite_longer_files_exactly(command, tmp_path, capsys):
-    # Every output is rewritten in place and cut to its new length, so a
-    # longer file under its path leaves no tail; a shorter one is grown.
-    fresh = _rewrite_everywhere(tmp_path / "fresh", command, None)
-    longer = _rewrite_everywhere(tmp_path / "longer", command, b"#" * 5000)
-    shorter = _rewrite_everywhere(tmp_path / "shorter", command, b"#")
-    capsys.readouterr()
-    assert "out.csv" in fresh
-    for name in fresh:
-        assert longer[name] == shorter[name] == fresh[name]
-        assert b"#" not in fresh[name]
-
-
-@pytest.mark.parametrize("command", ["minrank", "tradeoff", "construct"])
-def test_outputs_can_go_to_a_device(command, cycle3_file, capsys):
-    # A device cannot be cut to length; it is written as a text write
-    # writes it.
-    argv = {
-        "minrank": ["minrank", "--graph", str(cycle3_file)],
-        "tradeoff": ["tradeoff", "--graph", str(cycle3_file)],
-        "construct": ["construct", "--graph", str(cycle3_file), "--scheme", "uncoded"],
-    }[command]
-    assert main(argv + ["--out", os.devnull]) == EXIT_OK
-    assert capsys.readouterr().err == ""
-
-
-def test_outputs_get_the_mode_of_a_text_write(tmp_path):
-    # A new output file gets 0o666 less the umask, as Path.write_text
-    # gives it, whatever the umask; an existing file keeps its mode.
-    graph = tmp_path / "g.txt"
-    graph.write_text("N=3\n1: 2\n2: 3\n3: 1\n", encoding="utf-8")
-    old = os.umask(0o022)
-    try:
-        for mask in (0o022, 0o077, 0o002):
-            os.umask(mask)
-            reference = tmp_path / f"ref_{mask:o}.txt"
-            reference.write_text("x", encoding="utf-8")
-            out = tmp_path / f"out_{mask:o}.csv"
-            assert main(["tradeoff", "--graph", str(graph), "--out", str(out)]) == EXIT_OK
-            assert out.stat().st_mode == reference.stat().st_mode
-            assert out.stat().st_mode & 0o777 == 0o666 & ~mask
-    finally:
-        os.umask(old)
-    os.chmod(out, 0o600)
-    assert main(["tradeoff", "--graph", str(graph), "--out", str(out)]) == EXIT_OK
-    assert out.stat().st_mode & 0o777 == 0o600
-
-
 @pytest.mark.parametrize(
     "command", sorted(c for c, (req, _) in SUBCOMMAND_FLAGS.items() if "--graph" in req)
 )
