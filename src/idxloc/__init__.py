@@ -60,6 +60,6 @@ from .graphs import (
     receiver_rows,
     shortest_directed_cycle,
 )
-from .linalg import FqMatrix, null_space_basis, rank, rref, solve_in_span
+from .linalg import FqMatrix, null_space_basis, rank, rref
 
 __version__ = "0.1.0"

@@ -20,14 +20,14 @@ tables and skips every prefix that no completion can make decodable,
 both for the encoders of a search and, in ``first_query_set``, for the
 query sets of one receiver, so all of them share one table per receiver
 for as long as the search keeps its tables.  A search sizes each
-receiver's least query set with ``first_query_set`` and builds the
-witness query sets with ``min_query_sets`` only for the encoders it
-keeps.  A table may also stand for a virtual receiver, one that demands
-a set of rows on which every decodable code has full rank and knows
-every other row: ``bounds.exhaustive_vector_search`` adds one per
-maximum induced acyclic vertex set, ahead of the real receivers, to the
-tables it enumerates encoders on, and sizes and builds query sets on
-the real receivers' tables alone.
+receiver's least query set with ``first_query_set`` and, for the
+encoders it keeps, builds the witness query sets with it again.  A
+table may also stand for a virtual receiver, one that demands a set of
+rows on which every decodable code has full rank and knows every other
+row: ``bounds.exhaustive_vector_search`` adds one per maximum induced
+acyclic vertex set, ahead of the real receivers, to the tables it
+enumerates encoders on, and sizes and builds query sets on the real
+receivers' tables alone.
 
 ``minrank_dfs`` fills fitting matrices column by column, reducing each
 column against the prefix's reduced columns, a list cut back on
@@ -56,7 +56,6 @@ from operator import itemgetter
 __all__ = [
     "decodable_encoders",
     "first_query_set",
-    "min_query_sets",
     "minrank_dfs",
     "receiver_tables",
 ]
@@ -295,26 +294,6 @@ def first_query_set(table, ks, max_size):
         if first is not None:
             return first
     return None
-
-
-def min_query_sets(tables, ks, max_size):
-    """Smallest query set per receiver for one encoder, or None.
-
-    tables: from ``receiver_tables``; ks: the encoder's columns, as
-    indices into the tables.  max_size: upper bound on |R_i| (locality
-    cap).
-
-    Returns each receiver's ``first_query_set``, a tuple of positions
-    into ks, or None if some receiver has no decodable subset within the
-    cap.
-    """
-    out = []
-    for table in tables:
-        first = first_query_set(table, ks, max_size)
-        if first is None:
-            return None
-        out.append(first)
-    return tuple(out)
 
 
 def minrank_dfs(n: int, q: int, free_rows, stop: int, floor):

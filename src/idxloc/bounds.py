@@ -37,8 +37,7 @@ from .graphs import (
 )
 from .linalg import FqMatrix, null_space_basis, require_prime, rref, vector_matrix
 
-DEFAULT_MINRANK_BUDGET = 2**24
-DEFAULT_SEARCH_BUDGET = 2**24
+DEFAULT_BUDGET = 2**24
 NULL_ENUMERATION_LIMIT = 4096
 
 
@@ -86,7 +85,7 @@ def minrank_bruteforce(
     answer is always exact.
     """
     require_prime(q)
-    budget = DEFAULT_MINRANK_BUDGET if budget is None else budget
+    budget = DEFAULT_BUDGET if budget is None else budget
     if budget <= 0:
         raise ValueError("budget must be positive")
     total_free = sum(len(k) for k in g.side)
@@ -297,15 +296,15 @@ def exhaustive_vector_search(
     Refuses to start with ValueError when the budget is not positive,
     and with BudgetExceededError when the size of the search space,
     C(K + ell - 1, ell) encoders for the K = (q^(m*N) - 1)/(q - 1)
-    normalized columns, exceeds the budget (DEFAULT_SEARCH_BUDGET when
-    None); the pruning does not change this count.  Past that check, an
-    empty frontier is returned without enumerating any encoder when the
-    locality cap allows only m columns per receiver while u < N, or when
-    the length is below the acyclic-set bound (ell < m|S| for an induced
-    acyclic vertex set S).
+    normalized columns, exceeds the budget (DEFAULT_BUDGET when None);
+    the pruning does not change this count.  Past that check, an empty
+    frontier is returned without enumerating any encoder when the
+    locality cap or ell allows fewer than the floor's m + [u < N]
+    columns per receiver, or when the length is below the acyclic-set
+    bound (ell < m|S| for an induced acyclic vertex set S).
     """
     require_prime(q)
-    budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    budget = DEFAULT_BUDGET if budget is None else budget
     if budget <= 0:
         raise ValueError("budget must be positive")
     if m < 1 or ell < 1:
@@ -329,11 +328,13 @@ def exhaustive_vector_search(
             raise ValueError("locality cap below 1 admits no code")
         max_size = min(ell, int(cap * m))
     # Receivers that query only m columns share them only with mutual
-    # neighbours, so at most `tight` receivers have |R_i| = m; the others
-    # need m + 1 columns, which a cap of m columns refuses.
+    # neighbours, so at most `tight` receivers have |R_i| = m and the
+    # others need m + 1 columns.  No profile (max |R_i|, sum |R_i|) lies
+    # below `floor`, so fewer than floor[0] columns refuse every code.
     mutual = max(sum(i in g.side[j - 1] for j in k) for i, k in enumerate(g.side, 1))
     tight = min(g.n, ell * (mutual + 1) // m)
-    if tight < g.n and max_size == m:
+    floor = (m + (tight < g.n), (m + 1) * g.n - tight)
+    if floor[0] > max_size:
         return []
     # Any decodable code has rank m|S| on the rows of every induced
     # acyclic vertex set S, so ell >= m|S| and a larger acyclic set leaves
@@ -345,7 +346,7 @@ def exhaustive_vector_search(
         return []
     virtual = []
     for s in _acyclic_sets(g, mais):
-        demand = tuple(r for v in s for r in range(v * m, (v + 1) * m))
+        demand = tuple(r for v in s for r in receiver_rows(g, m, v + 1)[0])
         virtual.append((demand, tuple(r for r in range(mn) if r not in demand)))
     columns = _normalized_columns(mn, q)
     rows = [receiver_rows(g, m, i) for i in range(1, g.n + 1)]
@@ -358,9 +359,8 @@ def exhaustive_vector_search(
     # the multiset of its proj columns, so it is memoized on them, and
     # the witness query sets are built for the final frontier alone.  Every
     # receiver needs at least its m demanded columns, so a receiver not
-    # yet sized counts m.  No profile lies below `floor`, so the first
-    # encoder reaching it ends the search.
-    floor = (m + (tight < g.n), (m + 1) * g.n - tight)
+    # yet sized counts m.  The first encoder reaching `floor` ends the
+    # search.
     memos = [{} for _ in tables]
     frontier: list[tuple[int, int, tuple[int, ...]]] = []
     for ks in _kernel.decodable_encoders(everyone, range(len(columns)), ell, True):
@@ -390,7 +390,7 @@ def exhaustive_vector_search(
 
     points = []
     for mx, sm, ks in frontier:
-        firsts = _kernel.min_query_sets(tables, ks, max_size)
+        firsts = [_kernel.first_query_set(table, ks, max_size) for table in tables]
         matrix = FqMatrix.from_columns([columns[k] for k in ks], mn, q)
         queries = tuple(frozenset(p + 1 for p in first) for first in firsts)
         witness = IndexCode(q=q, m=m, n=g.n, matrix=matrix, queries=queries)

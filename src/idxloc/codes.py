@@ -34,7 +34,6 @@ coordinates are 0-based.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -269,21 +268,12 @@ def _field_width(terms: int, q: int) -> int:
 
 def _pack(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
     """Each row as one int whose little-endian bytes hold entry k in
-    bytes [k*width, (k+1)*width).  Entries lie in [0, q) for a field
-    width of _field_width, so each lies below 2^32 and 2^(8 * width)."""
-    entries = [v for row in rows for v in row]
-    # The low min(width, 4) little-endian bytes of an entry fill its
-    # field, row-major.
-    raw = struct.pack(f"<{len(entries)}I", *entries)
-    fields = bytearray(len(entries) * width)
-    for t in range(min(width, 4)):
-        fields[t::width] = raw[t::4]
-    fields, start, packed = memoryview(fields), 0, []
-    for row in rows:
-        end = start + len(row) * width
-        packed.append(int.from_bytes(fields[start:end], "little"))
-        start = end
-    return tuple(packed)
+    bytes [k*width, (k+1)*width).  Entries lie in [0, q), so each fits a
+    field of _field_width's width."""
+    return tuple(
+        int.from_bytes(b"".join(v.to_bytes(width, "little") for v in row), "little")
+        for row in rows
+    )
 
 
 def _product(

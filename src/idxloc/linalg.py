@@ -233,20 +233,6 @@ def solve_each_in_span(
     return answers
 
 
-def solve_in_span(
-    generators: Sequence[Sequence[int]], target: Sequence[int], q: int
-) -> Vector | None:
-    """Express target as a linear combination of the generators.
-
-    Returns one coefficient vector c with sum(c_k * gen_k) == target, or
-    None when the target lies outside the span.  Free coefficients are
-    set to zero, so the answer is deterministic.
-
-    Raises ValueError if the vectors do not all share one length.
-    """
-    return solve_each_in_span(generators, [target], q)[0]
-
-
 def unit_vector(n: int, position: int) -> Vector:
     """Standard basis vector with a 1 at the given 0-based position."""
     if not 0 <= position < n:

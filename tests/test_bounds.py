@@ -9,7 +9,7 @@ import pytest
 
 from idxloc import _kernel
 from idxloc.bounds import (
-    DEFAULT_SEARCH_BUDGET,
+    DEFAULT_BUDGET,
     BudgetExceededError,
     converse_checks,
     cycle_tradeoff,
@@ -551,6 +551,14 @@ def test_search_skips_caps_below_the_locality_floor(monkeypatch):
     assert exhaustive_scalar_search(certified, 2, 3, locality_cap=Fraction(3, 2)) == []
     with pytest.raises(AssertionError, match="locality floor"):
         exhaustive_scalar_search(certified, 2, 4, locality_cap=1)
+    # The 3-cycle has no mutual neighbours, so at M = 2 at most ell // 2
+    # of its receivers query only their 2 demanded columns: 2 < 3 at
+    # ell 4 and 5, where a cap of 2 columns proves the frontier empty.
+    cycle = directed_cycle(3)
+    for ell in (4, 5):
+        assert exhaustive_vector_search(cycle, 2, 2, ell, 1, budget=2**30) == []
+    with pytest.raises(AssertionError, match="locality floor"):
+        exhaustive_vector_search(cycle, 2, 2, 6, 1, budget=2**30)
 
 
 def test_search_stops_at_the_locality_floor(monkeypatch):
@@ -686,7 +694,7 @@ def test_scalar_search_uses_the_one_default_budget(monkeypatch):
 
     monkeypatch.setattr(_kernel, "decodable_encoders", refuse)
     g = graph_from_side_info([set()] * 7)
-    assert DEFAULT_SEARCH_BUDGET == 2**24
+    assert DEFAULT_BUDGET == 2**24
     assert exhaustive_scalar_search(g, 2, 4) == []
     with pytest.raises(
         BudgetExceededError,

@@ -7,7 +7,7 @@ from itertools import combinations, combinations_with_replacement
 from idxloc import _kernel
 from idxloc.bounds import _normalized_columns
 from idxloc.graphs import acyclic_sizer, directed_cycle, graph_from_side_info, receiver_rows
-from idxloc.linalg import FqMatrix, rank, solve_in_span, unit_vector
+from idxloc.linalg import FqMatrix, rank, solve_each_in_span, unit_vector
 
 from helpers import random_graph
 
@@ -37,7 +37,8 @@ def _decodes(cols, mn, q, demand_rows, side_rows):
     side-information unit vectors."""
     gens = list(cols) + [unit_vector(mn, s) for s in side_rows]
     return all(
-        solve_in_span(gens, unit_vector(mn, d), q) is not None for d in demand_rows
+        solve_each_in_span(gens, [unit_vector(mn, d)], q)[0] is not None
+        for d in demand_rows
     )
 
 
@@ -51,6 +52,12 @@ def _first_decoding_subset(cols, mn, q, demand_rows, side_rows):
     return None
 
 
+def _query_sets(tables, ks, cap):
+    """Each receiver's first_query_set, or None when some receiver has none."""
+    firsts = tuple(_kernel.first_query_set(table, ks, cap) for table in tables)
+    return None if None in firsts else firsts
+
+
 def test_min_query_sets_matches_linalg():
     rng = random.Random(57)
     decodable = 0
@@ -59,7 +66,7 @@ def test_min_query_sets_matches_linalg():
         tables, ks = _encoder(cols, mn, q, rows)
         firsts = [_first_decoding_subset(cols, mn, q, d, s) for d, s in rows]
         for cap in range(1, ell + 1):
-            got = _kernel.min_query_sets(tables, ks, cap)
+            got = _query_sets(tables, ks, cap)
             if any(t is None or len(t) > cap for t in firsts):
                 assert got is None
             else:
@@ -135,12 +142,12 @@ def test_warm_transitions_answer_as_fresh_ones():
                     fresh, fresh_ks = _encoder(cols, mn, q, rows)
                     firsts = [_first_decoding_subset(cols, mn, q, d, s) for d, s in rows]
                     for cap in range(1, ell + 1):
-                        want = _kernel.min_query_sets(fresh, fresh_ks, cap)
+                        want = _query_sets(fresh, fresh_ks, cap)
                         if all(t is not None and len(t) <= cap for t in firsts):
                             assert want == tuple(firsts)
                         else:
                             assert want is None
-                        assert _kernel.min_query_sets(tables, ks, cap) == want
+                        assert _query_sets(tables, ks, cap) == want
                     checked[q, m] = checked.get((q, m), 0) + 1
                 cold = _kernel.receiver_tables(columns, q, rows)
                 assert walked == list(_kernel.decodable_encoders(cold, candidates, ell, repeat))
@@ -153,7 +160,7 @@ def test_min_query_sets_respects_cap():
         cols, mn, q, rows, ell = _search_instance(rng)
         tables, ks = _encoder(cols, mn, q, rows)
         cap = rng.randint(1, ell)
-        a = _kernel.min_query_sets(tables, ks, cap)
+        a = _query_sets(tables, ks, cap)
         if a is not None:
             assert all(len(first) <= cap for first in a)
 
@@ -198,7 +205,7 @@ def test_reduce_is_falsy_exactly_on_the_span():
                 else:
                     target = tuple(rng.randrange(q) for _ in range(n))
                 if gens:
-                    inside = solve_in_span(gens, target, q) is not None
+                    inside = solve_each_in_span(gens, [target], q)[0] is not None
                 else:
                     inside = not any(target)
                 for basis in (pushed, span):
