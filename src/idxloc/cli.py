@@ -12,12 +12,12 @@ output), 4 search budget exceeded.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from .bounds import (
     BudgetExceededError,
@@ -104,7 +104,7 @@ def _profile_line(p: LocalityProfile) -> str:
     return f"beta={fmt_frac(p.beta)} r={fmt_frac(p.r)} r_avg={fmt_frac(p.r_avg)}"
 
 
-def cmd_minrank(args: argparse.Namespace) -> int:
+def cmd_minrank(args: SimpleNamespace) -> int:
     g = _load_graph(args.graph)
     value, witness = minrank_bruteforce(g, args.q, args.budget)
     out = args.out
@@ -121,7 +121,7 @@ def cmd_minrank(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
+def cmd_construct(args: SimpleNamespace) -> int:
     if args.m != 1 and args.scheme in ("cycle-scalar", "deficit"):
         raise CliError(
             f"scheme '{args.scheme}' builds scalar codes only; --M must be 1"
@@ -150,7 +150,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     g = _load_graph(args.graph)
     code = _load_code(args.code)
     try:
@@ -182,7 +182,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
+def cmd_profile(args: SimpleNamespace) -> int:
     p = locality_profile(_load_code(args.code))
     print(_profile_line(p))
     per = " ".join(fmt_frac(x) for x in p.per_receiver)
@@ -190,7 +190,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_tradeoff(args: argparse.Namespace) -> int:
+def cmd_tradeoff(args: SimpleNamespace) -> int:
     g = _load_graph(args.graph)
     n = cycle_length_if_cycle(g)
     if n is None or n < 3:
@@ -212,7 +212,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: SimpleNamespace) -> int:
     g = _load_graph(args.graph)
     points: list[ParetoPoint] = []
     for ell in range(1, args.ell + 1):
@@ -235,7 +235,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_normalize(args: argparse.Namespace) -> int:
+def cmd_normalize(args: SimpleNamespace) -> int:
     g = _load_graph(args.graph)
     code = _load_code(args.code)
     try:
@@ -250,7 +250,9 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Every flag some subcommand reads, with its argparse options.
+# Every flag some subcommand reads, with its options in argparse's terms:
+# its attribute name ("dest", else the flag without dashes), "type",
+# "default" and "choices".  Each flag takes exactly one value.
 FLAGS = {
     "--graph": {},
     "--code": {},
@@ -277,35 +279,167 @@ COMMANDS = {
     "normalize": (cmd_normalize, ("--graph", "--code", "--out"), ()),
 }
 
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+_SYNTAX = (
+    "Flags in [...] are optional.  Each flag takes one value, after a space\n"
+    "or an '='; a unique prefix names a flag, and the last of a repeated\n"
+    "flag wins.\n"
+)
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # type: ignore[override]
-        raise CliError(message)
+
+def _usage(command: str) -> str:
+    _, required, optional = COMMANDS[command]
+    parts = [f"idxloc {command} [-h]"]
+    for flag, options in FLAGS.items():
+        if flag in required or flag in optional:
+            choices = options.get("choices")
+            value = "{%s}" % ",".join(choices) if choices else _dest(flag).upper()
+            parts.append(f"{flag} {value}" if flag in required else f"[{flag} {value}]")
+    return " ".join(parts)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls;
-    parsing leaves it unchanged."""
-    parser = _Parser(
-        prog="idxloc",
-        description="Locally decodable index codes: construct, verify, bound.",
+def _help_text(command: str | None) -> str:
+    if command is not None:
+        return f"usage: {_usage(command)}\n\n{_SYNTAX}"
+    usages = "".join(f"  {_usage(name)}\n" for name in COMMANDS)
+    return (
+        f"usage: idxloc [-h] {{{','.join(COMMANDS)}}} ...\n\n"
+        "Locally decodable index codes: construct, verify, bound.\n\n"
+        f"{usages}\n{_SYNTAX}"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, required, optional) in COMMANDS.items():
-        p = sub.add_parser(name)
-        for flag, options in FLAGS.items():
-            if flag in required or flag in optional:
-                p.add_argument(flag, required=flag in required, **options)
-    return parser
 
 
-def _check_values(args: argparse.Namespace) -> None:
+def _dest(flag: str) -> str:
+    return FLAGS[flag].get("dest", flag[2:])
+
+
+def _read_option(
+    token: str, options: tuple[str, ...]
+) -> tuple[str | None, str | None] | None:
+    """How argparse reads a token where a flag may stand: None for a
+    value, else (the flag it names, or None for an unknown flag; the text
+    after its "=", or None)."""
+    if not token.startswith("-"):
+        return None
+    if token in options:
+        return token, None
+    if len(token) == 1:
+        return None
+    name, eq, attached = token.partition("=")
+    if eq and name in options:
+        return name, attached
+    if token[1] == "-":
+        matches = [(o, attached if eq else None) for o in options if o.startswith(name)]
+    else:  # only -h is one dash long, and "-hX" attaches X to it
+        matches = [("-h", token[2:])] if token.startswith("-h") else []
+    if len(matches) > 1:
+        names = ", ".join(o for o, _ in matches)
+        raise CliError(f"ambiguous option: {token} could match {names}")
+    if matches:
+        return matches[0]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _show_help(command: str | None, flag: str, attached: str | None) -> None:
+    """Print the help and exit 0, or refuse the text attached to -h/--help
+    ("-hh" is -h twice)."""
+    if attached is None or (flag == "-h" and attached and not attached.strip("h")):
+        sys.stdout.write(_help_text(command))
+        raise SystemExit(EXIT_OK)
+    ignored = attached.lstrip("h") if flag == "-h" else attached
+    raise CliError(f"argument -h/--help: ignored explicit argument {ignored!r}")
+
+
+def _convert(flag: str, text: str) -> int | str:
+    options = FLAGS[flag]
+    if "type" in options:
+        try:
+            return options["type"](text)
+        except ValueError:
+            kind = options["type"].__name__
+            raise CliError(f"argument {flag}: invalid {kind} value: {text!r}") from None
+    choices = options.get("choices")
+    if choices is not None and text not in choices:
+        raise _invalid_choice(flag, text, choices)
+    return text
+
+
+def _invalid_choice(name: str, text: str, choices) -> CliError:
+    listed = ", ".join(map(repr, choices))
+    return CliError(f"argument {name}: invalid choice: {text!r} (choose from {listed})")
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv against COMMANDS and FLAGS, as the argparse parser with one
+    subparser per command did: --flag value or --flag=value, a unique
+    prefix of a flag, the last of a repeated flag winning, "--" ending the
+    flags, -h/--help.  Refusals raise CliError with argparse's texts;
+    unknown tokens are refused only once every required flag is found."""
+    unread = []
+    i = 0
+    while i < len(argv) and argv[i] != "--":
+        option = _read_option(argv[i], _HELP)
+        if option is None:
+            break
+        if option[0] is not None:
+            _show_help(None, *option)
+        unread.append(argv[i])
+        i += 1
+    if i == len(argv) or argv[i:] == ["--"]:
+        raise CliError("the following arguments are required: command")
+    command = argv[i]
+    if command not in COMMANDS:
+        raise _invalid_choice("command", command, COMMANDS)
+    _, required, optional = COMMANDS[command]
+    flags = [f for f in FLAGS if f in required or f in optional]
+    options = (*_HELP, *flags)
+    tokens = argv[i + 1:]
+    # Every token is read before any flag takes its value, as argparse
+    # does.  After the first "--" each token is a value; the "--" itself
+    # is neither a flag nor a value, like an unknown flag.
+    kinds: list = []
+    for k, token in enumerate(tokens):
+        if token == "--":
+            kinds += [(None, None)] + [None] * (len(tokens) - k - 1)
+            break
+        kinds.append(_read_option(token, options))
+    values = {}
+    k = 0
+    while k < len(tokens):
+        kind = kinds[k]
+        k += 1
+        if kind is None or kind[0] is None:
+            unread.append(tokens[k - 1])
+            continue
+        flag, text = kind
+        if flag in _HELP:
+            _show_help(command, flag, text)
+        if text is None:
+            if k == len(tokens) or kinds[k] is not None:
+                raise CliError(f"argument {flag}: expected one argument")
+            text = tokens[k]
+            k += 1
+        values[flag] = _convert(flag, text)
+    missing = [f for f in flags if f in required and f not in values]
+    if missing:
+        raise CliError(f"the following arguments are required: {', '.join(missing)}")
+    if unread:
+        raise CliError(f"unrecognized arguments: {' '.join(unread)}")
+    args = SimpleNamespace(command=command)
+    for flag in flags:
+        setattr(args, _dest(flag), values.get(flag, FLAGS[flag].get("default")))
+    return args
+
+
+def _check_values(args: SimpleNamespace) -> None:
     """Refuse out-of-range values of the subcommand's numeric flags, and
     turn --r into a Fraction."""
     read = vars(args)
     if "r" in read:
-        args.r = parse_frac(args.r) if args.r else None
+        args.r = None if args.r is None else parse_frac(args.r)
     if "q" in read and args.q >= MODULUS_BOUND:
         raise CliError(f"--q must be below 2^32, got {args.q}")
     if "q" in read and not is_prime(args.q):
@@ -322,7 +456,7 @@ def _check_values(args: argparse.Namespace) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         _check_values(args)
         return COMMANDS[args.command][0](args)
     except CliError as exc:

@@ -1,7 +1,12 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import argparse
+import contextlib
+import io
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import idxloc
+from idxloc import cli
 from idxloc.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
 from idxloc.codes import (
     IndexCode, code_to_json_dict, load_code, locality_profile, require_plan, save_code,
@@ -375,6 +381,14 @@ def test_oracle_locality_cap(cycle3_file, tmp_path, capsys, cap):
         ["--r", "x"], "bad rational 'x': invalid literal for int() with base 10: 'x'",
         id="r-word",
     ),
+    pytest.param(
+        ["--r", ""], "bad rational '': invalid literal for int() with base 10: ''",
+        id="r-empty",
+    ),
+    pytest.param(
+        ["--r="], "bad rational '': invalid literal for int() with base 10: ''",
+        id="r-empty-attached",
+    ),
     pytest.param(["--M", "0"], "--M must be at least 1", id="M-zero"),
     pytest.param(["--budget", "0"], "--budget must be positive", id="budget-zero"),
     pytest.param(["--ell", "0"], "--ell must be at least 1", id="ell-zero"),
@@ -697,6 +711,167 @@ def test_help_lists_exactly_the_declared_flags(command, capsys):
     required, optional = SUBCOMMAND_FLAGS[command]
     assert set(re.findall(r"--\w+", text)) - {"--help"} == required | optional
     assert set(re.findall(r"\[(--\w+)", usage)) == optional
+
+
+def test_top_level_help_lists_every_command(capsys):
+    texts = []
+    for argv in (["--help"], ["-h"], ["--he", "bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] == texts[2]
+    lines = {
+        line.split()[1]: line for line in texts[0].splitlines()
+        if line.startswith("  idxloc ")
+    }
+    assert set(lines) == set(SUBCOMMAND_FLAGS)
+    for command, (required, optional) in SUBCOMMAND_FLAGS.items():
+        assert set(re.findall(r"--\w+", lines[command])) == required | optional
+        assert set(re.findall(r"\[(--\w+)", lines[command])) == optional
+
+
+def test_cli_import_leaves_argparse_out():
+    # cli.main parses argv itself; argparse costs tens of microseconds per
+    # call even with its parser built once.
+    env = dict(os.environ)
+    src = str(Path(idxloc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, idxloc.cli; print('argparse' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise cli.CliError(message)
+
+
+def _reference_parser():
+    """An argparse parser with one subparser per command, built from FLAGS
+    and COMMANDS; cli.parse_args must read every argv as it does."""
+    parser = _ReferenceParser(prog="idxloc")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, required, optional) in cli.COMMANDS.items():
+        p = sub.add_parser(name)
+        for flag, options in cli.FLAGS.items():
+            if flag in required or flag in optional:
+                p.add_argument(flag, required=flag in required, **options)
+    return parser
+
+
+# Two accepted values and one refused value per flag.
+_GOOD = {
+    "--graph": "g.txt", "--code": "c.json", "--q": "3", "--M": "2", "--r": "3/2",
+    "--ell": "2", "--scheme": "cycle-vector", "--budget": "100", "--out": "o.json",
+}
+_OTHER = {
+    "--graph": "h.txt", "--code": "d.json", "--q": "5", "--M": "1", "--r": "",
+    "--ell": "-1", "--scheme": "deficit", "--budget": "7", "--out": "p.json",
+}
+_BAD = {"--q": "two", "--M": "1.5", "--ell": "", "--budget": "0x10", "--scheme": "cyclic"}
+
+
+def _spellings(rng, flag, value, flags):
+    """flag and value as one or two tokens, the flag maybe cut to a unique
+    prefix among flags and -h/--help."""
+    names = [flag[:n] for n in range(3, len(flag))]
+    names = [n for n in names if sum(f.startswith(n) for f in (*flags, "--help")) == 1]
+    name = rng.choice([flag, *names])
+    return [f"{name}={value}"] if rng.random() < 0.4 else [name, value]
+
+
+def _valid_argvs(rng):
+    """Every order of every command's flags, each spelled at random, some
+    repeated with an earlier value that the last one overrides."""
+    for command, (_, required, optional) in cli.COMMANDS.items():
+        flags = (*required, *optional)
+        for order in itertools.permutations(flags):
+            argv = [command]
+            for flag in order:
+                if flag in optional and rng.random() < 0.2:
+                    continue
+                if rng.random() < 0.2:
+                    argv[1:1] = _spellings(rng, flag, _OTHER[flag], flags)
+                argv += _spellings(rng, flag, _GOOD[flag], flags)
+            yield argv
+
+
+def _refused_argvs(rng):
+    """Argvs built from accepted ones with one fault each, and argvs with
+    no command or an unknown one."""
+    yield from ([], ["--"], ["--graph", "g.txt"], ["-x"])
+    for command in ("bogus", "orac", "Oracle", "--", "-5"):
+        yield [command, "--graph", "g.txt"]
+    for command, (_, required, optional) in cli.COMMANDS.items():
+        flags = (*required, *optional)
+        base = [command]
+        for flag in flags:
+            base += [flag, _GOOD[flag]]
+        unread = [f for f in cli.FLAGS if f not in flags]
+        for _ in range(20):
+            argv = list(base)
+            at = rng.randrange(1, len(argv) + 1)
+            fault = rng.randrange(7)
+            if fault == 0:  # a flag the command does not read, with its value
+                flag = rng.choice([*unread, "--bogus", "-x"])
+                argv[at:at] = [flag, _GOOD.get(flag, "1")]
+            elif fault == 1:  # a stray value
+                argv[at:at] = [rng.choice(["stray", "-5", "a b", "-"])]
+            elif fault == 2:  # a flag missing its value
+                argv.insert(at, rng.choice(flags))
+            elif fault == 3:  # a refused int or scheme
+                bad = [f for f in flags if f in _BAD]
+                if bad:
+                    flag = rng.choice(bad)
+                    argv[at:at] = _spellings(rng, flag, _BAD[flag], flags)
+            elif fault == 4:  # a prefix that matches every flag
+                argv.insert(at, "--=x")
+            elif fault == 5:  # a required flag left out
+                i = argv.index(rng.choice(required))
+                del argv[i:i + 2]
+            else:  # the flags end early
+                argv.insert(at, "--")
+            yield argv
+
+
+def _outcome(parse, argv):
+    """("ok", parsed values), ("error", message) or ("exit", code)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return "ok", vars(parse(list(argv)))
+    except cli.CliError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code
+
+
+def test_parser_reads_every_argv_as_argparse_does():
+    rng = random.Random(29)
+    reference = _reference_parser()
+    help_argvs = [
+        [command, *spelling] for command in cli.COMMANDS
+        for spelling in (["-h"], ["--help"], ["--he"], ["--graph", "g.txt", "-h"])
+    ]
+    corpus = [*_valid_argvs(rng), *_refused_argvs(rng), *help_argvs]
+    outcomes = []
+    for argv in corpus:
+        want = _outcome(reference.parse_args, argv)
+        assert _outcome(cli.parse_args, argv) == want, argv
+        outcomes.append(want)
+    kinds = [kind for kind, _ in outcomes]
+    assert kinds.count("ok") > 5000 and kinds.count("exit") == len(help_argvs)
+    refusals = {
+        re.sub(r"^argument \S+: ", "", message).split(":")[0]
+        for kind, message in outcomes if kind == "error"
+    }
+    assert refusals == {
+        "unrecognized arguments", "the following arguments are required",
+        "expected one argument", "invalid int value", "invalid choice",
+        "ambiguous option",
+    }
 
 
 @pytest.mark.parametrize("command", ["verify", "profile", "normalize"])
