@@ -31,12 +31,14 @@ receivers' tables alone.
 
 ``minrank_dfs`` fills fitting matrices column by column, reducing each
 column against the prefix's reduced columns, a list cut back on
-backtracking.  It keeps the mask of rows that some chosen
-column touches, and descends into a column only while the prefix rank
-plus a floor on the untouched rows, a bound from the caller on the rank
-of the later columns there, is below the best rank: the chosen columns
-vanish on those rows, so the matrix is block triangular there and has
-at least the rank of both diagonal blocks together.
+backtracking.  It makes one depth-first pass per target rank t, from a
+lower bound given by the caller up, and returns the first matrix that a
+pass completes.  It keeps the mask of rows that some chosen column
+touches, and descends into a column only while the prefix rank plus a
+floor on the untouched rows, a bound from the caller on the rank of the
+later columns there, is at most t: the chosen columns vanish on those
+rows, so the matrix is block triangular there and has at least the rank
+of both diagonal blocks together.
 ``bounds.minrank_bruteforce`` calls it once per strongly connected
 component that is neither a single vertex nor a cycle, on that
 component's rows alone.  The witness stays the first min-rank matrix of
@@ -305,22 +307,35 @@ def minrank_dfs(n: int, q: int, free_rows, stop: int, floor):
     column's free digits enumerated as an ascending base-q counter with
     the smallest free row in the least significant digit.
 
-    Stop rule: the search ends once the best rank found is at most stop,
-    a lower bound on the minimum.  Depth bound: floor(untouched) is a
-    lower bound on the rank of the columns not yet chosen on the rows of
-    the 0-based bitmask untouched, the rows where every chosen column is
-    0 (a free entry set to 0 leaves its row untouched).  Those rows all
-    lie past the chosen columns, since each column has a unit diagonal,
-    so the later columns include the square submatrix on them.  A column
-    is descended into only if its prefix rank plus the floor of the rows
-    it and the columns before it leave untouched is below the best rank,
-    because the chosen columns vanish on those rows, so the matrix is
-    block triangular there and its rank is at least that sum.  floor is
-    called at most once per mask, and its values are kept for this call
-    only.  Both rules cut only subtrees holding no matrix of rank below
-    the best, so for any valid stop and floor the result is the first
-    minimum-rank matrix in counter order; stop 1 and a floor of 0 cut
-    only at rank 1.
+    Target passes: stop is a lower bound on the minimum, and the search
+    makes one depth-first pass per target rank t = stop, stop + 1, ...,
+    each cutting only subtrees that hold no matrix of rank at most t and
+    returning the first matrix it completes.  So pass t completes the
+    first matrix of rank at most t in counter order, if there is one.  A
+    pass that completes none proves the minimum above t, so the first
+    pass that completes one runs at t = minimum and returns the first
+    minimum-rank matrix.  Depth bound: floor(untouched) is a lower bound
+    on the rank of the columns not yet chosen on the rows of the 0-based
+    bitmask untouched, the rows where every chosen column is 0 (a free
+    entry set to 0 leaves its row untouched).  Those rows all lie past
+    the chosen columns, since each column has a unit diagonal, so the
+    later columns include the square submatrix on them.  A column is
+    descended into only if its prefix rank plus the floor of the rows it
+    and the columns before it leave untouched is at most t, because the
+    chosen columns vanish on those rows, so the matrix is block
+    triangular there and its rank is at least that sum.  floor is called
+    at most once per mask, and its values are kept across the passes of
+    this call only.  For any valid stop and floor the result is the
+    first minimum-rank matrix in counter order; stop 1 and a floor of 0
+    cut only on the prefix rank.
+
+    Cost: when the minimum equals stop, as on most small graphs, the
+    one pass cuts from the first column on every branch whose prefix
+    rank plus floor exceeds the minimum.  A single pass that starts from
+    rank n + 1 and lowers its bound to each better matrix it finds
+    visits every node that any pass here visits, so a minimum g above
+    stop costs at most g + 1 times the nodes of that search.  A floor
+    that exceeds the rank of every fill raises ValueError.
 
     The prefix's rank is kept as a plain list of its reduced columns,
     each pivoting on its lowest nonzero row: a column is reduced against
@@ -330,8 +345,6 @@ def minrank_dfs(n: int, q: int, free_rows, stop: int, floor):
 
     Returns (minrank, witness columns as digit tuples).
     """
-    best = n + 1
-    best_cols = ()
     cols = [None] * n
     full = (1 << n) - 1
     floors = {}  # untouched mask -> floor(mask)
@@ -363,40 +376,40 @@ def minrank_dfs(n: int, q: int, free_rows, stop: int, floor):
         def support(col):
             return sum(compress(units, col))
 
-    # Depth-first over columns without recursion, so n is not bounded by
-    # the interpreter's recursion limit: each open depth above the
-    # current one keeps its candidate iterator, the rows its prefix
-    # touches and its prefix rank, the length the basis is cut back to
-    # when the search returns there.
-    stack = []
-    depth, touched = 0, 0
-    candidates = map(join, product(*factors[0]))
-    while best > stop:
-        for col in candidates:
-            v = reduce(basis, col)
-            rank = len(basis) + 1 if v else len(basis)
-            if rank < best:
-                after = touched | (col if support is None else support(col))
-                low = floors.get(after)
-                if low is None:
-                    low = floors[after] = floor(full ^ after)
-                if rank + low < best:
-                    cols[depth] = col
-                    if depth + 1 < n:
+    # The floors do not depend on the target, so one memo serves every
+    # pass.
+    for target in range(stop, n + 1):
+        # Without recursion, so n is not bounded by the interpreter's
+        # recursion limit: each open depth above the current one keeps
+        # its candidate iterator, the rows its prefix touches and its
+        # prefix rank, the length the basis is cut back to when the
+        # search returns there.
+        stack = []
+        depth, touched = 0, 0
+        candidates = map(join, product(*factors[0]))
+        while True:
+            for col in candidates:
+                v = reduce(basis, col)
+                rank = len(basis) + 1 if v else len(basis)
+                if rank <= target:
+                    after = touched | (col if support is None else support(col))
+                    low = floors.get(after)
+                    if low is None:
+                        low = floors[after] = floor(full ^ after)
+                    if rank + low <= target:
+                        cols[depth] = col
+                        if depth + 1 == n:
+                            return rank, tuple(unpack(c, n) for c in cols)
                         stack.append((candidates, touched, len(basis)))
                         if v:
                             basis.append(v)
                         depth, touched = depth + 1, after
                         candidates = map(join, product(*factors[depth]))
                         break
-                    best = rank
-                    best_cols = tuple(cols)
-                    if best <= stop:
-                        break
-        else:
-            if not stack:
-                break
-            candidates, touched, rank = stack.pop()
-            del basis[rank:]
-            depth -= 1
-    return best, tuple(unpack(col, n) for col in best_cols)
+            else:
+                if not stack:
+                    break
+                candidates, touched, rank = stack.pop()
+                del basis[rank:]
+                depth -= 1
+    raise ValueError("floor exceeds the rank of every fill")

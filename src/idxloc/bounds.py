@@ -76,9 +76,11 @@ def minrank_bruteforce(
       entry to 1 but the one in the column of the highest vertex, which
       is (-1)^|C| mod q;
     - any other component runs ``_kernel.minrank_dfs`` on its own rows,
-      stopping at its MAIS, the largest induced acyclic vertex set, and
-      pruning a branch once the prefix rank plus the MAIS of the rows
-      the chosen columns leave zero reaches the best rank found.
+      one pass per target rank from its MAIS, the largest induced
+      acyclic vertex set, up: a pass prunes a branch once the prefix
+      rank plus the MAIS of the rows the chosen columns leave zero
+      exceeds its target, and the first matrix a pass finds is the
+      component's witness.
 
     Refuses to start (BudgetExceededError) when the raw search space of
     the whole graph, q**(sum |K_i|), exceeds the budget, so a returned
@@ -115,8 +117,8 @@ def minrank_bruteforce(
         # A component spanning every vertex is g itself, in g's labels.
         h = g if len(comp) == n else induced_subgraph(g, vertices)[0]
         free_rows = tuple(receiver_rows(h, 1, i)[1] for i in range(1, h.n + 1))
-        # One sizer gives the stop and every floor, sharing one adjacency
-        # and one memo of component values for this call.
+        # One sizer gives the first target and every floor, sharing one
+        # adjacency and one memo of component values for this call.
         mais = acyclic_sizer(h)
         rank, columns = _kernel.minrank_dfs(
             h.n, q, free_rows, mais((1 << h.n) - 1), mais

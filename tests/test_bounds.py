@@ -4,6 +4,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -203,9 +204,10 @@ def test_minrank_witness_is_pinned(q, side, value, rows):
 
 
 def test_minrank_floors_change_no_answer():
-    # The MAIS stop and floors may only cut subtrees holding no better
-    # matrix, so the search must end on the value and witness of the
-    # stop 1 and the floor 0, which cut nothing but the rank-1 stop.
+    # Starting at the MAIS and cutting on its floors may only skip
+    # subtrees holding no matrix of rank at most the target, so the
+    # search must end on the value and witness of the stop 1 and the
+    # floor 0, whose passes cut only on the prefix rank.
     rng = random.Random(12)
     most_edges = {2: 12, 3: 8, 5: 6}
     below_n = 0
@@ -227,10 +229,70 @@ def test_minrank_floors_change_no_answer():
     assert below_n > 40
 
 
+def _first_min_rank_fill(g, q):
+    """(min-rank, matrix) of the first min-rank fill in counter order,
+    found by ranking every fill with ``linalg.rank``: columns in ascending
+    order, each column's free entries an ascending base-q counter with the
+    smallest free row in the least significant digit."""
+    n = g.n
+    fills = []  # per column, its fills in counter order
+    for i, k in enumerate(g.side):
+        rows = sorted(j - 1 for j in k)
+        column = []
+        for digits in product(range(q), repeat=len(rows)):
+            col = [int(r == i) for r in range(n)]
+            for r, d in zip(rows, reversed(digits)):
+                col[r] = d
+            column.append(col)
+        fills.append(column)
+    best = None
+    for columns in product(*fills):
+        m = FqMatrix.from_columns(columns, n, q)
+        r = rank(m)
+        if best is None or r < best[0]:
+            best = r, m
+    return best
+
+
+# Graphs whose min-rank 3 exceeds their MAIS 2, so the search fails a
+# pass at target 2 before it finds the witness at target 3: the
+# bidirected 5-cycle and two 5-vertex digraphs.
+MINRANK_GAP_GRAPHS = [
+    (2, [{2, 5}, {1, 3}, {2, 4}, {3, 5}, {4, 1}]),
+    (3, [{2, 5}, {1, 3}, {2, 4}, {3, 5}, {4, 1}]),
+    (2, [{2, 3}, {1, 4, 5}, {1, 2}, {3, 5}, {2, 4}]),
+    (2, [{2, 3, 4}, {4, 5}, {1, 5}, {1, 2, 3}, {2, 3}]),
+]
+
+
+def test_minrank_matches_an_enumeration_of_every_fill():
+    rng = random.Random(23)
+    most_fills = 4096
+    cases = []
+    for t in range(90):
+        q = (2, 3, 5)[t % 3]
+        n = rng.randint(2, 5)
+        arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        most_arcs = min(len(arcs), max(e for e in range(21) if q**e <= most_fills))
+        side = [set() for _ in range(n)]
+        for i, j in rng.sample(arcs, rng.randint(1, most_arcs)):
+            side[i].add(j + 1)
+        cases.append((q, side))
+    below_n = gaps = 0
+    for q, side in cases + MINRANK_GAP_GRAPHS:
+        g = graph_from_side_info(side)
+        value, witness = minrank_bruteforce(g, q)
+        assert (value, witness.matrix) == _first_min_rank_fill(g, q)
+        below_n += value < g.n
+        gaps += value > max_acyclic_induced(g)
+    assert below_n > 40
+    assert gaps >= len(MINRANK_GAP_GRAPHS)
+
+
 def test_minrank_disjoint_two_cycles_at_the_budget():
     # 12 disjoint 2-cycles: 24 free entries, exactly the default budget
-    # over F_2.  Each 2-cycle has min-rank 1; the stop at MAIS = 12 ends
-    # the search at the first such matrix.
+    # over F_2.  Each 2-cycle is a cycle component, answered in closed
+    # form with min-rank 1.
     g = graph_from_side_info([{v + 1 if v % 2 else v - 1} for v in range(1, 25)])
     value, witness = minrank_bruteforce(g, 2)
     assert value == 12
@@ -311,6 +373,22 @@ def test_minrank_chain_of_pentagons():
     assert rank(witness.matrix) == 18
 
 
+def test_minrank_bidirected_path():
+    # The 300-vertex bidirected path is one component with 598 free
+    # entries and min-rank 150, its MAIS, so the search's first pass, at
+    # target 150, finds the witness.
+    n = 300
+    g = graph_from_side_info(
+        [{j for j in (i - 1, i + 1) if 1 <= j <= n} for i in range(1, n + 1)]
+    )
+    start = time.perf_counter()
+    value, witness = minrank_bruteforce(g, 2, budget=2**600)
+    assert time.perf_counter() - start < 1.5
+    assert value == 150
+    assert witness.fits(g)
+    assert rank(witness.matrix) == 150
+
+
 def test_minrank_budget_counts_the_whole_graph():
     # Each 3-cycle alone has 2^3 fills, within a budget of 2^5, but the
     # budget counts the 2^6 fills of the whole graph and still refuses.
@@ -322,7 +400,7 @@ def test_minrank_budget_counts_the_whole_graph():
 
 def _whole_graph_search(g, q):
     """(min-rank, witness) of the search on all n columns at once, with
-    the MAIS stop and floors of the whole graph."""
+    the MAIS first target and floors of the whole graph."""
     free = tuple(tuple(sorted(j - 1 for j in k)) for k in g.side)
     mais = acyclic_sizer(g)
     value, columns = _kernel.minrank_dfs(g.n, q, free, mais((1 << g.n) - 1), mais)

@@ -4,6 +4,8 @@ import functools
 import random
 from itertools import combinations, combinations_with_replacement
 
+import pytest
+
 from idxloc import _kernel
 from idxloc.bounds import _normalized_columns
 from idxloc.graphs import acyclic_sizer, directed_cycle, graph_from_side_info, receiver_rows
@@ -231,13 +233,16 @@ def test_minrank_dfs_witness_rank_matches():
 
 
 def test_minrank_dfs_floor_cuts_on_a_zero_free_entry(monkeypatch):
-    # On the 4-cycle over F_2 a prefix of d + 1 columns has rank d + 1
-    # and the rows no such prefix may touch, d + 2 and on, have MAIS
-    # n - d - 2, so a floor on those rows alone never lifts the sum above
-    # the min-rank n - 1 and cuts no more than the floor 0.  Column d
-    # with its free entry set to 0 also leaves row d + 1 untouched, the
-    # floor there is n - d - 1, and the sum n reaches the rank of the
-    # first matrix found, the identity, so the branch is cut.
+    # On the 4-cycle over F_2 the stop 3 is the min-rank, so the one pass
+    # runs at target 3.  Column d < 3 with its free entry (row d + 1) set to
+    # 0 leaves rows d + 1 to 3 untouched, a path with floor 3 - d, and
+    # the prefix rank d + 1 plus that floor is 4 > 3, so the branch is
+    # cut; with the entry 1 the floor is 2 - d and the search descends.
+    # Column 3 with entry 0 has rank 4 and with entry 1 completes the
+    # first matrix, so the floor makes 2 reductions per column, 8 in all.
+    # The floor 0 cuts nothing before the last column and reaches that
+    # matrix, the last fill in counter order, after all 2 + 4 + 8 + 16
+    # reductions.
     g = directed_cycle(4)
     free = tuple(receiver_rows(g, 1, i)[1] for i in range(1, 5))
     reductions = 0
@@ -261,8 +266,14 @@ def test_minrank_dfs_floor_cuts_on_a_zero_free_entry(monkeypatch):
     assert (value, columns) == _kernel.minrank_dfs(4, 2, free, 3, lambda untouched: 0)
     assert value == 3
     assert columns == ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))
-    assert (cut_reductions, reductions) == (20, 30)
+    assert (cut_reductions, reductions) == (8, 30)
     # Rows 1, 2 and 3 untouched after column 0 set its free entry to 0:
-    # a path, floor 3, and 1 + 3 reaches the identity's rank 4.
+    # a path, floor 3, and 1 + 3 exceeds the target 3.
     assert asked[0b1110] == 1 and mais(0b1110) == 3
     assert all(count == 1 for count in asked.values())
+
+
+def test_minrank_dfs_refuses_a_floor_above_every_fill():
+    # The 2-cycle's fills have rank 1 or 2, but this floor says 3.
+    with pytest.raises(ValueError, match="^floor exceeds the rank of every fill$"):
+        _kernel.minrank_dfs(2, 2, ((1,), (0,)), 1, lambda untouched: 3)
