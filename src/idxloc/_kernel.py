@@ -257,11 +257,15 @@ def decodable_encoders(tables, candidates, size, repeat):
     """
     chosen = [0] * size
     n_cand = len(candidates)
-
-    def extend(depth, start, states):
-        left = size - depth - 1  # columns still to choose after this one
-        frame = [(t.row(s), t.gaps, t.step, s) for t, s in zip(tables, states)]
-        for pos in range(start, n_cand if repeat else n_cand - left):
+    # Without recursion, so size is not bounded by the interpreter's
+    # recursion limit: each open depth above the current one keeps its
+    # iterator over the positions still to try and its receivers' frame.
+    stack = []
+    depth, left = 0, size - 1  # left: columns still to choose after this one
+    frame = [(t.row(0), t.gaps, t.step, 0) for t in tables]
+    positions = iter(range(n_cand if repeat else n_cand - left))
+    while True:
+        for pos in positions:
             k = candidates[pos]
             after = []
             for row, gaps, step, s in frame:
@@ -273,12 +277,20 @@ def decodable_encoders(tables, candidates, size, repeat):
                 after.append(t)
             else:
                 chosen[depth] = pos
-                if left:
-                    yield from extend(depth + 1, pos if repeat else pos + 1, after)
-                else:
+                if not left:
                     yield tuple(chosen)
-
-    yield from extend(0, 0, [0] * len(tables))
+                    continue
+                stack.append((positions, frame))
+                depth, left = depth + 1, left - 1
+                frame = [(t.row(s), t.gaps, t.step, s) for t, s in zip(tables, after)]
+                start = pos if repeat else pos + 1
+                positions = iter(range(start, n_cand if repeat else n_cand - left))
+                break
+        else:
+            if not stack:
+                return
+            positions, frame = stack.pop()
+            depth, left = depth - 1, left + 1
 
 
 def first_query_set(table, ks, max_size):

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: minrank, construct, verify, profile, tradeoff, oracle,
-normalize.  Each accepts only the flags it reads (see COMMANDS); any
-other flag is an input error.  All rationals are printed as "p/q" in
-lowest terms so output is exact and byte-stable across runs.
+normalize.  The command comes first, then its flags, each named in full
+and given one value as "--flag value" or "--flag=value"; a command
+accepts only the flags it reads (see COMMANDS), and any other token is
+an input error.  All rationals are printed as "p/q" in lowest terms so
+output is exact and byte-stable across runs.
 
 Exit codes: 0 success / verification PASS, 2 verification FAIL,
 3 input error (files, arguments, structural mismatches, an unwritable
@@ -13,7 +15,6 @@ output), 4 search budget exceeded.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -215,7 +216,9 @@ def cmd_tradeoff(args: SimpleNamespace) -> int:
 def cmd_oracle(args: SimpleNamespace) -> int:
     g = _load_graph(args.graph)
     points: list[ParetoPoint] = []
-    for ell in range(1, args.ell + 1):
+    # At ell = M*N the uncoded code has r = r_avg = 1, the least any code
+    # has, so every longer code is dominated.
+    for ell in range(1, min(args.ell, args.m * g.n) + 1):
         points.extend(
             exhaustive_vector_search(g, args.q, args.m, ell, args.r, args.budget)
         )
@@ -250,14 +253,14 @@ def cmd_normalize(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-# Every flag some subcommand reads, with its options in argparse's terms:
-# its attribute name ("dest", else the flag without dashes), "type",
-# "default" and "choices".  Each flag takes exactly one value.
+# Every flag some subcommand reads, with its options: "type", "default"
+# and "choices".  Each flag takes exactly one value, stored under its name
+# without the dashes, in lower case.
 FLAGS = {
     "--graph": {},
     "--code": {},
     "--q": {"type": int, "default": 2},
-    "--M": {"dest": "m", "type": int, "default": 1},
+    "--M": {"type": int, "default": 1},
     "--r": {},
     "--ell": {"type": int},
     "--scheme": {"choices": SCHEMES},
@@ -266,7 +269,7 @@ FLAGS = {
 }
 
 # Each subcommand: its handler, the flags it requires and the other flags
-# it reads.  It accepts no other flag.
+# it reads, each in the order of FLAGS.  It accepts no other flag.
 COMMANDS = {
     "minrank": (cmd_minrank, ("--graph",), ("--q", "--budget", "--out")),
     "construct": (cmd_construct, ("--graph", "--scheme", "--out"), ("--q", "--M")),
@@ -280,11 +283,9 @@ COMMANDS = {
 }
 
 _HELP = ("-h", "--help")
-_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 _SYNTAX = (
-    "Flags in [...] are optional.  Each flag takes one value, after a space\n"
-    "or an '='; a unique prefix names a flag, and the last of a repeated\n"
-    "flag wins.\n"
+    "Flags in [...] are optional.  Each flag is named in full and takes one\n"
+    "value, after a space or an '='; the last of a repeated flag wins.\n"
 )
 
 
@@ -294,63 +295,24 @@ def _usage(command: str) -> str:
     for flag, options in FLAGS.items():
         if flag in required or flag in optional:
             choices = options.get("choices")
-            value = "{%s}" % ",".join(choices) if choices else _dest(flag).upper()
+            value = "{%s}" % ",".join(choices) if choices else flag[2:].upper()
             parts.append(f"{flag} {value}" if flag in required else f"[{flag} {value}]")
     return " ".join(parts)
 
 
-def _help_text(command: str | None) -> str:
-    if command is not None:
-        return f"usage: {_usage(command)}\n\n{_SYNTAX}"
-    usages = "".join(f"  {_usage(name)}\n" for name in COMMANDS)
-    return (
-        f"usage: idxloc [-h] {{{','.join(COMMANDS)}}} ...\n\n"
-        "Locally decodable index codes: construct, verify, bound.\n\n"
-        f"{usages}\n{_SYNTAX}"
-    )
-
-
-def _dest(flag: str) -> str:
-    return FLAGS[flag].get("dest", flag[2:])
-
-
-def _read_option(
-    token: str, options: tuple[str, ...]
-) -> tuple[str | None, str | None] | None:
-    """How argparse reads a token where a flag may stand: None for a
-    value, else (the flag it names, or None for an unknown flag; the text
-    after its "=", or None)."""
-    if not token.startswith("-"):
-        return None
-    if token in options:
-        return token, None
-    if len(token) == 1:
-        return None
-    name, eq, attached = token.partition("=")
-    if eq and name in options:
-        return name, attached
-    if token[1] == "-":
-        matches = [(o, attached if eq else None) for o in options if o.startswith(name)]
-    else:  # only -h is one dash long, and "-hX" attaches X to it
-        matches = [("-h", token[2:])] if token.startswith("-h") else []
-    if len(matches) > 1:
-        names = ", ".join(o for o, _ in matches)
-        raise CliError(f"ambiguous option: {token} could match {names}")
-    if matches:
-        return matches[0]
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
-        return None
-    return None, None
-
-
-def _show_help(command: str | None, flag: str, attached: str | None) -> None:
-    """Print the help and exit 0, or refuse the text attached to -h/--help
-    ("-hh" is -h twice)."""
-    if attached is None or (flag == "-h" and attached and not attached.strip("h")):
-        sys.stdout.write(_help_text(command))
-        raise SystemExit(EXIT_OK)
-    ignored = attached.lstrip("h") if flag == "-h" else attached
-    raise CliError(f"argument -h/--help: ignored explicit argument {ignored!r}")
+def _show_help(command: str | None) -> None:
+    """Print the usage of idxloc, or of one command, and exit 0."""
+    if command is None:
+        usages = "".join(f"  {_usage(name)}\n" for name in COMMANDS)
+        text = (
+            f"usage: idxloc [-h] {{{','.join(COMMANDS)}}} ...\n\n"
+            "Locally decodable index codes: construct, verify, bound.\n\n"
+            f"{usages}\n{_SYNTAX}"
+        )
+    else:
+        text = f"usage: {_usage(command)}\n\n{_SYNTAX}"
+    sys.stdout.write(text)
+    raise SystemExit(EXIT_OK)
 
 
 def _convert(flag: str, text: str) -> int | str:
@@ -373,64 +335,49 @@ def _invalid_choice(name: str, text: str, choices) -> CliError:
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
-    """Read argv against COMMANDS and FLAGS, as the argparse parser with one
-    subparser per command did: --flag value or --flag=value, a unique
-    prefix of a flag, the last of a repeated flag winning, "--" ending the
-    flags, -h/--help.  Refusals raise CliError with argparse's texts;
-    unknown tokens are refused only once every required flag is found."""
-    unread = []
-    i = 0
-    while i < len(argv) and argv[i] != "--":
-        option = _read_option(argv[i], _HELP)
-        if option is None:
-            break
-        if option[0] is not None:
-            _show_help(None, *option)
-        unread.append(argv[i])
-        i += 1
-    if i == len(argv) or argv[i:] == ["--"]:
+    """Read argv against COMMANDS and FLAGS in one pass.
+
+    argv[0] is -h/--help or the command.  Each later token is -h/--help,
+    --flag=value, or the full name of one of the command's flags followed
+    by its value, which may not be another of those names or -h/--help.
+    The last of a repeated flag wins.  Refusals raise CliError in token
+    order; any other token is refused only once every required flag is
+    found."""
+    if not argv:
         raise CliError("the following arguments are required: command")
-    command = argv[i]
+    command = argv[0]
+    if command in _HELP:
+        _show_help(None)
     if command not in COMMANDS:
         raise _invalid_choice("command", command, COMMANDS)
     _, required, optional = COMMANDS[command]
-    flags = [f for f in FLAGS if f in required or f in optional]
-    options = (*_HELP, *flags)
-    tokens = argv[i + 1:]
-    # Every token is read before any flag takes its value, as argparse
-    # does.  After the first "--" each token is a value; the "--" itself
-    # is neither a flag nor a value, like an unknown flag.
-    kinds: list = []
-    for k, token in enumerate(tokens):
-        if token == "--":
-            kinds += [(None, None)] + [None] * (len(tokens) - k - 1)
-            break
-        kinds.append(_read_option(token, options))
+    flags = required + optional
     values = {}
-    k = 0
-    while k < len(tokens):
-        kind = kinds[k]
+    unread = []
+    k = 1
+    while k < len(argv):
+        token = argv[k]
         k += 1
-        if kind is None or kind[0] is None:
-            unread.append(tokens[k - 1])
+        if token in _HELP:
+            _show_help(command)
+        flag, eq, text = token.partition("=")
+        if flag not in flags:
+            unread.append(token)
             continue
-        flag, text = kind
-        if flag in _HELP:
-            _show_help(command, flag, text)
-        if text is None:
-            if k == len(tokens) or kinds[k] is not None:
+        if not eq:
+            if k == len(argv) or argv[k] in flags or argv[k] in _HELP:
                 raise CliError(f"argument {flag}: expected one argument")
-            text = tokens[k]
+            text = argv[k]
             k += 1
         values[flag] = _convert(flag, text)
-    missing = [f for f in flags if f in required and f not in values]
+    missing = [f for f in required if f not in values]
     if missing:
         raise CliError(f"the following arguments are required: {', '.join(missing)}")
     if unread:
         raise CliError(f"unrecognized arguments: {' '.join(unread)}")
     args = SimpleNamespace(command=command)
     for flag in flags:
-        setattr(args, _dest(flag), values.get(flag, FLAGS[flag].get("default")))
+        setattr(args, flag[2:].lower(), values.get(flag, FLAGS[flag].get("default")))
     return args
 
 

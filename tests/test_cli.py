@@ -1,10 +1,9 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
-import argparse
-import contextlib
-import io
+import collections
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -441,6 +440,27 @@ def test_oracle_budget_exit(cycle4_file, tmp_path):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("ell", ["13", "40"])
+def test_oracle_stops_at_the_uncoded_length(cycle4_file, tmp_path, capsys, ell):
+    # At ell = M*N = 4 the uncoded code has (r, r_avg) = (1, 1), so every
+    # longer code is dominated.  At ell = 13 the search space alone,
+    # 20,058,300 encoders, would exceed the default budget.
+    argv = ["oracle", "--graph", str(cycle4_file), "--q", "2", "--M", "1"]
+    assert main(argv + ["--ell", "4", "--out", str(tmp_path / "a.csv")]) == EXIT_OK
+    want = capsys.readouterr().out
+    assert main(argv + ["--ell", ell, "--out", str(tmp_path / "b.csv")]) == EXIT_OK
+    assert capsys.readouterr().out == want.replace("a_witness", "b_witness")
+    assert want == (
+        "beta,r,r_avg,witness_file\n"
+        "3,2,3/2,a_witness_1.json\n"
+        "4,1,1,a_witness_2.json\n"
+    )
+    for idx in (1, 2):
+        assert (tmp_path / f"a_witness_{idx}.json").read_bytes() == (
+            tmp_path / f"b_witness_{idx}.json"
+        ).read_bytes()
+
+
 def test_oracle_deterministic(cycle3_file, tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -715,7 +735,7 @@ def test_help_lists_exactly_the_declared_flags(command, capsys):
 
 def test_top_level_help_lists_every_command(capsys):
     texts = []
-    for argv in (["--help"], ["-h"], ["--he", "bogus"]):
+    for argv in (["--help"], ["-h"], ["-h", "bogus"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
@@ -744,134 +764,145 @@ def test_cli_import_leaves_argparse_out():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
-class _ReferenceParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise cli.CliError(message)
-
-
-def _reference_parser():
-    """An argparse parser with one subparser per command, built from FLAGS
-    and COMMANDS; cli.parse_args must read every argv as it does."""
-    parser = _ReferenceParser(prog="idxloc")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, required, optional) in cli.COMMANDS.items():
-        p = sub.add_parser(name)
-        for flag, options in cli.FLAGS.items():
-            if flag in required or flag in optional:
-                p.add_argument(flag, required=flag in required, **options)
-    return parser
-
-
-# Two accepted values and one refused value per flag.
+# Per flag, two values as typed and as parse_args reads them.
 _GOOD = {
-    "--graph": "g.txt", "--code": "c.json", "--q": "3", "--M": "2", "--r": "3/2",
-    "--ell": "2", "--scheme": "cycle-vector", "--budget": "100", "--out": "o.json",
+    "--graph": ("g.txt", "g.txt"), "--code": ("c.json", "c.json"), "--q": ("3", 3),
+    "--M": ("2", 2), "--r": ("3/2", "3/2"), "--ell": ("2", 2),
+    "--scheme": ("cycle-vector", "cycle-vector"), "--budget": ("100", 100),
+    "--out": ("o.json", "o.json"),
 }
 _OTHER = {
-    "--graph": "h.txt", "--code": "d.json", "--q": "5", "--M": "1", "--r": "",
-    "--ell": "-1", "--scheme": "deficit", "--budget": "7", "--out": "p.json",
+    "--graph": ("h g.txt", "h g.txt"), "--code": ("-d.json", "-d.json"), "--q": ("5", 5),
+    "--M": ("1", 1), "--r": ("", ""), "--ell": ("-1", -1),
+    "--scheme": ("deficit", "deficit"), "--budget": ("7", 7),
+    "--out": ("p=1.json", "p=1.json"),
 }
-_BAD = {"--q": "two", "--M": "1.5", "--ell": "", "--budget": "0x10", "--scheme": "cyclic"}
+_DEFAULTS = {"--q": 2, "--M": 1}
 
 
-def _spellings(rng, flag, value, flags):
-    """flag and value as one or two tokens, the flag maybe cut to a unique
-    prefix among flags and -h/--help."""
-    names = [flag[:n] for n in range(3, len(flag))]
-    names = [n for n in names if sum(f.startswith(n) for f in (*flags, "--help")) == 1]
-    name = rng.choice([flag, *names])
-    return [f"{name}={value}"] if rng.random() < 0.4 else [name, value]
+def _spelled(rng, flag, text):
+    """flag and its value as one token, --flag=value, or as two."""
+    return [f"{flag}={text}"] if rng.random() < 0.5 else [flag, text]
 
 
 def _valid_argvs(rng):
     """Every order of every command's flags, each spelled at random, some
-    repeated with an earlier value that the last one overrides."""
+    optional ones left out and some given an earlier value that the last
+    one overrides; with the values that parse_args must read."""
     for command, (_, required, optional) in cli.COMMANDS.items():
-        flags = (*required, *optional)
-        for order in itertools.permutations(flags):
-            argv = [command]
+        for order in itertools.permutations((*required, *optional)):
+            argv, want = [command], {"command": command}
             for flag in order:
+                want[flag[2:].lower()] = _DEFAULTS.get(flag)
                 if flag in optional and rng.random() < 0.2:
                     continue
                 if rng.random() < 0.2:
-                    argv[1:1] = _spellings(rng, flag, _OTHER[flag], flags)
-                argv += _spellings(rng, flag, _GOOD[flag], flags)
-            yield argv
+                    argv[1:1] = _spelled(rng, flag, _OTHER[flag][0])
+                argv += _spelled(rng, flag, _GOOD[flag][0])
+                want[flag[2:].lower()] = _GOOD[flag][1]
+            yield argv, want
 
 
-def _refused_argvs(rng):
-    """Argvs built from accepted ones with one fault each, and argvs with
-    no command or an unknown one."""
-    yield from ([], ["--"], ["--graph", "g.txt"], ["-x"])
-    for command in ("bogus", "orac", "Oracle", "--", "-5"):
-        yield [command, "--graph", "g.txt"]
-    for command, (_, required, optional) in cli.COMMANDS.items():
-        flags = (*required, *optional)
-        base = [command]
-        for flag in flags:
-            base += [flag, _GOOD[flag]]
-        unread = [f for f in cli.FLAGS if f not in flags]
-        for _ in range(20):
-            argv = list(base)
-            at = rng.randrange(1, len(argv) + 1)
-            fault = rng.randrange(7)
-            if fault == 0:  # a flag the command does not read, with its value
-                flag = rng.choice([*unread, "--bogus", "-x"])
-                argv[at:at] = [flag, _GOOD.get(flag, "1")]
-            elif fault == 1:  # a stray value
-                argv[at:at] = [rng.choice(["stray", "-5", "a b", "-"])]
-            elif fault == 2:  # a flag missing its value
-                argv.insert(at, rng.choice(flags))
-            elif fault == 3:  # a refused int or scheme
-                bad = [f for f in flags if f in _BAD]
-                if bad:
-                    flag = rng.choice(bad)
-                    argv[at:at] = _spellings(rng, flag, _BAD[flag], flags)
-            elif fault == 4:  # a prefix that matches every flag
-                argv.insert(at, "--=x")
-            elif fault == 5:  # a required flag left out
-                i = argv.index(rng.choice(required))
-                del argv[i:i + 2]
-            else:  # the flags end early
-                argv.insert(at, "--")
-            yield argv
+def test_parser_reads_every_order_and_spelling_of_the_flags():
+    rng = random.Random(31)
+    argvs, forms, repeated = 0, collections.Counter(), 0
+    for argv, want in _valid_argvs(rng):
+        assert vars(cli.parse_args(argv)) == want, argv
+        argvs += 1
+        named = [t.partition("=") for t in argv[1:] if t.partition("=")[0] in cli.FLAGS]
+        forms.update(eq or " " for _, eq, _ in named)
+        repeated += len(named) > len({flag for flag, _, _ in named})
+    assert argvs == sum(
+        math.factorial(len(required) + len(optional))
+        for _, required, optional in cli.COMMANDS.values()
+    )
+    assert min(forms["="], forms[" "], repeated) > 1000
 
 
-def _outcome(parse, argv):
-    """("ok", parsed values), ("error", message) or ("exit", code)."""
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            return "ok", vars(parse(list(argv)))
-    except cli.CliError as exc:
-        return "error", str(exc)
-    except SystemExit as exc:
-        return "exit", exc.code
+_COMMAND_CHOICES = ", ".join(map(repr, SUBCOMMAND_FLAGS))
 
 
-def test_parser_reads_every_argv_as_argparse_does():
-    rng = random.Random(29)
-    reference = _reference_parser()
-    help_argvs = [
-        [command, *spelling] for command in cli.COMMANDS
-        for spelling in (["-h"], ["--help"], ["--he"], ["--graph", "g.txt", "-h"])
-    ]
-    corpus = [*_valid_argvs(rng), *_refused_argvs(rng), *help_argvs]
-    outcomes = []
-    for argv in corpus:
-        want = _outcome(reference.parse_args, argv)
-        assert _outcome(cli.parse_args, argv) == want, argv
-        outcomes.append(want)
-    kinds = [kind for kind, _ in outcomes]
-    assert kinds.count("ok") > 5000 and kinds.count("exit") == len(help_argvs)
-    refusals = {
-        re.sub(r"^argument \S+: ", "", message).split(":")[0]
-        for kind, message in outcomes if kind == "error"
-    }
-    assert refusals == {
-        "unrecognized arguments", "the following arguments are required",
-        "expected one argument", "invalid int value", "invalid choice",
-        "ambiguous option",
-    }
+@pytest.mark.parametrize("argv, message", [
+    # One argv per message.
+    pytest.param([], "the following arguments are required: command", id="no-command"),
+    pytest.param(
+        ["bogus", "--graph", "g.txt"],
+        f"argument command: invalid choice: 'bogus' (choose from {_COMMAND_CHOICES})",
+        id="command",
+    ),
+    pytest.param(
+        ["oracle", "--graph", "g.txt", "--ell"], "argument --ell: expected one argument",
+        id="flag-last",
+    ),
+    pytest.param(
+        ["oracle", "--ell", "--graph", "g.txt"], "argument --ell: expected one argument",
+        id="flag-before-flag",
+    ),
+    pytest.param(
+        ["oracle", "--graph", "g.txt", "--ell", "-h"], "argument --ell: expected one argument",
+        id="flag-before-help",
+    ),
+    pytest.param(
+        ["oracle", "--ell=two", "stray"], "argument --ell: invalid int value: 'two'",
+        id="int",
+    ),
+    pytest.param(
+        ["construct", "--scheme", "cyclic"],
+        "argument --scheme: invalid choice: 'cyclic' (choose from 'uncoded', "
+        "'cycle-scalar', 'cycle-vector', 'deficit')",
+        id="scheme",
+    ),
+    pytest.param(
+        ["oracle", "--graph", "g.txt", "stray"],
+        "the following arguments are required: --ell, --out", id="missing-before-unread",
+    ),
+    pytest.param(
+        ["profile", "stray", "--code", "c.json", "--q", "3"],
+        "unrecognized arguments: stray --q 3", id="unread",
+    ),
+    # Flags are named in full: no prefix, no "--" ending the flags, and
+    # -h/--help take no text.
+    pytest.param(
+        ["minrank", "--graph", "g.txt", "--ou", "w.json"],
+        "unrecognized arguments: --ou w.json", id="abbreviation",
+    ),
+    pytest.param(
+        ["minrank", "--gr", "g.txt"], "the following arguments are required: --graph",
+        id="abbreviated-required",
+    ),
+    pytest.param(
+        ["minrank", "--graph", "g.txt", "--", "--q", "3"], "unrecognized arguments: --",
+        id="terminator",
+    ),
+    pytest.param(
+        ["--", "minrank", "--graph", "g.txt"],
+        f"argument command: invalid choice: '--' (choose from {_COMMAND_CHOICES})",
+        id="terminator-first",
+    ),
+    pytest.param(
+        ["minrank", "--graph", "g.txt", "-hh"], "unrecognized arguments: -hh", id="hh",
+    ),
+    pytest.param(
+        ["minrank", "--graph", "g.txt", "--help=x"], "unrecognized arguments: --help=x",
+        id="help-with-value",
+    ),
+    pytest.param(
+        ["--he"], f"argument command: invalid choice: '--he' (choose from {_COMMAND_CHOICES})",
+        id="abbreviated-help",
+    ),
+])
+def test_parser_refuses_with_its_message(argv, message, capsys):
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_help_after_flags_prints_the_usage(command, capsys):
+    for tail in (["-h"], ["--help"], ["--graph", "g.txt", "stray", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *tail])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: idxloc {command} [-h]")
 
 
 @pytest.mark.parametrize("command", ["verify", "profile", "normalize"])

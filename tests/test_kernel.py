@@ -1,13 +1,15 @@
 """The search kernel against linalg and against its own contract."""
 
 import functools
+import inspect
 import random
+import sys
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from idxloc import _kernel
-from idxloc.bounds import _normalized_columns
+from idxloc.bounds import _normalized_columns, exhaustive_scalar_search
 from idxloc.graphs import acyclic_sizer, directed_cycle, graph_from_side_info, receiver_rows
 from idxloc.linalg import FqMatrix, rank, solve_each_in_span, unit_vector
 
@@ -60,7 +62,7 @@ def _query_sets(tables, ks, cap):
     return None if None in firsts else firsts
 
 
-def test_min_query_sets_matches_linalg():
+def test_first_query_set_matches_linalg():
     rng = random.Random(57)
     decodable = 0
     for _ in range(250):
@@ -156,7 +158,22 @@ def test_warm_transitions_answer_as_fresh_ones():
     assert len(checked) == 6 and sum(checked.values()) > 2000
 
 
-def test_min_query_sets_respects_cap():
+def test_decodable_encoders_keeps_its_own_stack():
+    # One receiver with no side information: the search at length ell
+    # chooses ell columns, one depth each, so a frame per depth would
+    # pass this limit.
+    ell = 300
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        points = exhaustive_scalar_search(graph_from_side_info([set()]), 2, ell)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [p.profile() for p in points] == [(ell, 1, 1)]
+    assert points[0].witness.matrix.entries == (1,) * ell
+
+
+def test_first_query_set_respects_cap():
     rng = random.Random(58)
     for _ in range(80):
         cols, mn, q, rows, ell = _search_instance(rng)
