@@ -3,12 +3,13 @@
 Hot primitives shared by the brute-force min-rank solver and the
 exhaustive encoder searches.  Callers pass and receive columns as digit
 tuples (entry ``r`` at 0-based row ``r``) and query sets as tuples of
-positions; the kernel's own vector formats stay inside this module.
-``_vector_format`` picks int bitmasks for q = 2 and digit tuples for odd
-primes, once per set of tables or min-rank search; results, including
-enumeration order and tie-breaking, are the same for both.  Each format
-has one pivot rule, the lowest nonzero row, and one reduction loop,
-``reduce``, which both the min-rank search and the span transitions call.
+positions.  ``_vector_format`` picks int bitmasks for q = 2 and digit
+tuples for odd primes, once per set of tables or min-rank search;
+results, including enumeration order and tie-breaking, are the same for
+both.  Each format has one pivot rule, the lowest nonzero row, and one
+reduction loop, ``reduce``, which the min-rank search, the span
+transitions and ``linalg.span_coordinates`` all call: linalg shares
+these formats and this pivot rule, so the package has one elimination.
 
 Decodability has one test, a table of span transitions per receiver.
 ``receiver_tables`` projects the candidate columns once per search and
@@ -106,7 +107,7 @@ def _digit_reduce(q, basis, v):
         if x:
             if x != 1:
                 inv = pow(x, -1, q)
-                return p, tuple(y * inv % q for y in v)
+                return p, tuple([y * inv % q for y in v])
             return p, tuple(v)
     return None
 

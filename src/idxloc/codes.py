@@ -44,11 +44,7 @@ from typing import Sequence
 
 from .graphs import SideInformationGraph, receiver_rows
 from .linalg import (
-    FqMatrix,
-    Vector,
-    require_prime,
-    rref,
-    solve_each_in_span,
+    FqMatrix, Vector, require_prime, rref, span_coordinates, span_format, span_units,
     unit_vector,
 )
 
@@ -304,30 +300,32 @@ def verify_decodable(
 
     Receiver i can decode symbol j iff e_j lies in the span of its
     queried columns plus the side-information coordinate subspace; one
-    elimination per receiver, of those generators with the receiver's
-    demand unit vectors as targets, gives every witness at once.
-    Returns a DecodingPlan on success, otherwise a DecodingFailure
-    listing every undecodable (receiver, symbol) pair.  Structural
-    mismatches between graph and code raise ValueError instead.
+    ``linalg.span_coordinates`` call per receiver, in the search kernel's
+    vector format and pivot rule, with the demand unit vectors as
+    targets, gives every witness at once.  Returns a DecodingPlan on
+    success, otherwise a DecodingFailure listing every undecodable
+    (receiver, symbol) pair.  Structural mismatches between graph and
+    code raise ValueError instead.
     """
     _check_structure(g, code)
     mn = code.m * code.n
     q = code.q
-    columns = code.matrix.column_list()
+    columns = span_format(code.matrix.column_list(), q)
+    units = span_units(mn, q)
     failures: list[tuple[int, int]] = []
     receivers: list[tuple[PlanEntry, ...]] = []
     for i in range(1, code.n + 1):
         demand_rows, side_rows = receiver_rows(g, code.m, i)
         cols = [columns[k - 1] for k in code.query_list(i)]
-        gens = cols + [unit_vector(mn, s) for s in side_rows]
-        targets = [unit_vector(mn, j) for j in demand_rows]
+        gens = cols + [units[s] for s in side_rows]
+        coords = span_coordinates(gens + [units[j] for j in demand_rows], len(gens), mn, q)
         entries: list[PlanEntry] = []
-        for j, sol in zip(demand_rows, solve_each_in_span(gens, targets, q)):
+        for j, sol in zip(demand_rows, coords[len(gens) :]):
             if sol is None:
                 failures.append((i, j + 1))
                 continue
-            u = tuple((-c) % q for c in sol[len(cols) :])
-            entries.append(PlanEntry(demand=j + 1, u=u, alpha=tuple(sol[: len(cols)])))
+            u = tuple([-c % q for c in sol[len(cols) :]])
+            entries.append(PlanEntry(demand=j + 1, u=u, alpha=sol[: len(cols)]))
         receivers.append(tuple(entries))
     if failures:
         return DecodingFailure(tuple(failures))
@@ -404,9 +402,9 @@ def decode_receiver(
 
 
 def locality_profile(code: IndexCode) -> LocalityProfile:
-    per = tuple(Fraction(len(r), code.m) for r in code.queries)
-    r = max(per)
-    r_avg = sum(per, Fraction(0)) / code.n
+    sizes = [len(r) for r in code.queries]
+    per = tuple([Fraction(s, code.m) for s in sizes])
+    r, r_avg = Fraction(max(sizes), code.m), Fraction(sum(sizes), code.m * code.n)
     return LocalityProfile(per_receiver=per, r=r, r_avg=r_avg, beta=code.beta)
 
 

@@ -4,24 +4,35 @@ Matrices are immutable row-major tuples with entries in [0, q); matrix
 coordinates are 0-based.  All operations are pure functions: inputs are
 never mutated and results are fresh values, so everything here is safe to
 share across threads.
+
+One column reduction, ``span_coordinates``, on the search kernel's
+vectors (int bitmasks for q = 2, digit tuples otherwise) and with its
+pivot rule, serves ``rref``, ``rank``, ``null_space_basis`` and
+``solve_each_in_span``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
+
+from ._kernel import _bit_reduce, _digit_reduce
 
 Vector = tuple[int, ...]
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to 0 and 1
 
-# Field moduli must lie below this bound, so trial division takes a few
-# milliseconds at most.
+
+# Field moduli must lie below this bound, below which the Miller-Rabin
+# bases of is_prime are exact.
 MODULUS_BOUND = 2**32
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test for n below MODULUS_BOUND; raises
-    ValueError for a larger odd n."""
+    """Primality of n below MODULUS_BOUND, by Miller-Rabin with the bases
+    2, 7 and 61, which is exact below 4,759,123,141; raises ValueError
+    for a larger odd n."""
     if n < 2:
         return False
     if n < 4:
@@ -30,11 +41,17 @@ def is_prime(n: int) -> bool:
         return False
     if n >= MODULUS_BOUND:
         raise ValueError(f"field modulus must be below 2^32, got {n}")
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    for a in (2, 7, 61):
+        x = pow(a, (n - 1) >> s, n)
+        if x in (0, 1, n - 1):  # 0: n is the base a itself
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -125,54 +142,97 @@ def vector_matrix(x: Sequence[int], m: FqMatrix) -> Vector:
     return tuple(v % q for v in out)
 
 
-def _eliminate(rows: list, k: int, q: int) -> list[int]:
-    """Gauss-Jordan elimination of rows in place, pivoting on the first k
-    columns only; the later columns are carried along by the same row
-    operations.  Returns the pivot column indices, ascending; each pivot
-    row is scaled to a leading 1 and every other row is zero in that
-    column."""
-    n_rows = len(rows)
-    pivots: list[int] = []
-    row = 0
-    for col in range(k):
-        for r in range(row, n_rows):
-            if rows[r][col]:
-                break
+def span_format(vectors: Sequence[Sequence[int]], q: int) -> list:
+    """The vectors, with entries in [0, q), in the format of
+    ``span_coordinates``: int bitmasks with entry t at bit t for q = 2,
+    the digit sequences themselves otherwise."""
+    if q != 2:
+        return list(vectors)
+    units = span_units(max(map(len, vectors), default=0), 2)
+    return [sum(compress(units, v)) for v in vectors]
+
+
+def span_units(n: int, q: int) -> list:
+    """The n unit vectors of length n in the format of ``span_format``."""
+    return [1 << t if q == 2 else unit_vector(n, t) for t in range(n)]
+
+
+def span_coordinates(vectors: Sequence, g: int, n: int, q: int) -> list[Vector | None]:
+    """Each vector's coordinates over the generators before it.
+
+    vectors: length n, in the format of ``span_format``; the first g are
+    the generators, the rest targets.  Per vector, a tuple of g
+    coefficients that combine the generators to it, zero on each
+    generator in the span of the ones before it and on each from this
+    one on; or None if it lies outside the span of the generators before
+    it (all g, for a target), as for the pivot columns of an RREF.
+
+    One pass of the kernel's reduction per vector, against the generators
+    with None so far.  Each vector is tagged past its n rows with a 1 in
+    slot n + g - k for generator k and in slot n for a target: the first
+    slot that the reduction can make nonzero, so it is never scaled.  A
+    vector whose rows reduce to 0 has its coordinates in its other tag
+    entries, negated.
+    """
+    basis: list = []
+    coords: list[Vector | None] = []
+    if q == 2:
+        rows = (1 << n) - 1
+        for j, v in enumerate(vectors):
+            own = 1 << (n + g - j if j < g else n)
+            v = _bit_reduce(basis, v | own)
+            if v & rows:
+                if j < g:
+                    basis.append(v)
+                coords.append(None)
+            else:
+                # The tag's bits, generator 0 first: the binary numeral's
+                # digits after a leading 1 that pads it to g digits.
+                tag = (v ^ own) >> n + 1 | 1 << g
+                coords.append(tuple(bin(tag)[3:].encode().translate(_BITS)))
+        return coords
+    blank = [0] * (g + 1)
+    for j, v in enumerate(vectors):
+        tagged = [*v, *blank]
+        tagged[n + g - j if j < g else n] = 1
+        p, v = _digit_reduce(q, basis, tagged)
+        if p < n:
+            if j < g:
+                basis.append((p, v))
+            coords.append(None)
         else:
-            continue
-        pivot = rows[r]
-        rows[r] = rows[row]
-        inv = pow(pivot[col], -1, q)
-        if inv != 1:
-            pivot = [(e * inv) % q for e in pivot]
-        rows[row] = pivot
-        for r in range(n_rows):
-            f = rows[r][col]
-            if f and r != row:
-                rows[r] = [(a - f * b) % q for a, b in zip(rows[r], pivot)]
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    return pivots
+            c = [-x % q for x in v[:n:-1]]
+            if j < g:
+                c[j] = 0
+            coords.append(tuple(c))
+    return coords
+
+
+def _column_coordinates(m: FqMatrix) -> list[Vector | None]:
+    """``span_coordinates`` of m's columns, all of them generators."""
+    return span_coordinates(span_format(m.column_list(), m.q), m.cols, m.rows, m.q)
 
 
 def rref(m: FqMatrix) -> tuple[FqMatrix, tuple[int, ...]]:
-    """Reduced row-echelon form of m, by Gauss-Jordan elimination.
+    """Reduced row-echelon form of m.
 
     Returns the reduced matrix together with the pivot column indices
     (0-based, ascending).  The row space is preserved and the number of
-    pivots equals the rank.
+    pivots equals the rank.  Row r holds each column's coordinate on
+    pivot r.
     """
-    rows = m.row_list()
-    pivots = _eliminate(rows, m.cols, m.q)
-    flat = tuple(e for r in rows for e in r)
-    return FqMatrix(m.rows, m.cols, m.q, flat), tuple(pivots)
+    coords = _column_coordinates(m)
+    pivots = tuple([j for j, c in enumerate(coords) if c is None])
+    flat = [
+        int(j == p) if c is None else c[p] for p in pivots for j, c in enumerate(coords)
+    ]
+    flat += [0] * ((m.rows - len(pivots)) * m.cols)
+    return FqMatrix(m.rows, m.cols, m.q, tuple(flat)), pivots
 
 
 def rank(m: FqMatrix) -> int:
     """Dimension of the column space (equals the row rank)."""
-    return len(rref(m)[1])
+    return _column_coordinates(m).count(None)
 
 
 def null_space_basis(m: FqMatrix) -> list[Vector]:
@@ -181,18 +241,13 @@ def null_space_basis(m: FqMatrix) -> list[Vector]:
     The basis vector for free column f has a 1 at position f; basis size
     is cols - rank(m).
     """
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis: list[Vector] = []
     q = m.q
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        vec = [0] * m.cols
-        vec[f] = 1
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = (-reduced.entry(row_idx, f)) % q
-        basis.append(tuple(vec))
+    basis: list[Vector] = []
+    for f, c in enumerate(_column_coordinates(m)):
+        if c is not None:
+            vec = [-x % q for x in c]
+            vec[f] = 1
+            basis.append(tuple(vec))
     return basis
 
 
@@ -203,13 +258,9 @@ def solve_each_in_span(
 ) -> list[Vector | None]:
     """Express each target as a linear combination of the generators.
 
-    One elimination of [generators | targets] serves every target: it
-    pivots only on generator columns, so the row operations, and with
-    them each target's answer, do not depend on the other targets.  A
-    target lies in the span iff it is zero in every row below the rank;
-    its coefficients are then its entries in the pivot rows, and the free
-    coefficients (those of generators in the span of earlier ones) are
-    zero.  Returns one coefficient vector or None per target, in order.
+    Returns one coefficient vector or None per target, in order; the
+    free coefficients (those of generators in the span of earlier ones)
+    are zero.
 
     Raises ValueError if the vectors do not all share one length.
     """
@@ -217,20 +268,9 @@ def solve_each_in_span(
     lengths = {len(v) for v in (*generators, *targets)}
     if len(lengths) > 1:
         raise ValueError("generator/target dimension mismatch")
-    rows = [[e % q for e in r] for r in zip(*generators, *targets)]
     g = len(generators)
-    pivots = _eliminate(rows, g, q)
-    below = rows[len(pivots) :]
-    answers: list[Vector | None] = []
-    for col in range(g, g + len(targets)):
-        if any(r[col] for r in below):
-            answers.append(None)
-            continue
-        coeffs = [0] * g
-        for row_idx, pc in enumerate(pivots):
-            coeffs[pc] = rows[row_idx][col]
-        answers.append(tuple(coeffs))
-    return answers
+    vectors = span_format([[e % q for e in v] for v in (*generators, *targets)], q)
+    return span_coordinates(vectors, g, lengths.pop() if lengths else 0, q)[g:]
 
 
 def unit_vector(n: int, position: int) -> Vector:

@@ -143,6 +143,131 @@ def _reference_verify(g, code):
     )
 
 
+def _reference_eliminate(rows, k, q):
+    """Row Gauss-Jordan elimination of rows in place, pivoting on the
+    first k columns only; the later columns are carried along by the
+    same row operations.  Returns the pivot column indices, ascending;
+    each pivot row is scaled to a leading 1 and every other row is zero
+    in that column.  linalg eliminated this way before its one column
+    reduction, so the references below pin its answers."""
+    n_rows = len(rows)
+    pivots = []
+    row = 0
+    for col in range(k):
+        for r in range(row, n_rows):
+            if rows[r][col]:
+                break
+        else:
+            continue
+        pivot = rows[r]
+        rows[r] = rows[row]
+        inv = pow(pivot[col], -1, q)
+        if inv != 1:
+            pivot = [(e * inv) % q for e in pivot]
+        rows[row] = pivot
+        for r in range(n_rows):
+            f = rows[r][col]
+            if f and r != row:
+                rows[r] = [(a - f * b) % q for a, b in zip(rows[r], pivot)]
+        pivots.append(col)
+        row += 1
+        if row == n_rows:
+            break
+    return pivots
+
+
+def _reference_rref(m):
+    rows = [list(r) for r in m.row_list()]
+    pivots = _reference_eliminate(rows, m.cols, m.q)
+    return FqMatrix(m.rows, m.cols, m.q, tuple(e for r in rows for e in r)), tuple(pivots)
+
+
+def _reference_null_space(m):
+    reduced, pivots = _reference_rref(m)
+    basis = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        vec = [0] * m.cols
+        vec[f] = 1
+        for row_idx, pc in enumerate(pivots):
+            vec[pc] = (-reduced.entry(row_idx, f)) % m.q
+        basis.append(tuple(vec))
+    return basis
+
+
+def _reference_solve_each(generators, targets, q):
+    rows = [[e % q for e in r] for r in zip(*generators, *targets)]
+    g = len(generators)
+    pivots = _reference_eliminate(rows, g, q)
+    below = rows[len(pivots):]
+    answers = []
+    for col in range(g, g + len(targets)):
+        if any(r[col] for r in below):
+            answers.append(None)
+            continue
+        coeffs = [0] * g
+        for row_idx, pc in enumerate(pivots):
+            coeffs[pc] = rows[row_idx][col]
+        answers.append(tuple(coeffs))
+    return answers
+
+
+def _reference_matrices():
+    """Seeded matrices over F_2, F_3, F_5 and F_4294967291: random ones
+    of every shape up to 5 x 6, 0 rows or 0 columns among them, sparse
+    ones, all-zero ones and ones with repeated and scaled columns."""
+    rng = random.Random(2718)
+    out = []
+    for q in (2, 3, 5, 4294967291):
+        for rows in range(6):
+            for cols in range(7):
+                out.append(FqMatrix(rows, cols, q, (0,) * (rows * cols)))
+                for density in (0.3, 1.0):
+                    for _ in range(3):
+                        columns = [
+                            tuple(rng.randrange(q) if rng.random() < density else 0
+                                  for _ in range(rows))
+                            for _ in range(cols)
+                        ]
+                        out.append(FqMatrix.from_columns(columns, rows, q))
+                        if cols >= 2:
+                            # Repeat one column, scaled, at a later position.
+                            a, b = sorted(rng.sample(range(cols), 2))
+                            c = rng.randrange(q)
+                            columns[b] = tuple(c * e % q for e in columns[a])
+                            out.append(FqMatrix.from_columns(columns, rows, q))
+    return out
+
+
+def test_linalg_matches_row_gauss_jordan_reference():
+    rng = random.Random(3141)
+    matrices = _reference_matrices()
+    assert len(matrices) > 1000
+    for m in matrices:
+        q = m.q
+        assert linalg.rref(m) == _reference_rref(m), m
+        assert linalg.null_space_basis(m) == _reference_null_space(m), m
+        gens = m.column_list()
+        targets = [tuple(rng.randrange(q) for _ in range(m.rows)) for _ in range(3)]
+        coeffs = [rng.randrange(q) for _ in gens]
+        targets.append(
+            tuple(sum(c * v[t] for c, v in zip(coeffs, gens)) % q for t in range(m.rows))
+        )
+        targets += gens + [(0,) * m.rows]
+        answers = linalg.solve_each_in_span(gens, targets, q)
+        assert answers == _reference_solve_each(gens, targets, q), m
+
+
+def test_prune_and_normalize_match_the_row_reference(monkeypatch):
+    corpus = full_corpus()
+    pruned = [prune_queries(g, code) for g, code in corpus]
+    normalized = [normalize_unique_columns(g, code) for g, code in corpus]
+    monkeypatch.setattr(codes_module, "rref", _reference_rref)
+    assert pruned == [prune_queries(g, code) for g, code in corpus]
+    assert normalized == [normalize_unique_columns(g, code) for g, code in corpus]
+
+
 def _without_one_query(rng, code):
     """The code with one query dropped from a random receiver that has one."""
     i = rng.choice([i for i, r in enumerate(code.queries) if r])
@@ -185,27 +310,30 @@ def test_verify_matches_greedy_basis_reference():
 
 
 def test_verify_runs_one_elimination_per_receiver(monkeypatch):
+    # One span_coordinates call per receiver, over its queried columns
+    # and side-information units, in both vector formats.
     g = directed_cycle(5)
-    codes = [cycle_vector_code(5, 2, m) for m in (1, 2, 3)]
+    codes = [cycle_vector_code(5, q, m) for q in (2, 3) for m in (1, 2, 3)]
     calls = []
-    eliminate = linalg._eliminate
+    span_coordinates = linalg.span_coordinates
 
-    def counting(*args):
-        calls.append(args[1])
-        return eliminate(*args)
+    def counting(vectors, n_gens, n, q):
+        calls.append(n_gens)
+        return span_coordinates(vectors, n_gens, n, q)
 
-    monkeypatch.setattr(linalg, "_eliminate", counting)
+    monkeypatch.setattr(codes_module, "span_coordinates", counting)
     for code in codes:
-        calls.clear()
-        require_plan(g, code)
-        assert len(calls) == g.n
         dropped = IndexCode(
             q=code.q, m=code.m, n=code.n, matrix=code.matrix,
             queries=(frozenset(),) + code.queries[1:],
         )
-        calls.clear()
-        assert isinstance(verify_decodable(g, dropped), DecodingFailure)
-        assert len(calls) == g.n
+        for c in (code, dropped):
+            calls.clear()
+            result = verify_decodable(g, c)
+            assert isinstance(result, DecodingFailure) == (c is dropped)
+            assert calls == [
+                len(r) + c.m * len(k) for r, k in zip(c.queries, g.side)
+            ]
 
 
 def test_encode_zero_message():
@@ -707,6 +835,16 @@ def test_round_trip_random_codes():
             continue
         roundtrip_all_messages(g, code)
         produced += 1
+
+
+def test_locality_profile_matches_the_fraction_sums():
+    for g, code in full_corpus():
+        per = tuple(Fraction(len(r), code.m) for r in code.queries)
+        profile = locality_profile(code)
+        assert profile.per_receiver == per
+        assert profile.r == max(per)
+        assert profile.r_avg == sum(per, Fraction(0)) / code.n
+        assert profile.beta == Fraction(code.ell, code.m)
 
 
 def test_locality_profile_cycle():

@@ -1,16 +1,22 @@
 """Field and matrix kernel, checked against enumeration oracles."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idxloc.linalg import (
+    MODULUS_BOUND,
     FqMatrix,
+    is_prime,
     null_space_basis,
     rank,
     require_prime,
     rref,
     solve_each_in_span,
+    span_coordinates,
+    span_format,
     unit_vector,
 )
 
@@ -30,6 +36,42 @@ def test_prime_field_bound():
     for big in (4294967311, 2**61 - 1):  # primes above it
         with pytest.raises(ValueError, match="below 2\\^32"):
             require_prime(big)
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    # A sieve below 200,000, then trial division on the largest moduli.
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for d in range(2, int(limit**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytearray(len(range(d * d, limit, d)))
+    assert [n for n in range(limit) if is_prime(n)] == [
+        n for n in range(limit) if sieve[n]
+    ]
+    rng = random.Random(61)
+    for n in [rng.randrange(2**31, MODULUS_BOUND) for _ in range(300)]:
+        assert is_prime(n) == _trial_division(n), n
+    # A strong pseudoprime to the bases 2, 3, 5 and 7, and the largest
+    # prime and odd composite below the bound.
+    assert not is_prime(3215031751)  # 151 * 751 * 28351
+    assert is_prime(4294967291)
+    assert not is_prime(4294967293)  # 9241 * 464773
+    # The least composite that passes the bases 2, 7 and 61 lies above
+    # the bound, which is refused.
+    with pytest.raises(ValueError, match="below 2\\^32"):
+        is_prime(4759123141)
 
 
 def test_matrix_validation():
@@ -261,3 +303,28 @@ def test_solve_each_in_span_answers_each_target_alone(instance):
                 for t in range(len(target))
             )
             assert combo == target
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(max_dim=5), st.data())
+def test_span_coordinates_contract(m, data):
+    # The columns of m, the first g of them generators and the rest
+    # targets, each with its coordinates over the generators before it.
+    q, vectors = m.q, m.column_list()
+    g = data.draw(st.integers(0, m.cols))
+    coords = span_coordinates(span_format(vectors, q), g, m.rows, q)
+    assert len(coords) == m.cols
+    kept = [k for k in range(g) if coords[k] is None]
+    for j, (v, c) in enumerate(zip(vectors, coords)):
+        before = vectors[: min(j, g)]
+        rank_before = oracle_rank(FqMatrix.from_rows(before, q))
+        inside = oracle_rank(FqMatrix.from_rows(before + [v], q)) == rank_before
+        assert (c is not None) == inside
+        if c is None:
+            continue
+        assert len(c) == g
+        assert all(x == 0 for k, x in enumerate(c) if k >= j or k not in kept)
+        combo = tuple(
+            sum(x * w[t] for x, w in zip(c, vectors)) % q for t in range(m.rows)
+        )
+        assert combo == v
