@@ -88,7 +88,7 @@ def _vector_format(q: int):
 
 
 def _bits(v: int, n: int) -> tuple[int, ...]:
-    return tuple(v >> t & 1 for t in range(n))
+    return tuple([v >> t & 1 for t in range(n)])
 
 
 def _bit_reduce(basis, v: int) -> int:
@@ -412,7 +412,7 @@ def minrank_dfs(n: int, q: int, free_rows, stop: int, floor):
                     if rank + low <= target:
                         cols[depth] = col
                         if depth + 1 == n:
-                            return rank, tuple(unpack(c, n) for c in cols)
+                            return rank, tuple([unpack(c, n) for c in cols])
                         stack.append((candidates, touched, len(basis)))
                         if v:
                             basis.append(v)

@@ -34,6 +34,7 @@ coordinates are 0-based.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -409,21 +410,12 @@ def locality_profile(code: IndexCode) -> LocalityProfile:
 
 
 def query_partition(code: IndexCode) -> QueryPartition:
-    counts: dict[int, int] = {}
-    for r_set in code.queries:
-        for k in r_set:
-            counts[k] = counts.get(k, 0) + 1
-    unique = tuple(
-        frozenset(k for k in r_set if counts[k] == 1) for r_set in code.queries
-    )
-    shared = tuple(
-        frozenset(k for k in r_set if counts[k] > 1) for r_set in code.queries
-    )
+    counts = Counter(chain.from_iterable(code.queries))
+    unique = tuple([frozenset(k for k in r if counts[k] == 1) for r in code.queries])
+    shared = tuple([r - u for r, u in zip(code.queries, unique)])
     return QueryPartition(
-        unique=unique,
-        shared=shared,
-        unique_all=frozenset().union(*unique) if unique else frozenset(),
-        shared_all=frozenset().union(*shared) if shared else frozenset(),
+        unique=unique, shared=shared,
+        unique_all=frozenset().union(*unique), shared_all=frozenset().union(*shared),
     )
 
 
@@ -562,10 +554,14 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _json_int_lists(value, what: str) -> list[list[int]]:
+def _json_int_lists(value, what: str) -> list[int]:
+    """value's entries, row after row, once all are integers in lists."""
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise ValueError(f"malformed code document: {what} must be a list of lists")
-    return [[_json_int(x, f"an entry of {what}") for x in r] for r in value]
+    flat = [x for r in value for x in r]
+    if not set(map(type, flat)) <= {int}:
+        _json_int(next(x for x in flat if type(x) is not int), f"an entry of {what}")
+    return flat
 
 
 def code_from_json_dict(doc: dict) -> IndexCode:
@@ -578,22 +574,23 @@ def code_from_json_dict(doc: dict) -> IndexCode:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed code document: {exc}") from exc
     q, m, n, ell = (_json_int(v, k) for v, k in zip(fields, ("q", "M", "N", "ell")))
-    rows = _json_int_lists(fields[4], "L")
-    queries = _json_int_lists(fields[5], "queries")
+    rows, queries = fields[4], fields[5]
+    flat = _json_int_lists(rows, "L")
+    _json_int_lists(queries, "queries")
     require_prime(q)
-    for x in chain.from_iterable(rows):
-        if not 0 <= x < q:
-            raise ValueError(
-                f"malformed code document: an entry of L must lie in [0, q), got {x}"
-            )
+    if flat and not (0 <= min(flat) and max(flat) < q):
+        x = next(x for x in flat if not 0 <= x < q)
+        raise ValueError(
+            f"malformed code document: an entry of L must lie in [0, q), got {x}"
+        )
     if len(rows) != m * n or any(len(r) != ell for r in rows):
         raise ValueError("encoder array shape does not match M, N, ell")
     return IndexCode(
         q=q,
         m=m,
         n=n,
-        matrix=FqMatrix.from_rows(rows, q),
-        queries=tuple(frozenset(r) for r in queries),
+        matrix=FqMatrix(len(rows), len(rows[0]) if rows else 0, q, tuple(flat)),
+        queries=tuple([frozenset(r) for r in queries]),
     )
 
 

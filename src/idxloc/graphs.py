@@ -49,7 +49,7 @@ class SideInformationGraph:
 
 
 def graph_from_side_info(side: Iterable[Iterable[int]]) -> SideInformationGraph:
-    side_t = tuple(frozenset(k) for k in side)
+    side_t = tuple([frozenset(k) for k in side])
     return SideInformationGraph(len(side_t), side_t)
 
 
@@ -395,8 +395,8 @@ def receiver_rows(
     """
     if m < 1:
         raise ValueError("message length must be at least 1")
-    side = tuple(r for j in sorted(g.side_info(i)) for r in range((j - 1) * m, j * m))
-    return range((i - 1) * m, i * m), side
+    side = [r for j in sorted(g.side_info(i)) for r in range((j - 1) * m, j * m)]
+    return range((i - 1) * m, i * m), tuple(side)
 
 
 def cycle_length_if_cycle(g: SideInformationGraph) -> int | None:

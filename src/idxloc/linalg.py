@@ -88,7 +88,7 @@ class FqMatrix:
         n_cols = len(rows[0]) if n_rows else 0
         if any(len(r) != n_cols for r in rows):
             raise ValueError("ragged rows")
-        flat = tuple(int(e) % q for r in rows for e in r)
+        flat = tuple([int(e) % q for r in rows for e in r])
         return cls(n_rows, n_cols, q, flat)
 
     @classmethod
@@ -96,7 +96,7 @@ class FqMatrix:
         for c in columns:
             if len(c) != n_rows:
                 raise ValueError("column length mismatch")
-        flat = tuple(int(col[i]) % q for i in range(n_rows) for col in columns)
+        flat = tuple([int(col[i]) % q for i in range(n_rows) for col in columns])
         return cls(n_rows, len(columns), q, flat)
 
     @classmethod
@@ -120,12 +120,6 @@ class FqMatrix:
     def column_list(self) -> list[Vector]:
         return [self.column(j) for j in range(self.cols)]
 
-    def hstack(self, other: "FqMatrix") -> "FqMatrix":
-        if other.rows != self.rows or other.q != self.q:
-            raise ValueError("hstack requires matching row count and field")
-        rows = [self.row(i) + other.row(i) for i in range(self.rows)]
-        return FqMatrix(self.rows, self.cols + other.cols, self.q, tuple(x for r in rows for x in r))
-
 
 def vector_matrix(x: Sequence[int], m: FqMatrix) -> Vector:
     """Row-vector-matrix product x^T m."""
@@ -139,7 +133,7 @@ def vector_matrix(x: Sequence[int], m: FqMatrix) -> Vector:
         base = i * m.cols
         for j in range(m.cols):
             out[j] += xi * m.entries[base + j]
-    return tuple(v % q for v in out)
+    return tuple([v % q for v in out])
 
 
 def span_format(vectors: Sequence[Sequence[int]], q: int) -> list:

@@ -215,7 +215,10 @@ def malformed_code_docs() -> list[tuple[str, dict, str]]:
     ValueError(message): the document of the scalar 4-cycle code over F_2
     with one field of the wrong JSON type or value, or with M = 0 and so
     no encoder rows.  Truncating the floats, or reducing the entries of L
-    mod q, would give back a code the document does not hold."""
+    mod q, would give back a code the document does not hold.  When a
+    document breaks several rules, the first message in the loader's
+    order wins: a field's type, then L's entries' range, then L's
+    shape."""
     doc = code_to_json_dict(cycle_scalar_code(4, 2, 1))
     rows, queries = doc["L"], doc["queries"]
     malformed = "malformed code document: "
@@ -230,14 +233,24 @@ def malformed_code_docs() -> list[tuple[str, dict, str]]:
          entry.format("L", None)),
         ("L-entry-float", dict(doc, L=[[1.7, *rows[0][1:]], *rows[1:]]),
          entry.format("L", 1.7)),
+        ("L-entry-bool", dict(doc, L=[[True, *rows[0][1:]], *rows[1:]]),
+         entry.format("L", True)),
         ("query-null", dict(doc, queries=[[None], *queries[1:]]),
          entry.format("queries", None)),
+        ("query-bool", dict(doc, queries=[[True], *queries[1:]]),
+         entry.format("queries", True)),
         ("query-set-null", dict(doc, queries=[None, *queries[1:]]),
          lists.format("queries")),
         ("L-entry-q", dict(doc, L=[[3, *rows[0][1:]], *rows[1:]]),
          malformed + "an entry of L must lie in [0, q), got 3"),
         ("L-entry-negative", dict(doc, L=[[-1, *rows[0][1:]], *rows[1:]]),
          malformed + "an entry of L must lie in [0, q), got -1"),
+        # Every entry's type is checked before any entry's range, and the
+        # range before the shape.
+        ("L-float-after-q", dict(doc, L=[[3, *rows[0][1:]], *rows[1:-1], [2.5]]),
+         entry.format("L", 2.5)),
+        ("L-ragged-q", dict(doc, L=[[3, *rows[0][1:]], *rows[1:-1], rows[-1][1:]]),
+         malformed + "an entry of L must lie in [0, q), got 3"),
         ("q-float", dict(doc, q=2.5), malformed + "q must be an integer, got 2.5"),
         ("q-bool", dict(doc, q=True), malformed + "q must be an integer, got True"),
         ("q-zero", dict(doc, q=0), "field modulus must be prime, got 0"),

@@ -12,6 +12,11 @@ from idxloc import _kernel
 from idxloc.bounds import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    CheckResult,
+    ConverseReport,
+    _inequality,
+    _minrank_or_none,
+    _null_supports,
     converse_checks,
     cycle_tradeoff,
     exhaustive_scalar_search,
@@ -23,7 +28,8 @@ from idxloc.bounds import (
     scalar_bounds_minrank_deficit,
 )
 from idxloc.codes import (
-    DecodingFailure, IndexCode, locality_profile, require_plan, verify_decodable,
+    DecodingFailure, IndexCode, fitting_matrix_from_plan, locality_profile,
+    query_partition, require_plan, verify_decodable,
 )
 from idxloc.constructions import cycle_scalar_code, minrank_deficit_code, uncoded
 from idxloc.graphs import (
@@ -31,11 +37,14 @@ from idxloc.graphs import (
     acyclic_sizer,
     directed_cycle,
     graph_from_side_info,
+    has_directed_cycle,
+    induced_subgraph,
     max_acyclic_induced,
     parse_graph,
 )
-from idxloc.linalg import FqMatrix, rank
+from idxloc.linalg import FqMatrix, rank, rref
 
+from corpus import full_corpus
 from helpers import blocks_graph, random_graph, random_matrix
 
 
@@ -596,6 +605,129 @@ def test_fitting_column_space_violation_carries_numbers():
         "fitting_column_space"
     )
     assert (check.status, check.lhs, check.rhs, check.slack) == ("ok", 0, 0, 0)
+
+
+def _reference_converse_checks(g, code, plan, budget=None) -> ConverseReport:
+    """converse_checks by its first formulas: the sums in Fractions off
+    locality_profile and query_partition, and the fitting_column_space
+    count off the pivots of rref(L | F), with L | F built whole."""
+    checks: list[CheckResult] = []
+    profile = locality_profile(code)
+    part = query_partition(code)
+    checks.append(
+        _inequality(
+            "single_query_lower_bound", "all receivers",
+            len(part.unique_all), code.m * (2 * profile.beta - code.n * profile.r_avg),
+            None if len(part.unique_all | part.shared_all) == code.ell
+            else "some codeword symbols are never queried",
+        )
+    )
+    if code.m != 1:
+        checks.append(
+            _inequality(
+                "null_support_family", "", 0, 0,
+                "fitting-matrix checks need a scalar code",
+            )
+        )
+        return ConverseReport(tuple(checks))
+    fm = fitting_matrix_from_plan(g, code, plan)
+    minrank_g = _minrank_or_none(g, code.q, budget)
+    length_note = (
+        None if minrank_g is not None and code.ell == minrank_g
+        else "code length differs from the instance min-rank"
+    )
+    deficit_note = (
+        None if minrank_g is not None and minrank_g == g.n - 1
+        else "instance min-rank is not n-1"
+    )
+    supports, sampled = _null_supports(fm, code.q)
+    if sampled is not None:
+        checks.append(
+            _inequality(
+                "null_support_family", "", 0, 0,
+                f"supports sampled from {sampled[0]} of the {sampled[1]}"
+                " nonzero null vectors",
+            )
+        )
+    for s in supports:
+        ctx = "S={" + ",".join(str(v) for v in sorted(s)) + "}"
+        sub, _ = induced_subgraph(g, s)
+        union_queries = set().union(*(code.queries[i - 1] for i in sorted(s)))
+        minrank_s = (
+            minrank_g if len(s) == g.n else _minrank_or_none(sub, code.q, budget)
+        )
+        no_minrank = None if minrank_s is not None else "min-rank budget exceeded"
+        minrank_s = minrank_s or 0
+        checks.append(
+            _inequality(
+                "query_union_minrank", ctx, len(union_queries), minrank_s,
+                no_minrank,
+            )
+        )
+        checks.append(
+            _inequality(
+                "sum_locality_minrank", ctx,
+                sum((profile.per_receiver[i - 1] for i in sorted(s)), Fraction(0)),
+                2 * minrank_s, no_minrank or length_note,
+            )
+        )
+        checks.append(
+            _inequality("null_support_cycle", ctx, int(has_directed_cycle(sub)), 1)
+        )
+        checks.append(
+            _inequality(
+                "induced_minrank_deficit", ctx, minrank_s, len(s) - 1,
+                no_minrank or deficit_note,
+            )
+        )
+    columns = code.matrix.column_list() + fm.matrix.column_list()
+    pivots = rref(FqMatrix.from_columns(columns, code.n, code.q))[1]
+    checks.append(
+        _inequality(
+            "fitting_column_space", "", 0, sum(p >= code.ell for p in pivots),
+        )
+    )
+    return ConverseReport(tuple(checks))
+
+
+def _with_unqueried_zero_column(code: IndexCode) -> IndexCode:
+    mn = code.m * code.n
+    columns = code.matrix.column_list() + [(0,) * mn]
+    matrix = FqMatrix.from_columns(columns, mn, code.q)
+    return IndexCode(q=code.q, m=code.m, n=code.n, matrix=matrix, queries=code.queries)
+
+
+def test_converse_checks_match_the_reference():
+    # Every corpus code with its own plan; each scalar code with the
+    # uncoded plan and up to two plans of other codes of its graph and
+    # field, whose fitting matrices can leave the code's column space;
+    # and every seventh code with an unqueried zero column appended.
+    corpus = full_corpus()
+    plans: dict = {}
+    cases = []
+    for g, code in corpus:
+        plan = require_plan(g, code)
+        cases.append((g, code, plan))
+        if code.m == 1:
+            plans.setdefault((g, code.q), []).append(plan)
+    for g, code, plan in list(cases):
+        if code.m != 1:
+            continue
+        cases.append((g, code, require_plan(g, uncoded(g, 1, code.q))))
+        others = [other for other in plans[g, code.q] if other != plan]
+        cases.extend((g, code, other) for other in others[:2])
+    for g, code in corpus[::7]:
+        wider = _with_unqueried_zero_column(code)
+        cases.append((g, wider, require_plan(g, wider)))
+    rhs = set()
+    skipped_single = 0
+    for g, code, plan in cases:
+        report = converse_checks(g, code, plan)
+        assert report == _reference_converse_checks(g, code, plan), (g, code, plan)
+        rhs.update(c.rhs for c in report.by_name("fitting_column_space"))
+        skipped_single += report.checks[0].status == "not_applicable"
+    assert {0, 1, 2} <= rhs
+    assert skipped_single > 0
 
 
 def test_search_skips_lengths_below_the_acyclic_set_bound(monkeypatch):
