@@ -429,18 +429,19 @@ class CheckResult:
     """Outcome of one converse inequality on one piece of context.
 
     status is "ok", "violated" or "not_applicable"; lhs and rhs are the
-    two sides of the inequality when numeric.
+    two sides of the inequality, both ints (every converse check counts
+    symbols, query sets or ranks), and None when not applicable.
     """
 
     name: str
     context: str
     status: str
-    lhs: Fraction | None = None
-    rhs: Fraction | None = None
+    lhs: int | None = None
+    rhs: int | None = None
     note: str = ""
 
     @property
-    def slack(self) -> Fraction | None:
+    def slack(self) -> int | None:
         if self.lhs is None or self.rhs is None:
             return None
         return self.lhs - self.rhs
@@ -494,13 +495,12 @@ def _null_supports(
 
 
 def _inequality(
-    name: str, ctx: str, lhs, rhs, skip: str | None = None
+    name: str, ctx: str, lhs: int, rhs: int, skip: str | None = None
 ) -> CheckResult:
     """The check lhs >= rhs, or "not_applicable" with the note skip when
     its precondition fails (lhs and rhs are then ignored)."""
     if skip is not None:
         return CheckResult(name=name, context=ctx, status="not_applicable", note=skip)
-    lhs, rhs = Fraction(lhs), Fraction(rhs)
     return CheckResult(
         name=name, context=ctx, status="ok" if lhs >= rhs else "violated",
         lhs=lhs, rhs=rhs,

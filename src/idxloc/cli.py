@@ -69,10 +69,6 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def fmt_frac(x: Fraction | int) -> str:
-    return str(Fraction(x))
-
-
 def parse_frac(text: str) -> Fraction:
     try:
         if "/" in text:
@@ -102,7 +98,7 @@ def _load_code(path: str) -> IndexCode:
 
 
 def _profile_line(p: LocalityProfile) -> str:
-    return f"beta={fmt_frac(p.beta)} r={fmt_frac(p.r)} r_avg={fmt_frac(p.r_avg)}"
+    return f"beta={p.beta} r={p.r} r_avg={p.r_avg}"
 
 
 def cmd_minrank(args: SimpleNamespace) -> int:
@@ -175,8 +171,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
         else:
             print(
                 f"check {check.name}{ctx}: {check.status}"
-                f" lhs={fmt_frac(check.lhs)} rhs={fmt_frac(check.rhs)}"
-                f" slack={fmt_frac(check.slack)}"
+                f" lhs={check.lhs} rhs={check.rhs} slack={check.slack}"
             )
     if not report.all_ok:
         return EXIT_FAIL
@@ -186,8 +181,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
 def cmd_profile(args: SimpleNamespace) -> int:
     p = locality_profile(_load_code(args.code))
     print(_profile_line(p))
-    per = " ".join(fmt_frac(x) for x in p.per_receiver)
-    print(f"r_i={per}")
+    print("r_i=" + " ".join(map(str, p.per_receiver)))
     return EXIT_OK
 
 
@@ -203,10 +197,10 @@ def cmd_tradeoff(args: SimpleNamespace) -> int:
     r = Fraction(1)
     step = Fraction(1, n)
     while r <= 2:
-        lines.append(f"{fmt_frac(r)},{fmt_frac(cycle_tradeoff(n, r))}")
+        lines.append(f"{r},{cycle_tradeoff(n, r)}")
         r += step
     text = "\n".join(lines) + "\n"
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -215,6 +209,10 @@ def cmd_tradeoff(args: SimpleNamespace) -> int:
 
 def cmd_oracle(args: SimpleNamespace) -> int:
     g = _load_graph(args.graph)
+    out_path = Path(args.out)
+    # The witness files are named after the CSV's file name.
+    if not out_path.name:
+        raise CliError(f"cannot write output: --out {args.out!r} names no file")
     points: list[ParetoPoint] = []
     # At ell = M*N the uncoded code has r = r_avg = 1, the least any code
     # has, so every longer code is dominated.
@@ -223,15 +221,11 @@ def cmd_oracle(args: SimpleNamespace) -> int:
             exhaustive_vector_search(g, args.q, args.m, ell, args.r, args.budget)
         )
     merged = pareto_merge(points)
-    out_path = Path(args.out)
     lines = ["beta,r,r_avg,witness_file"]
     for idx, point in enumerate(merged, start=1):
         witness_file = out_path.with_name(f"{out_path.stem}_witness_{idx}.json")
         save_code(point.witness, witness_file)
-        lines.append(
-            f"{fmt_frac(point.beta)},{fmt_frac(point.r)},"
-            f"{fmt_frac(point.r_avg)},{witness_file.name}"
-        )
+        lines.append(f"{point.beta},{point.r},{point.r_avg},{witness_file.name}")
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     for line in lines:
         print(line)

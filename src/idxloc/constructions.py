@@ -5,8 +5,6 @@ receiver count."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .codes import IndexCode, require_plan
 from .graphs import (
     SideInformationGraph,
@@ -129,17 +127,17 @@ def time_share(
     )
 
 
-def _schedule_profile(n: int, anchors: tuple[int, ...]) -> tuple[Fraction, Fraction]:
-    """(r, r_avg) of the time-shared cycle code with these anchors."""
+def _schedule_profile(n: int, anchors: tuple[int, ...]) -> tuple[int, int]:
+    """(max |R_i|, sum |R_i|) of the time-shared cycle code with these
+    anchors: its (r, r_avg) times m and m*n, so it ranks schedules of one
+    (n, m) alike."""
     m = len(anchors)
     ones = [0] * (n + 1)
     for a in anchors:
         ones[a] += 1
         ones[a - 1 if a > 1 else n] += 1
     sizes = [2 * m - ones[i] for i in range(1, n + 1)]
-    r = Fraction(max(sizes), m)
-    r_avg = Fraction(sum(sizes), m * n)
-    return r, r_avg
+    return max(sizes), sum(sizes)
 
 
 def plan_rotation_schedule(n: int, m: int) -> tuple[int, ...]:

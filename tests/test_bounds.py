@@ -1,5 +1,6 @@
 """Min-rank search, closed-form curve, converse checks, Pareto oracles."""
 
+import functools
 import random
 import re
 import time
@@ -8,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from idxloc import _kernel
+from idxloc import _kernel, cli
 from idxloc.bounds import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -29,13 +30,14 @@ from idxloc.bounds import (
 )
 from idxloc.codes import (
     DecodingFailure, IndexCode, fitting_matrix_from_plan, locality_profile,
-    query_partition, require_plan, verify_decodable,
+    query_partition, require_plan, save_code, verify_decodable,
 )
 from idxloc.constructions import cycle_scalar_code, minrank_deficit_code, uncoded
 from idxloc.graphs import (
     _acyclic_sets,
     acyclic_sizer,
     directed_cycle,
+    format_graph,
     graph_from_side_info,
     has_directed_cycle,
     induced_subgraph,
@@ -697,11 +699,13 @@ def _with_unqueried_zero_column(code: IndexCode) -> IndexCode:
     return IndexCode(q=code.q, m=code.m, n=code.n, matrix=matrix, queries=code.queries)
 
 
-def test_converse_checks_match_the_reference():
-    # Every corpus code with its own plan; each scalar code with the
-    # uncoded plan and up to two plans of other codes of its graph and
-    # field, whose fitting matrices can leave the code's column space;
-    # and every seventh code with an unqueried zero column appended.
+@functools.cache
+def _converse_cases() -> tuple:
+    """(graph, code, plan, converse_checks report): every corpus code with
+    its own plan; each scalar code with the uncoded plan and up to two
+    plans of other codes of its graph and field, whose fitting matrices
+    can leave the code's column space; and every seventh code with an
+    unqueried zero column appended."""
     corpus = full_corpus()
     plans: dict = {}
     cases = []
@@ -719,15 +723,76 @@ def test_converse_checks_match_the_reference():
     for g, code in corpus[::7]:
         wider = _with_unqueried_zero_column(code)
         cases.append((g, wider, require_plan(g, wider)))
+    return tuple((g, code, plan, converse_checks(g, code, plan)) for g, code, plan in cases)
+
+
+def test_converse_checks_match_the_reference():
     rhs = set()
     skipped_single = 0
-    for g, code, plan in cases:
-        report = converse_checks(g, code, plan)
+    for g, code, plan, report in _converse_cases():
         assert report == _reference_converse_checks(g, code, plan), (g, code, plan)
         rhs.update(c.rhs for c in report.by_name("fitting_column_space"))
         skipped_single += report.checks[0].status == "not_applicable"
     assert {0, 1, 2} <= rhs
     assert skipped_single > 0
+
+
+def test_converse_check_sides_are_ints():
+    # Every converse check counts symbols, query sets or ranks, so each
+    # side and the slack of an applicable check is an int, never a
+    # Fraction; a check that is not applicable has none.
+    statuses = set()
+    for g, code, plan, report in _converse_cases():
+        for c in report.checks:
+            statuses.add(c.status)
+            sides = (c.lhs, c.rhs, c.slack)
+            if c.status == "not_applicable":
+                assert sides == (None, None, None), c
+            else:
+                assert all(type(x) is int for x in sides), (c, g, code, plan)
+    assert statuses == {"ok", "violated", "not_applicable"}
+
+
+def _verify_stdout_by_fraction(g, code) -> list[str]:
+    """idxloc verify's stdout for a decodable code, each number printed
+    as str(Fraction(x)), the CLI's formatter before it printed values as
+    they are."""
+    def fmt(x):
+        return str(Fraction(x))
+
+    p = locality_profile(code)
+    lines = [
+        "PASS",
+        f"beta={fmt(p.beta)} r={fmt(p.r)} r_avg={fmt(p.r_avg)}",
+        "queries_per_receiver=" + " ".join(str(len(r)) for r in code.queries),
+    ]
+    for c in converse_checks(g, code, verify_decodable(g, code)).checks:
+        head = f"check {c.name}" + (f" {c.context}" if c.context else "")
+        if c.status == "not_applicable":
+            lines.append(f"{head}: not applicable ({c.note})")
+        else:
+            lines.append(
+                f"{head}: {c.status} lhs={fmt(c.lhs)} rhs={fmt(c.rhs)} slack={fmt(c.slack)}"
+            )
+    return lines
+
+
+def test_verify_prints_what_the_fraction_formatter_printed(tmp_path, capsys):
+    # Every fifth corpus code through cli.main: vector codes, whose beta,
+    # r and r_avg are proper fractions, and scalar codes with positive
+    # slack and skipped checks.
+    graph, code_file = tmp_path / "g.txt", tmp_path / "c.json"
+    printed = []
+    for g, code in full_corpus()[::5]:
+        graph.write_text(format_graph(g), encoding="utf-8")
+        save_code(code, code_file)
+        assert cli.main(["verify", "--graph", str(graph), "--code", str(code_file)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == _verify_stdout_by_fraction(g, code), (g, code)
+        printed.extend(out)
+    text = "\n".join(printed)
+    assert "/" in text and "not applicable" in text
+    assert re.search(r" slack=[1-9]", text)
 
 
 def test_search_skips_lengths_below_the_acyclic_set_bound(monkeypatch):

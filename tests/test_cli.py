@@ -625,6 +625,36 @@ def test_unwritable_out_is_input_error(command, cycle3_file, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("out", [".", "/", ""])
+@pytest.mark.parametrize("command, flags", [
+    ("minrank", []),
+    ("construct", ["--scheme", "uncoded"]),
+    ("tradeoff", []),
+    ("normalize", ["--code", "c.json"]),
+    ("oracle", ["--ell", "2"]),  # a non-empty frontier
+    ("oracle", ["--ell", "1"]),  # an empty one
+])
+def test_out_naming_no_file_is_input_error(
+    command, flags, out, cycle3_file, tmp_path, monkeypatch, capsys
+):
+    # "." and "" name the working directory, "/" the root: no file.
+    monkeypatch.chdir(tmp_path)
+    save_code(cycle_scalar_code(3, 2, 1), "c.json")
+    before = sorted(tmp_path.iterdir())
+    argv = [command, "--graph", str(cycle3_file), *flags, "--out", out]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if command == "oracle":
+        # Refused before the search: the witness files are named after
+        # the CSV's file name.
+        message = f"--out {out!r} names no file"
+    else:
+        message = f"[Errno 21] Is a directory: {out or '.'!r}"
+    assert captured.err == f"error: cannot write output: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize(
     "command", sorted(c for c, (req, _) in SUBCOMMAND_FLAGS.items() if "--graph" in req)
 )
@@ -693,7 +723,8 @@ def _readme_session():
 def test_readme_session(tmp_path, monkeypatch, capsys):
     graph, steps = _readme_session()
     assert [argv[0] for argv, _ in steps] == [
-        "minrank", "construct", "verify", "construct", "verify", "tradeoff", "oracle",
+        "minrank", "construct", "verify", "profile", "construct", "verify", "tradeoff",
+        "oracle",
     ]
     monkeypatch.chdir(tmp_path)
     Path("cycle4.txt").write_text(graph, encoding="utf-8")

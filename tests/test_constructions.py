@@ -214,6 +214,38 @@ def test_schedule_flags_uncovered_lengths():
     assert optimal_cycle_locality_for_m(6, 9) is not None
 
 
+def _fallback_schedule(n: int, m: int) -> tuple[int, ...]:
+    """The first of plan_rotation_schedule's three fallback candidates
+    with the least (r, r_avg), in Fractions: receiver i of the time-shared
+    code queries, summed over the anchors, what receiver i of each
+    rotation's scalar code queries."""
+    rotation = range(1, n + 1)
+    spaced = [*range(1, n + 1, 2), *range(2, n + 1, 2)]
+    candidates = [
+        (1,) * m,
+        tuple(rotation[t % n] for t in range(m)),
+        tuple(spaced[t % n] for t in range(m)),
+    ]
+    scalar = {a: [len(r) for r in cycle_scalar_code(n, 2, a).queries] for a in rotation}
+
+    def key(anchors):
+        sizes = [sum(scalar[a][i] for a in anchors) for i in range(n)]
+        return Fraction(max(sizes), m), Fraction(sum(sizes), m * n)
+
+    return min(candidates, key=key)
+
+
+def test_schedule_fallback_picks_the_least_locality():
+    # Every uncovered (n, m) with n in 3..12 and m in 1..3n.
+    uncovered = [
+        (n, m) for n in range(3, 13) for m in range(1, 3 * n + 1)
+        if optimal_cycle_locality_for_m(n, m) is None
+    ]
+    assert len(uncovered) > 100
+    for n, m in uncovered:
+        assert plan_rotation_schedule(n, m) == _fallback_schedule(n, m), (n, m)
+
+
 def test_deficit_two_cycle():
     g = graph_from_side_info([{2}, {1}, set()])
     code = minrank_deficit_code(g, 2)
