@@ -60,6 +60,6 @@ from .graphs import (
     receiver_rows,
     shortest_directed_cycle,
 )
-from .linalg import FqMatrix, null_space_basis, rank, rref
+from .linalg import FqMatrix, null_space_basis, rank
 
 __version__ = "0.1.0"

@@ -48,6 +48,14 @@ class BudgetExceededError(RuntimeError):
     """The requested enumeration is larger than the configured budget."""
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, or "at least 10^k" past 14,000 bits (4,215 digits):
+    by default Python refuses to write an int of over 4,300 digits."""
+    if n.bit_length() <= 14_000:
+        return str(n)
+    return f"at least 10^{(n.bit_length() - 1) * 30_102 // 100_000}"
+
+
 def kernel_backend() -> str:
     """Name of the search kernel; it is pure Python, so always "python"."""
     return "python"
@@ -299,14 +307,15 @@ def exhaustive_vector_search(
     ties every later one.
 
     Refuses to start with ValueError when the budget is not positive,
-    and with BudgetExceededError when the size of the search space,
-    C(K + ell - 1, ell) encoders for the K = (q^(m*N) - 1)/(q - 1)
-    normalized columns, exceeds the budget (DEFAULT_BUDGET when None);
-    the pruning does not change this count.  Past that check, an empty
+    m or ell is below 1, or the locality cap is below 1.  Then an empty
     frontier is returned without enumerating any encoder when the
     locality cap or ell allows fewer than the floor's m + [u < N]
     columns per receiver, or when the length is below the acyclic-set
-    bound (ell < m|S| for an induced acyclic vertex set S).
+    bound (ell < m|S| for an induced acyclic vertex set S).  Only past
+    these bounds does it refuse with BudgetExceededError when the size
+    of the search space, C(K + ell - 1, ell) encoders for the
+    K = (q^(m*N) - 1)/(q - 1) normalized columns, exceeds the budget
+    (DEFAULT_BUDGET when None); the pruning does not change this count.
     """
     require_prime(q)
     budget = DEFAULT_BUDGET if budget is None else budget
@@ -315,16 +324,6 @@ def exhaustive_vector_search(
     if m < 1 or ell < 1:
         raise ValueError("m and ell must be positive")
     mn = m * g.n
-    # The search space is the multisets of ell normalized columns, of
-    # which there are (q^mn - 1)/(q - 1); counting them in closed form
-    # refuses an oversized search before listing the columns.  The budget
-    # counts every multiset, although prefixes that cannot decode are
-    # skipped without being enumerated.
-    encoders = math.comb((q**mn - 1) // (q - 1) + ell - 1, ell)
-    if encoders > budget:
-        raise BudgetExceededError(
-            f"search enumerates {encoders} encoders, exceeding budget {budget}"
-        )
     if locality_cap is None:
         max_size = ell
     else:
@@ -349,6 +348,16 @@ def exhaustive_vector_search(
     mais = max_acyclic_induced(g)
     if m * mais > ell:
         return []
+    # The search space is the multisets of ell normalized columns, of
+    # which there are (q^mn - 1)/(q - 1); counting them in closed form
+    # refuses an oversized search before listing the columns.  The budget
+    # counts every multiset, although prefixes that cannot decode are
+    # skipped without being enumerated.
+    encoders = math.comb((q**mn - 1) // (q - 1) + ell - 1, ell)
+    if encoders > budget:
+        raise BudgetExceededError(
+            f"search enumerates {_decimal(encoders)} encoders, exceeding budget {budget}"
+        )
     virtual = []
     for s in _acyclic_sets(g, mais):
         demand = tuple(r for v in s for r in receiver_rows(g, m, v + 1)[0])

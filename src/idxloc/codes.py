@@ -45,7 +45,7 @@ from typing import Sequence
 
 from .graphs import SideInformationGraph, receiver_rows
 from .linalg import (
-    FqMatrix, Vector, require_prime, rref, span_coordinates, span_format, span_units,
+    FqMatrix, Vector, require_prime, span_coordinates, span_format, span_units,
     unit_vector,
 )
 
@@ -431,16 +431,19 @@ def prune_queries(g: SideInformationGraph, code: IndexCode) -> IndexCode:
     decodability; neither the rate nor any |R_i| increases.
 
     The pass keeps a column iff it lies outside the span of the queried
-    columns after it, so each query set is read off the pivots of one
-    elimination of its columns in descending index order.
+    columns after it, so each query set is read off one
+    ``linalg.span_coordinates`` call over its columns in descending
+    index order: the columns with no coordinates are kept.
     """
     require_plan(g, code)
+    columns = span_format(code.matrix.column_list(), code.q)
     new_queries = []
     for i in range(1, code.n + 1):
         desc = code.query_list(i)[::-1]
-        cols = [code.column_vector(k) for k in desc]
-        pivots = rref(FqMatrix.from_columns(cols, code.m * code.n, code.q))[1]
-        new_queries.append(frozenset(desc[p] for p in pivots))
+        coords = span_coordinates(
+            [columns[k - 1] for k in desc], len(desc), code.m * code.n, code.q
+        )
+        new_queries.append(frozenset(compress(desc, [c is None for c in coords])))
 
     used = sorted(set().union(*new_queries)) if new_queries else []
     renumber = {old: new for new, old in enumerate(used, start=1)}
@@ -467,9 +470,9 @@ def normalize_unique_columns(
     to a basis of the demand coordinate subspace, padded with zero
     columns when fewer extension vectors than unique positions exist.
     The extension is the demand unit vectors, in ascending order, that
-    are pivots of one elimination of [shared queried columns | side-info
-    unit vectors | demand unit vectors]: each lies outside the span of
-    everything before it.
+    have no coordinates in one ``linalg.span_coordinates`` call over
+    [shared queried columns | side-info unit vectors | demand unit
+    vectors]: each lies outside the span of everything before it.
     """
     require_plan(g, code)
     return _normalize_unique_columns(g, code)
@@ -483,6 +486,8 @@ def _normalize_unique_columns(
     mn = code.m * code.n
     q = code.q
     new_cols = {k: code.column_vector(k) for k in range(1, code.ell + 1)}
+    columns = span_format(code.matrix.column_list(), q)
+    units = span_units(mn, q)
     for i in range(1, code.n + 1):
         unique_here = sorted(part.unique[i - 1])
         if not unique_here:
@@ -491,11 +496,10 @@ def _normalize_unique_columns(
         # Extend against W = span(shared + side coordinates) itself: for v
         # and C inside the demand subspace D, v in (W ∩ D) + span C iff
         # v in W + span C.
-        gens = [code.column_vector(k) for k in sorted(part.shared[i - 1])]
-        gens += [unit_vector(mn, t) for t in (*side_rows, *demand_rows)]
-        first = len(gens) - len(demand_rows)
-        pivots = rref(FqMatrix.from_columns(gens, mn, q))[1]
-        extension = [gens[p] for p in pivots if p >= first]
+        gens = [columns[k - 1] for k in sorted(part.shared[i - 1])]
+        gens += [units[t] for t in (*side_rows, *demand_rows)]
+        coords = span_coordinates(gens, len(gens), mn, q)[-len(demand_rows):]
+        extension = [unit_vector(mn, t) for t, c in zip(demand_rows, coords) if c is None]
         if len(extension) > len(unique_here):
             raise AssertionError("extension exceeds unique query budget")
         for pos, k in enumerate(unique_here):

@@ -7,8 +7,9 @@ share across threads.
 
 One column reduction, ``span_coordinates``, on the search kernel's
 vectors (int bitmasks for q = 2, digit tuples otherwise) and with its
-pivot rule, serves ``rref``, ``rank``, ``null_space_basis`` and
-``solve_each_in_span``.
+pivot rule, is the only elimination here: ``rank`` and
+``null_space_basis`` call it, and so do decodability, query pruning,
+support normalization and the converse checks.
 """
 
 from __future__ import annotations
@@ -207,23 +208,6 @@ def _column_coordinates(m: FqMatrix) -> list[Vector | None]:
     return span_coordinates(span_format(m.column_list(), m.q), m.cols, m.rows, m.q)
 
 
-def rref(m: FqMatrix) -> tuple[FqMatrix, tuple[int, ...]]:
-    """Reduced row-echelon form of m.
-
-    Returns the reduced matrix together with the pivot column indices
-    (0-based, ascending).  The row space is preserved and the number of
-    pivots equals the rank.  Row r holds each column's coordinate on
-    pivot r.
-    """
-    coords = _column_coordinates(m)
-    pivots = tuple([j for j, c in enumerate(coords) if c is None])
-    flat = [
-        int(j == p) if c is None else c[p] for p in pivots for j, c in enumerate(coords)
-    ]
-    flat += [0] * ((m.rows - len(pivots)) * m.cols)
-    return FqMatrix(m.rows, m.cols, m.q, tuple(flat)), pivots
-
-
 def rank(m: FqMatrix) -> int:
     """Dimension of the column space (equals the row rank)."""
     return _column_coordinates(m).count(None)
@@ -243,28 +227,6 @@ def null_space_basis(m: FqMatrix) -> list[Vector]:
             vec[f] = 1
             basis.append(tuple(vec))
     return basis
-
-
-def solve_each_in_span(
-    generators: Sequence[Sequence[int]],
-    targets: Sequence[Sequence[int]],
-    q: int,
-) -> list[Vector | None]:
-    """Express each target as a linear combination of the generators.
-
-    Returns one coefficient vector or None per target, in order; the
-    free coefficients (those of generators in the span of earlier ones)
-    are zero.
-
-    Raises ValueError if the vectors do not all share one length.
-    """
-    require_prime(q)
-    lengths = {len(v) for v in (*generators, *targets)}
-    if len(lengths) > 1:
-        raise ValueError("generator/target dimension mismatch")
-    g = len(generators)
-    vectors = span_format([[e % q for e in v] for v in (*generators, *targets)], q)
-    return span_coordinates(vectors, g, lengths.pop() if lengths else 0, q)[g:]
 
 
 def unit_vector(n: int, position: int) -> Vector:

@@ -2,7 +2,10 @@
 
 The oracles deliberately avoid Gaussian elimination so they can vouch for
 the elimination-based library code: rank comes from counting the span,
-null spaces and span membership from exhaustive enumeration.
+null spaces and span membership from exhaustive enumeration.  Where
+enumeration is too slow, the references use a row Gauss-Jordan
+elimination written here, which shares no code with the package's one
+column reduction.
 """
 
 from __future__ import annotations
@@ -64,6 +67,89 @@ def oracle_solve_in_span(generators, target, q):
         if tuple(combo) == tuple(t % q for t in target):
             return coeffs
     return None
+
+
+def _reference_eliminate(rows, k, q):
+    """Row Gauss-Jordan elimination of rows in place, pivoting on the
+    first k columns only; the later columns are carried along by the
+    same row operations.  Returns the pivot column indices, ascending;
+    each pivot row is scaled to a leading 1 and every other row is zero
+    in that column.  linalg eliminated this way before its one column
+    reduction, so the references below pin its answers."""
+    n_rows = len(rows)
+    pivots = []
+    row = 0
+    for col in range(k):
+        for r in range(row, n_rows):
+            if rows[r][col]:
+                break
+        else:
+            continue
+        pivot = rows[r]
+        rows[r] = rows[row]
+        inv = pow(pivot[col], -1, q)
+        if inv != 1:
+            pivot = [(e * inv) % q for e in pivot]
+        rows[row] = pivot
+        for r in range(n_rows):
+            f = rows[r][col]
+            if f and r != row:
+                rows[r] = [(a - f * b) % q for a, b in zip(rows[r], pivot)]
+        pivots.append(col)
+        row += 1
+        if row == n_rows:
+            break
+    return pivots
+
+
+def _reference_pivots(columns, q):
+    """Pivot column indices of the matrix with the given columns: each
+    column outside the span of the ones before it."""
+    return _reference_eliminate([list(r) for r in zip(*columns)], len(columns), q)
+
+
+def _reference_rref(m):
+    rows = [list(r) for r in m.row_list()]
+    pivots = _reference_eliminate(rows, m.cols, m.q)
+    return FqMatrix(m.rows, m.cols, m.q, tuple(e for r in rows for e in r)), tuple(pivots)
+
+
+def _reference_coordinates(m):
+    """Per column of m: None for a pivot of its reduced row-echelon form,
+    else the column's reduced entries on the pivot rows, each at its
+    pivot's index and zero elsewhere; ``linalg.span_coordinates`` with
+    every column a generator answers the same."""
+    reduced, pivots = _reference_rref(m)
+    coords = []
+    for j in range(m.cols):
+        if j in pivots:
+            coords.append(None)
+            continue
+        c = [0] * m.cols
+        for r, p in enumerate(pivots):
+            c[p] = reduced.entry(r, j)
+        coords.append(tuple(c))
+    return coords
+
+
+def _reference_solve_each(generators, targets, q):
+    """Per target, its coefficients over the generators, zero on each
+    generator in the span of the ones before it, or None outside their
+    span."""
+    rows = [[e % q for e in r] for r in zip(*generators, *targets)]
+    g = len(generators)
+    pivots = _reference_eliminate(rows, g, q)
+    below = rows[len(pivots):]
+    answers = []
+    for col in range(g, g + len(targets)):
+        if any(r[col] for r in below):
+            answers.append(None)
+            continue
+        coeffs = [0] * g
+        for row_idx, pc in enumerate(pivots):
+            coeffs[pc] = rows[row_idx][col]
+        answers.append(tuple(coeffs))
+    return answers
 
 
 def oracle_shortest_cycle(g: SideInformationGraph):

@@ -44,10 +44,10 @@ from idxloc.graphs import (
     max_acyclic_induced,
     parse_graph,
 )
-from idxloc.linalg import FqMatrix, rank, rref
+from idxloc.linalg import FqMatrix, rank
 
 from corpus import full_corpus
-from helpers import blocks_graph, random_graph, random_matrix
+from helpers import _reference_pivots, blocks_graph, random_graph, random_matrix
 
 
 def test_minrank_cycles():
@@ -612,7 +612,8 @@ def test_fitting_column_space_violation_carries_numbers():
 def _reference_converse_checks(g, code, plan, budget=None) -> ConverseReport:
     """converse_checks by its first formulas: the sums in Fractions off
     locality_profile and query_partition, and the fitting_column_space
-    count off the pivots of rref(L | F), with L | F built whole."""
+    count off the row reference's pivots of (L | F), with L | F built
+    whole."""
     checks: list[CheckResult] = []
     profile = locality_profile(code)
     part = query_partition(code)
@@ -683,7 +684,7 @@ def _reference_converse_checks(g, code, plan, budget=None) -> ConverseReport:
             )
         )
     columns = code.matrix.column_list() + fm.matrix.column_list()
-    pivots = rref(FqMatrix.from_columns(columns, code.n, code.q))[1]
+    pivots = _reference_pivots(columns, code.q)
     checks.append(
         _inequality(
             "fitting_column_space", "", 0, sum(p >= code.ell for p in pivots),
@@ -960,22 +961,23 @@ def test_scalar_search_budget_counts_encoders(q, ell, encoders):
 
 
 def test_scalar_search_uses_the_one_default_budget(monkeypatch):
-    # The edgeless 7-vertex graph over F_2 has K = 127 normalized columns:
-    # C(130, 4) = 11,358,880 encoders at ell = 4 lie within the default of
-    # 2^24, and its MAIS of 7 then rules every length below 7 out with no
-    # encoder enumerated; C(131, 5) = 297,602,656 at ell = 5 do not.
+    # The edgeless 7-vertex graph over F_2 has K = 127 normalized columns
+    # and MAIS 7, which rules every length below 7 out before the budget
+    # is counted: ell = 5 answers with no encoder enumerated, although its
+    # C(131, 5) = 297,602,656 encoders exceed the default of 2^24.  At
+    # ell = 7 no bound applies, and C(133, 7) = 124,397,910,208 do too.
     def refuse(*args):
         raise AssertionError("enumerated a length the acyclic-set bound rules out")
 
     monkeypatch.setattr(_kernel, "decodable_encoders", refuse)
     g = graph_from_side_info([set()] * 7)
     assert DEFAULT_BUDGET == 2**24
-    assert exhaustive_scalar_search(g, 2, 4) == []
+    assert exhaustive_scalar_search(g, 2, 5) == []
     with pytest.raises(
         BudgetExceededError,
-        match="search enumerates 297602656 encoders, exceeding budget 16777216",
+        match="search enumerates 124397910208 encoders, exceeding budget 16777216",
     ):
-        exhaustive_scalar_search(g, 2, 5)
+        exhaustive_scalar_search(g, 2, 7)
 
 
 def test_scalar_search_locality_cap_filters():

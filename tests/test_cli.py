@@ -440,6 +440,37 @@ def test_oracle_budget_exit(cycle4_file, tmp_path):
     assert code == EXIT_BUDGET
 
 
+def test_oracle_bounds_answer_before_the_budget(cycle4_file, tmp_path, capsys):
+    # The 4-cycle's MAIS of 3 rules out every length below M*3 = 6, so at
+    # M = 2 the lengths up to 5 answer with no encoder counted, although
+    # ell = 4 alone spans 180,352,320 encoders, past the default budget.
+    out = tmp_path / "p.csv"
+    argv = ["oracle", "--graph", str(cycle4_file), "--q", "2", "--M", "2", "--ell", "5"]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == out.read_text() == "beta,r,r_avg,witness_file\n"
+
+
+@pytest.mark.parametrize("graph, m, ell, count", [
+    ("N=5\n1: 2 5\n2: 1 3\n3: 2 4\n4: 3 5\n5: 4 1\n", "2", "4", "45902419200"),
+    ("N=3\n1: 2\n2: 3\n3: 1\n", "50", "100", "at least 10^4357"),
+], ids=["pentagon", "cycle3"])
+def test_oracle_refuses_the_first_length_no_bound_answers(
+    tmp_path, capsys, graph, m, ell, count
+):
+    # The bidirected pentagon's MAIS of 2 answers ell <= 3 at M = 2, and
+    # its C(1026, 4) encoders are refused at ell = 4.  The 3-cycle's MAIS
+    # of 2 answers ell < 100 at M = 50, and the count at ell = 100 has
+    # more digits than Python converts to decimal by default.
+    path = tmp_path / "g.txt"
+    path.write_text(graph, encoding="utf-8")
+    argv = ["oracle", "--graph", str(path), "--M", m, "--ell", ell]
+    assert main(argv + ["--out", str(tmp_path / "p.csv")]) == EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        f"error: search enumerates {count} encoders, exceeding budget 16777216\n"
+    )
+    assert not (tmp_path / "p.csv").exists()
+
+
 @pytest.mark.parametrize("ell", ["13", "40"])
 def test_oracle_stops_at_the_uncoded_length(cycle4_file, tmp_path, capsys, ell):
     # At ell = M*N = 4 the uncoded code has (r, r_avg) = (1, 1), so every
@@ -723,8 +754,8 @@ def _readme_session():
 def test_readme_session(tmp_path, monkeypatch, capsys):
     graph, steps = _readme_session()
     assert [argv[0] for argv, _ in steps] == [
-        "minrank", "construct", "verify", "profile", "construct", "verify", "tradeoff",
-        "oracle",
+        "minrank", "construct", "verify", "profile", "normalize", "construct", "verify",
+        "tradeoff", "oracle",
     ]
     monkeypatch.chdir(tmp_path)
     Path("cycle4.txt").write_text(graph, encoding="utf-8")

@@ -43,6 +43,10 @@ from idxloc.linalg import FqMatrix, null_space_basis, rank, unit_vector
 
 from corpus import full_corpus
 from helpers import (
+    _reference_coordinates,
+    _reference_pivots,
+    _reference_rref,
+    _reference_solve_each,
     malformed_code_docs,
     normalization_contract,
     oracle_solve_in_span,
@@ -143,45 +147,6 @@ def _reference_verify(g, code):
     )
 
 
-def _reference_eliminate(rows, k, q):
-    """Row Gauss-Jordan elimination of rows in place, pivoting on the
-    first k columns only; the later columns are carried along by the
-    same row operations.  Returns the pivot column indices, ascending;
-    each pivot row is scaled to a leading 1 and every other row is zero
-    in that column.  linalg eliminated this way before its one column
-    reduction, so the references below pin its answers."""
-    n_rows = len(rows)
-    pivots = []
-    row = 0
-    for col in range(k):
-        for r in range(row, n_rows):
-            if rows[r][col]:
-                break
-        else:
-            continue
-        pivot = rows[r]
-        rows[r] = rows[row]
-        inv = pow(pivot[col], -1, q)
-        if inv != 1:
-            pivot = [(e * inv) % q for e in pivot]
-        rows[row] = pivot
-        for r in range(n_rows):
-            f = rows[r][col]
-            if f and r != row:
-                rows[r] = [(a - f * b) % q for a, b in zip(rows[r], pivot)]
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    return pivots
-
-
-def _reference_rref(m):
-    rows = [list(r) for r in m.row_list()]
-    pivots = _reference_eliminate(rows, m.cols, m.q)
-    return FqMatrix(m.rows, m.cols, m.q, tuple(e for r in rows for e in r)), tuple(pivots)
-
-
 def _reference_null_space(m):
     reduced, pivots = _reference_rref(m)
     basis = []
@@ -194,23 +159,6 @@ def _reference_null_space(m):
             vec[pc] = (-reduced.entry(row_idx, f)) % m.q
         basis.append(tuple(vec))
     return basis
-
-
-def _reference_solve_each(generators, targets, q):
-    rows = [[e % q for e in r] for r in zip(*generators, *targets)]
-    g = len(generators)
-    pivots = _reference_eliminate(rows, g, q)
-    below = rows[len(pivots):]
-    answers = []
-    for col in range(g, g + len(targets)):
-        if any(r[col] for r in below):
-            answers.append(None)
-            continue
-        coeffs = [0] * g
-        for row_idx, pc in enumerate(pivots):
-            coeffs[pc] = rows[row_idx][col]
-        answers.append(tuple(coeffs))
-    return answers
 
 
 def _reference_matrices():
@@ -246,26 +194,20 @@ def test_linalg_matches_row_gauss_jordan_reference():
     assert len(matrices) > 1000
     for m in matrices:
         q = m.q
-        assert linalg.rref(m) == _reference_rref(m), m
-        assert linalg.null_space_basis(m) == _reference_null_space(m), m
         gens = m.column_list()
+        coords = linalg.span_coordinates(linalg.span_format(gens, q), m.cols, m.rows, q)
+        assert coords == _reference_coordinates(m), m
+        assert linalg.rank(m) == coords.count(None), m
+        assert linalg.null_space_basis(m) == _reference_null_space(m), m
         targets = [tuple(rng.randrange(q) for _ in range(m.rows)) for _ in range(3)]
         coeffs = [rng.randrange(q) for _ in gens]
         targets.append(
             tuple(sum(c * v[t] for c, v in zip(coeffs, gens)) % q for t in range(m.rows))
         )
         targets += gens + [(0,) * m.rows]
-        answers = linalg.solve_each_in_span(gens, targets, q)
+        vectors = linalg.span_format(gens + targets, q)
+        answers = linalg.span_coordinates(vectors, m.cols, m.rows, q)[m.cols:]
         assert answers == _reference_solve_each(gens, targets, q), m
-
-
-def test_prune_and_normalize_match_the_row_reference(monkeypatch):
-    corpus = full_corpus()
-    pruned = [prune_queries(g, code) for g, code in corpus]
-    normalized = [normalize_unique_columns(g, code) for g, code in corpus]
-    monkeypatch.setattr(codes_module, "rref", _reference_rref)
-    assert pruned == [prune_queries(g, code) for g, code in corpus]
-    assert normalized == [normalize_unique_columns(g, code) for g, code in corpus]
 
 
 def _without_one_query(rng, code):
@@ -951,17 +893,9 @@ def test_prune_keeps_the_later_columns_of_a_dependency():
     assert pruned.matrix.column_list() == [(0, 1), (1, 1)]
 
 
-def _one_pass_prune(code):
-    """prune_queries by its docstring: one ascending pass per receiver
-    dropping each column in the span of its other remaining columns."""
-    kept = []
-    for r in code.queries:
-        current = set(r)
-        for k in sorted(r):
-            others = [code.column_vector(t) for t in sorted(current - {k})]
-            if oracle_solve_in_span(others, code.column_vector(k), code.q) is not None:
-                current.remove(k)
-        kept.append(frozenset(current))
+def _keeping(code, kept):
+    """The code with query sets kept, its unqueried columns deleted and
+    the rest renumbered."""
     used = sorted(set().union(*kept))
     renumber = {old: new for new, old in enumerate(used, start=1)}
     return IndexCode(
@@ -973,30 +907,80 @@ def _one_pass_prune(code):
     )
 
 
-def _one_pass_normalize(g, code):
-    """normalize_unique_columns by its docstring: per receiver, each
-    demand unit vector in ascending order joins the extension unless it
-    lies in the span of the shared columns, the side-info unit vectors
-    and the extension so far."""
+def _one_pass_prune(code):
+    """prune_queries by its docstring: one ascending pass per receiver
+    dropping each column in the span of its other remaining columns."""
+    kept = []
+    for r in code.queries:
+        current = set(r)
+        for k in sorted(r):
+            others = [code.column_vector(t) for t in sorted(current - {k})]
+            if oracle_solve_in_span(others, code.column_vector(k), code.q) is not None:
+                current.remove(k)
+        kept.append(frozenset(current))
+    return _keeping(code, kept)
+
+
+def _pivot_prune(code):
+    """prune_queries by its docstring's last paragraph: each query set
+    keeps the pivots of its columns in descending index order, found by
+    the row reference."""
+    kept = []
+    for r in code.queries:
+        desc = sorted(r, reverse=True)
+        pivots = _reference_pivots([code.column_vector(k) for k in desc], code.q)
+        kept.append(frozenset(desc[p] for p in pivots))
+    return _keeping(code, kept)
+
+
+def _normalized_by(g, code, extend):
+    """The code with each receiver's unique columns, in ascending order,
+    replaced by extend(generators, demand unit vectors) and then zero
+    columns, where the generators are its shared queried columns and
+    side-info unit vectors."""
     mn, q = code.m * code.n, code.q
     part = query_partition(code)
     cols = code.matrix.column_list()
     for i in range(1, code.n + 1):
         demand_rows, side_rows = receiver_rows(g, code.m, i)
-        current = [code.column_vector(k) for k in sorted(part.shared[i - 1])]
-        current += [unit_vector(mn, t) for t in side_rows]
-        extension = []
-        for t in demand_rows:
-            e = unit_vector(mn, t)
-            if oracle_solve_in_span(current, e, q) is None:
-                current.append(e)
-                extension.append(e)
+        gens = [code.column_vector(k) for k in sorted(part.shared[i - 1])]
+        gens += [unit_vector(mn, t) for t in side_rows]
+        extension = extend(gens, [unit_vector(mn, t) for t in demand_rows], q)
         for pos, k in enumerate(sorted(part.unique[i - 1])):
             cols[k - 1] = extension[pos] if pos < len(extension) else (0,) * mn
     return IndexCode(
         q=q, m=code.m, n=code.n,
         matrix=FqMatrix.from_columns(cols, mn, q), queries=code.queries,
     )
+
+
+def _one_pass_normalize(g, code):
+    """normalize_unique_columns by its docstring: per receiver, each
+    demand unit vector in ascending order joins the extension unless it
+    lies in the span of the shared columns, the side-info unit vectors
+    and the extension so far."""
+
+    def extend(current, units, q):
+        extension = []
+        for e in units:
+            if oracle_solve_in_span(current + extension, e, q) is None:
+                extension.append(e)
+        return extension
+
+    return _normalized_by(g, code, extend)
+
+
+def _pivot_normalize(g, code):
+    """normalize_unique_columns by its docstring's last sentence: the
+    extension is the demand unit vectors that are pivots of [shared
+    queried columns | side-info unit vectors | demand unit vectors],
+    found by the row reference."""
+
+    def extend(gens, units, q):
+        pivots = _reference_pivots(gens + units, q)
+        return [units[p - len(gens)] for p in pivots if p >= len(gens)]
+
+    return _normalized_by(g, code, extend)
 
 
 def _with_dependent_column(rng, code):
@@ -1042,6 +1026,44 @@ def test_prune_and_normalize_match_their_one_pass_definitions():
                 rewritten += normalized != c
             produced += 1
     assert pruned_some > 50 and rewritten > 50
+
+
+def _wide_field_codes():
+    """Seeded decodable codes over F_5, F_7 and F_4294967291 at m = 1 and
+    2, each followed by a copy with a dependent column added."""
+    rng = random.Random(1616)
+    out = []
+    for q in (5, 7, 4294967291):
+        for m, max_n in ((1, 4), (2, 3)):
+            produced = 0
+            while produced < 10:
+                g = random_graph(rng, rng.randint(2, max_n))
+                code = random_decodable_code(rng, g, q, m, max_tries=60)
+                if code is None:
+                    continue
+                out += [(g, code), (g, _with_dependent_column(rng, code))]
+                produced += 1
+    return out
+
+
+def _pruned_and_normalized_as_pivots_say(g, code):
+    """Whether prune_queries changes the query sets and whether
+    normalize_unique_columns changes the code, after checking both
+    against the row reference's pivots."""
+    pruned = prune_queries(g, code)
+    assert pruned == _pivot_prune(code)
+    normalized = normalize_unique_columns(g, code)
+    assert normalized == _pivot_normalize(g, code)
+    return pruned.queries != code.queries, normalized != code
+
+
+def test_prune_and_normalize_match_the_row_reference():
+    # The corpus holds F_2 and F_3 codes only; the wide-field codes reach
+    # the digit-tuple reduction at a modulus of several bytes.
+    for g, code in full_corpus():
+        _pruned_and_normalized_as_pivots_say(g, code)
+    changed = [_pruned_and_normalized_as_pivots_say(g, c) for g, c in _wide_field_codes()]
+    assert sum(p for p, _ in changed) > 40 and sum(r for _, r in changed) > 40
 
 
 def test_normalize_no_unique_columns_unchanged():

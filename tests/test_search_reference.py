@@ -1,10 +1,11 @@
 """The exhaustive searches against a brute-force reference search.
 
 The reference has no pruning, no memo, no cut-offs and no acyclic-set
-shortcut: it tests every multiset of normalized columns with
-``linalg.solve_each_in_span``, finds each receiver's first decoding query set
-in (size, lexicographic) order and keeps, per profile, the first encoder
-in ``combinations_with_replacement`` order.  So the searches' frontiers,
+shortcut: it tests every multiset of normalized columns with the row
+Gauss-Jordan reference of ``helpers``, which shares no code with the
+search kernel, finds each receiver's first decoding query set in (size,
+lexicographic) order and keeps, per profile, the first encoder in
+``combinations_with_replacement`` order.  So the searches' frontiers,
 witness matrices and queries must equal its output exactly.
 """
 
@@ -15,15 +16,15 @@ import pytest
 
 from idxloc.bounds import exhaustive_vector_search
 from idxloc.graphs import directed_cycle, graph_from_side_info, receiver_rows
-from idxloc.linalg import solve_each_in_span, unit_vector
+from idxloc.linalg import unit_vector
+
+from helpers import _reference_solve_each
 
 
 def _decodes(columns, demand_rows, side_rows, mn, q):
     gens = list(columns) + [unit_vector(mn, s) for s in side_rows]
-    return all(
-        solve_each_in_span(gens, [unit_vector(mn, d)], q)[0] is not None
-        for d in demand_rows
-    )
+    targets = [unit_vector(mn, d) for d in demand_rows]
+    return None not in _reference_solve_each(gens, targets, q)
 
 
 def _first_query_set(columns, demand_rows, side_rows, mn, q):
