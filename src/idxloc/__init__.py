@@ -19,7 +19,7 @@ from .bounds import (
     min_message_length,
     minrank_bruteforce,
     optimal_cycle_locality_for_m,
-    pareto_merge,
+    pareto_frontier,
     scalar_bounds_minrank_deficit,
 )
 from .codes import (

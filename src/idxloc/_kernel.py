@@ -20,12 +20,13 @@ state a column leads to is computed on first use and then looked up.
 tables and skips every prefix that no completion can make decodable,
 both for the encoders of a search and, in ``first_query_set``, for the
 query sets of one receiver, so all of them share one table per receiver
-for as long as the search keeps its tables.  A search sizes each
+for as long as the search keeps its tables, which ``bounds`` keeps
+across every length of one call.  A search sizes each
 receiver's least query set with ``first_query_set`` and, for the
 encoders it keeps, builds the witness query sets with it again.  A
 table may also stand for a virtual receiver, one that demands a set of
 rows on which every decodable code has full rank and knows every other
-row: ``bounds.exhaustive_vector_search`` adds one per maximum induced
+row: the encoder search of ``bounds`` adds one per maximum induced
 acyclic vertex set, ahead of the real receivers, to the tables it
 enumerates encoders on, and sizes and builds query sets on the real
 receivers' tables alone.

@@ -219,36 +219,6 @@ class ParetoPoint:
         return (self.beta, self.r, self.r_avg)
 
 
-def _dominates(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b)) and a != b
-
-
-def pareto_merge(points: list[ParetoPoint]) -> list[ParetoPoint]:
-    """Nondominated subset of the union, independent of input order.
-
-    Equal profiles collapse to the witness with the smallest canonical
-    key, so any order of the same points merges to identical output.
-    """
-    best_by_profile: dict[tuple, ParetoPoint] = {}
-    for p in points:
-        key = p.profile()
-        current = best_by_profile.get(key)
-        if current is None or _witness_key(p.witness) < _witness_key(current.witness):
-            best_by_profile[key] = p
-    survivors = []
-    profiles = list(best_by_profile)
-    for prof in profiles:
-        if any(_dominates(other, prof) for other in profiles if other != prof):
-            continue
-        survivors.append(best_by_profile[prof])
-    survivors.sort(key=lambda p: p.profile())
-    return survivors
-
-
-def _witness_key(code: IndexCode) -> tuple:
-    return (code.matrix.entries, tuple(sorted(tuple(sorted(r)) for r in code.queries)))
-
-
 def _normalized_columns(mn: int, q: int) -> list[tuple[int, ...]]:
     """All nonzero columns whose first nonzero entry (lowest row index)
     equals 1, one representative per scaling class, ordered as base-q
@@ -317,94 +287,146 @@ def exhaustive_vector_search(
     K = (q^(m*N) - 1)/(q - 1) normalized columns, exceeds the budget
     (DEFAULT_BUDGET when None); the pruning does not change this count.
     """
+    return _frontier(g, q, m, (ell,), locality_cap, budget)
+
+
+def pareto_frontier(
+    g: SideInformationGraph,
+    q: int,
+    m: int,
+    ell: int,
+    locality_cap: Fraction | int | None = None,
+    budget: int | None = None,
+) -> list[ParetoPoint]:
+    """Pareto frontier over all codes of message length m and any length
+    from 1 to ell: the nondominated points of ``exhaustive_vector_search``
+    at each length, with its witnesses, sorted by profile.  No length past
+    m*N is searched, since there the uncoded code has r = r_avg = 1, the
+    least any code has.  A length is skipped, not refused for its budget,
+    when a shorter one's point reaches its floor (see ``_frontier``).
+    """
+    return _frontier(g, q, m, range(1, min(ell, m * g.n) + 1), locality_cap, budget)
+
+
+def _frontier(g, q, m, lengths, locality_cap, budget) -> list[ParetoPoint]:
+    """The search of ``exhaustive_vector_search`` at each of the
+    ascending ``lengths``, kept as one frontier of (ell, max |R_i|,
+    sum |R_i|, encoder) entries.
+
+    The MAIS, its virtual receivers, the normalized columns, the
+    receiver tables and the memos of least query-set sizes do not depend
+    on the length; each is built once, when the first length needs it.
+    A shorter length's point has the lower rate ell/m, so it dominates a
+    longer one whose (max |R_i|, sum |R_i|) is at least its own, and no
+    longer point dominates it.  So an encoder is dropped once an entry of
+    any length dominates or ties it, and a new entry evicts only entries
+    of its own length.  The profiles that shorter entries dominate or tie
+    form an up-set U, so a length's minimal profiles outside U are its
+    own search's minimal profiles outside U, with the same first
+    encoders, and both stop at the same encoder: one reaching the floor
+    lies outside U, or the length would have been skipped.  A point
+    inside U is dominated by a shorter one, so the entries are the
+    nondominated union of the per-length frontiers.
+
+    A length is skipped before the MAIS, the budget and any encoder when
+    a shorter entry reaches its floor (fmx <= floor[0], fsm <= floor[1]):
+    every profile of that length is at least the floor, hence at least
+    that entry's, at a higher rate, so none of its points is nondominated.
+    """
     require_prime(q)
     budget = DEFAULT_BUDGET if budget is None else budget
     if budget <= 0:
         raise ValueError("budget must be positive")
-    if m < 1 or ell < 1:
+    if m < 1 or min(lengths, default=0) < 1:
         raise ValueError("m and ell must be positive")
     mn = m * g.n
-    if locality_cap is None:
-        max_size = ell
-    else:
+    most = max(lengths)  # columns a receiver may query, at most the length
+    if locality_cap is not None:
         cap = Fraction(locality_cap)
         if cap < 1:
             raise ValueError("locality cap below 1 admits no code")
-        max_size = min(ell, int(cap * m))
+        most = int(cap * m)
     # Receivers that query only m columns share them only with mutual
     # neighbours, so at most `tight` receivers have |R_i| = m and the
     # others need m + 1 columns.  No profile (max |R_i|, sum |R_i|) lies
     # below `floor`, so fewer than floor[0] columns refuse every code.
     mutual = max(sum(i in g.side[j - 1] for j in k) for i, k in enumerate(g.side, 1))
-    tight = min(g.n, ell * (mutual + 1) // m)
-    floor = (m + (tight < g.n), (m + 1) * g.n - tight)
-    if floor[0] > max_size:
-        return []
-    # Any decodable code has rank m|S| on the rows of every induced
-    # acyclic vertex set S, so ell >= m|S| and a larger acyclic set leaves
-    # nothing to search.  Each maximum S becomes a virtual receiver,
-    # demanding S's rows and knowing every other row, ahead of the real
-    # ones in the encoder enumeration alone.
-    mais = max_acyclic_induced(g)
-    if m * mais > ell:
-        return []
-    # The search space is the multisets of ell normalized columns, of
-    # which there are (q^mn - 1)/(q - 1); counting them in closed form
-    # refuses an oversized search before listing the columns.  The budget
-    # counts every multiset, although prefixes that cannot decode are
-    # skipped without being enumerated.
-    encoders = math.comb((q**mn - 1) // (q - 1) + ell - 1, ell)
-    if encoders > budget:
-        raise BudgetExceededError(
-            f"search enumerates {_decimal(encoders)} encoders, exceeding budget {budget}"
-        )
-    virtual = []
-    for s in _acyclic_sets(g, mais):
-        demand = tuple(r for v in s for r in receiver_rows(g, m, v + 1)[0])
-        virtual.append((demand, tuple(r for r in range(mn) if r not in demand)))
-    columns = _normalized_columns(mn, q)
-    rows = [receiver_rows(g, m, i) for i in range(1, g.n + 1)]
-    everyone = _kernel.receiver_tables(columns, q, virtual + rows)
-    tables = everyone[len(virtual):]
-
+    mais = tables = None
     # Frontier bookkeeping on integer profiles (max |R_i|, sum |R_i|);
-    # beta is constant within one call so dominance reduces to these two.
-    # Only sizes are needed here: receiver i's least |R_i| depends only on
-    # the multiset of its proj columns, so it is memoized on them, and
-    # the witness query sets are built for the final frontier alone.  Every
-    # receiver needs at least its m demanded columns, so a receiver not
-    # yet sized counts m.  The first encoder reaching `floor` ends the
-    # search.
-    memos = [{} for _ in tables]
-    frontier: list[tuple[int, int, tuple[int, ...]]] = []
-    for ks in _kernel.decodable_encoders(everyone, range(len(columns)), ell, True):
-        mx, sm = m, m * g.n
-        for table, memo in zip(tables, memos):
-            proj = table.proj
-            key = tuple(sorted([proj[k] for k in ks]))
-            least = memo.get(key, 0)  # 0: not sized yet; sizes are >= m
-            if least == 0:
-                first = _kernel.first_query_set(table, ks, max_size)
-                least = memo[key] = None if first is None else len(first)
-            if least is None:
-                break
-            mx = max(mx, least)
-            sm += least - m
-            # A profile dominated or equalled by a frontier entry stays so
-            # as more receivers are sized; the earlier encoder keeps a tie.
-            if any(fmx <= mx and fsm <= sm for fmx, fsm, _ in frontier):
-                break
-        else:
-            frontier = [
-                entry for entry in frontier if not (mx <= entry[0] and sm <= entry[1])
-            ]
-            frontier.append((mx, sm, ks))
-            if (mx, sm) == floor:
-                break
+    # beta is ell/m, so within one length dominance reduces to these two.
+    frontier: list[tuple[int, int, int, tuple[int, ...]]] = []
+    for ell in lengths:
+        tight = min(g.n, ell * (mutual + 1) // m)
+        floor = (m + (tight < g.n), (m + 1) * g.n - tight)
+        if floor[0] > min(ell, most) or any(
+            fmx <= floor[0] and fsm <= floor[1] for _, fmx, fsm, _ in frontier
+        ):
+            continue
+        # Any decodable code has rank m|S| on the rows of every induced
+        # acyclic vertex set S, so ell >= m|S| and a larger acyclic set
+        # leaves nothing to search.
+        if mais is None:
+            mais = max_acyclic_induced(g)
+        if m * mais > ell:
+            continue
+        # The search space is the multisets of ell normalized columns, of
+        # which there are (q^mn - 1)/(q - 1); counting them in closed form
+        # refuses an oversized search before listing the columns.  The
+        # budget counts every multiset, although prefixes that cannot
+        # decode are skipped without being enumerated.
+        encoders = math.comb((q**mn - 1) // (q - 1) + ell - 1, ell)
+        if encoders > budget:
+            raise BudgetExceededError(
+                f"search enumerates {_decimal(encoders)} encoders, exceeding budget {budget}"
+            )
+        if tables is None:
+            # Each maximum S becomes a virtual receiver, demanding S's
+            # rows and knowing every other row, ahead of the real ones in
+            # the encoder enumeration alone.
+            virtual = []
+            for s in _acyclic_sets(g, mais):
+                demand = tuple(r for v in s for r in receiver_rows(g, m, v + 1)[0])
+                virtual.append((demand, tuple(r for r in range(mn) if r not in demand)))
+            columns = _normalized_columns(mn, q)
+            rows = [receiver_rows(g, m, i) for i in range(1, g.n + 1)]
+            everyone = _kernel.receiver_tables(columns, q, virtual + rows)
+            tables = everyone[len(virtual):]
+            # Receiver i's least |R_i| depends only on the multiset of its
+            # proj columns, of the length's size: one memo serves them all.
+            memos = [{} for _ in tables]
+
+        # Only sizes are needed here; the witness query sets are built
+        # for the final frontier alone.  Every receiver needs at least its
+        # m demanded columns, so a receiver not yet sized counts m.  The
+        # first encoder reaching `floor` ends the length's search.
+        for ks in _kernel.decodable_encoders(everyone, range(len(columns)), ell, True):
+            mx, sm = m, m * g.n
+            for table, memo in zip(tables, memos):
+                proj = table.proj
+                key = tuple(sorted([proj[k] for k in ks]))
+                least = memo.get(key, 0)  # 0: not sized yet; sizes are >= m
+                if least == 0:
+                    first = _kernel.first_query_set(table, ks, most)
+                    least = memo[key] = None if first is None else len(first)
+                if least is None:
+                    break
+                mx = max(mx, least)
+                sm += least - m
+                # A profile dominated or equalled by a frontier entry stays
+                # so as more receivers are sized; the earlier entry keeps a tie.
+                if any(fmx <= mx and fsm <= sm for _, fmx, fsm, _ in frontier):
+                    break
+            else:
+                frontier = [
+                    e for e in frontier if not (e[0] == ell and mx <= e[1] and sm <= e[2])
+                ]
+                frontier.append((ell, mx, sm, ks))
+                if (mx, sm) == floor:
+                    break
 
     points = []
-    for mx, sm, ks in frontier:
-        firsts = [_kernel.first_query_set(table, ks, max_size) for table in tables]
+    for ell, mx, sm, ks in frontier:
+        firsts = [_kernel.first_query_set(table, ks, most) for table in tables]
         matrix = FqMatrix.from_columns([columns[k] for k in ks], mn, q)
         queries = tuple(frozenset(p + 1 for p in first) for first in firsts)
         witness = IndexCode(q=q, m=m, n=g.n, matrix=matrix, queries=queries)
@@ -412,12 +434,7 @@ def exhaustive_vector_search(
         if (profile.r, profile.r_avg) != (Fraction(mx, m), Fraction(sm, m * g.n)):
             raise AssertionError("witness profile mismatch")
         require_plan(g, witness)
-        points.append(
-            ParetoPoint(
-                beta=Fraction(ell, m), r=profile.r, r_avg=profile.r_avg,
-                witness=witness,
-            )
-        )
+        points.append(ParetoPoint(Fraction(ell, m), profile.r, profile.r_avg, witness))
     points.sort(key=lambda p: p.profile())
     return points
 

@@ -22,20 +22,18 @@ from types import SimpleNamespace
 
 from .bounds import (
     BudgetExceededError,
-    ParetoPoint,
     converse_checks,
     cycle_tradeoff,
-    exhaustive_vector_search,
     minrank_bruteforce,
-    pareto_merge,
+    pareto_frontier,
 )
 from .codes import (
     DecodingFailure,
     IndexCode,
     LocalityProfile,
-    _normalize_unique_columns,
     load_code,
     locality_profile,
+    normalize_unique_columns,
     prune_queries,
     save_code,
     verify_decodable,
@@ -213,16 +211,9 @@ def cmd_oracle(args: SimpleNamespace) -> int:
     # The witness files are named after the CSV's file name.
     if not out_path.name:
         raise CliError(f"cannot write output: --out {args.out!r} names no file")
-    points: list[ParetoPoint] = []
-    # At ell = M*N the uncoded code has r = r_avg = 1, the least any code
-    # has, so every longer code is dominated.
-    for ell in range(1, min(args.ell, args.m * g.n) + 1):
-        points.extend(
-            exhaustive_vector_search(g, args.q, args.m, ell, args.r, args.budget)
-        )
-    merged = pareto_merge(points)
+    points = pareto_frontier(g, args.q, args.m, args.ell, args.r, args.budget)
     lines = ["beta,r,r_avg,witness_file"]
-    for idx, point in enumerate(merged, start=1):
+    for idx, point in enumerate(points, start=1):
         witness_file = out_path.with_name(f"{out_path.stem}_witness_{idx}.json")
         save_code(point.witness, witness_file)
         lines.append(f"{point.beta},{point.r},{point.r_avg},{witness_file.name}")
@@ -236,10 +227,7 @@ def cmd_normalize(args: SimpleNamespace) -> int:
     g = _load_graph(args.graph)
     code = _load_code(args.code)
     try:
-        pruned = prune_queries(g, code)
-        # Pruning verified the input and keeps it decodable, so the
-        # pruned code is not verified again.
-        normalized = _normalize_unique_columns(g, pruned)
+        normalized = normalize_unique_columns(g, prune_queries(g, code))
     except ValueError as exc:
         raise CliError(f"normalize failed: {exc}") from exc
     save_code(normalized, args.out)

@@ -475,13 +475,6 @@ def normalize_unique_columns(
     vectors]: each lies outside the span of everything before it.
     """
     require_plan(g, code)
-    return _normalize_unique_columns(g, code)
-
-
-def _normalize_unique_columns(
-    g: SideInformationGraph, code: IndexCode
-) -> IndexCode:
-    """normalize_unique_columns on a code already known to be decodable."""
     part = query_partition(code)
     mn = code.m * code.n
     q = code.q

@@ -282,6 +282,21 @@ def normalization_contract(g: SideInformationGraph, code: IndexCode) -> IndexCod
     return normalized
 
 
+def nondominated_union(frontiers):
+    """The points of all the given frontiers that no other point
+    dominates (at most as large in beta, r and r_avg, and not equal),
+    sorted by profile: the merge of per-length frontiers, written from
+    the definition."""
+    points = [p for frontier in frontiers for p in frontier]
+    profiles = [p.profile() for p in points]
+    assert len(set(profiles)) == len(profiles), "profiles repeat across frontiers"
+
+    def dominated(a):
+        return any(b != a and all(x <= y for x, y in zip(b, a)) for b in profiles)
+
+    return sorted((p for p in points if not dominated(p.profile())), key=lambda p: p.profile())
+
+
 def all_digraphs_without_2cycles(n: int):
     """Every digraph on n vertices whose vertex pairs carry at most one
     arc, in a fixed deterministic order."""

@@ -4,12 +4,13 @@ import functools
 import random
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from idxloc import _kernel, cli
+from idxloc import _kernel, bounds, cli
 from idxloc.bounds import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -25,7 +26,7 @@ from idxloc.bounds import (
     min_message_length,
     minrank_bruteforce,
     optimal_cycle_locality_for_m,
-    pareto_merge,
+    pareto_frontier,
     scalar_bounds_minrank_deficit,
 )
 from idxloc.codes import (
@@ -47,7 +48,10 @@ from idxloc.graphs import (
 from idxloc.linalg import FqMatrix, rank
 
 from corpus import full_corpus
-from helpers import _reference_pivots, blocks_graph, random_graph, random_matrix
+from helpers import (
+    _reference_pivots, all_digraphs_without_2cycles, blocks_graph, nondominated_union,
+    random_graph, random_matrix,
+)
 
 
 def test_minrank_cycles():
@@ -1016,29 +1020,82 @@ def test_search_witnesses_decode():
         assert plan is not None
 
 
-def test_pareto_merge_removes_dominated():
-    g = directed_cycle(3)
-    pts = exhaustive_scalar_search(g, 2, 2) + exhaustive_scalar_search(g, 2, 3)
-    merged = pareto_merge(pts)
-    profiles = [p.profile() for p in merged]
-    assert (Fraction(2), Fraction(2), Fraction(4, 3)) in profiles
-    assert (Fraction(3), Fraction(1), Fraction(1)) in profiles
-    # (3, 2, 4/3) would be dominated by (2, 2, 4/3); ensure nothing
-    # dominated survived.
-    for a in profiles:
-        for b in profiles:
-            if a != b:
-                assert not all(x <= y for x, y in zip(a, b))
+def test_pareto_frontier_is_the_nondominated_union_of_the_lengths():
+    # Digraphs on n 2-4 vertices over F_2 and F_3 at M = 1, and on n <= 3
+    # at M = 2, each with caps None, 1 and 2: the directed cycle, three
+    # seeded ones with arcs drawn at densities 0.3, 0.6 and 0.9, and two
+    # with no mutual neighbours.  The lengths run up to M*N, or to the
+    # last one before the per-length search is refused, and the one walk
+    # returns the nondominated union of the per-length frontiers,
+    # profiles and witnesses alike.
+    rng = random.Random(36)
+    points = kept = several = 0
+    for n, q, m in product((2, 3, 4), (2, 3), (1, 2)):
+        if m == 2 and n > 3:
+            continue
+        oriented = list(all_digraphs_without_2cycles(n))
+        for cap in (None, 1, 2):
+            graphs = [directed_cycle(n)] + [random_graph(rng, n, p) for p in (0.3, 0.6, 0.9)]
+            for g in graphs + rng.sample(oriented, 2):
+                frontiers = []
+                for ell in range(1, m * n + 1):
+                    try:
+                        frontiers.append(exhaustive_vector_search(g, q, m, ell, cap))
+                    except BudgetExceededError:
+                        break
+                want = nondominated_union(frontiers)
+                got = pareto_frontier(g, q, m, len(frontiers), cap)
+                assert [(p.profile(), p.witness) for p in got] == [
+                    (p.profile(), p.witness) for p in want
+                ], (g, q, m, cap)
+                points += sum(map(len, frontiers))
+                kept += len(want)
+                several += len(want) > 1
+    # Shorter lengths dominate some points, and some frontiers hold more
+    # than one point.
+    assert points > kept >= 100 and several >= 10
 
 
-def test_pareto_merge_order_independent():
-    g = directed_cycle(3)
-    pts = exhaustive_scalar_search(g, 2, 2) + exhaustive_scalar_search(g, 2, 3)
-    a = pareto_merge(pts)
-    b = pareto_merge(list(reversed(pts)))
-    assert [(p.profile(), p.witness) for p in a] == [
-        (p.profile(), p.witness) for p in b
+def test_pareto_frontier_builds_the_search_state_once(monkeypatch):
+    # The MAIS, the maximum acyclic sets and the receiver tables do not
+    # depend on the length, so one walk over the 4-cycle's lengths 1-4
+    # (3 and 4 searched) builds each once.
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(bounds, "max_acyclic_induced")
+    counted(bounds, "_acyclic_sets")
+    counted(_kernel, "receiver_tables")
+    points = pareto_frontier(directed_cycle(4), 2, 1, 4)
+    assert [p.profile() for p in points] == [(3, 2, Fraction(3, 2)), (4, 1, 1)]
+    assert calls == {"max_acyclic_induced": 1, "_acyclic_sets": 1, "receiver_tables": 1}
+
+
+def test_pareto_frontier_skips_dominated_lengths():
+    # A length whose floor an earlier point already reaches is skipped
+    # before its budget is counted.  K4 at M = 2 reaches (2, 8), the
+    # uncoded profile, at ell = 2, where the per-length search is refused
+    # from ell = 4 on.  The 2-cycle at M = 2 reaches its floor at ell = 2,
+    # and a budget of 1,000 refuses ell = 4 alone.
+    k4 = graph_from_side_info([{2, 3, 4}, {1, 3, 4}, {1, 2, 4}, {1, 2, 3}])
+    assert [p.profile() for p in pareto_frontier(k4, 2, 2, 8)] == [(1, 1, 1)]
+    with pytest.raises(BudgetExceededError):
+        exhaustive_vector_search(k4, 2, 2, 4)
+    two = directed_cycle(2)
+    assert [p.profile() for p in pareto_frontier(two, 2, 2, 4, budget=1000)] == [
+        (1, 1, 1)
     ]
+    with pytest.raises(BudgetExceededError):
+        for ell in range(1, 5):
+            exhaustive_vector_search(two, 2, 2, ell, budget=1000)
 
 
 def test_sandwich_minrank_vs_search():
@@ -1137,10 +1194,7 @@ def test_scalar_constructions_meet_curve():
 
 def test_search_edgeless_graph_only_uncoded():
     g = graph_from_side_info([set(), set(), set()])
-    pts = []
-    for ell in range(1, 4):
-        pts.extend(exhaustive_scalar_search(g, 2, ell))
-    assert [p.profile() for p in pareto_merge(pts)] == [
+    assert [p.profile() for p in pareto_frontier(g, 2, 1, 3)] == [
         (Fraction(3), Fraction(1), Fraction(1))
     ]
 

@@ -342,7 +342,7 @@ def test_oracle_scalar_csv(cycle3_file, tmp_path, capsys):
     assert code == EXIT_OK
     text = out.read_text()
     # The (4, 1, 1) point of length 4 is dominated by (3, 1, 1) of length
-    # 3, so the merge across lengths drops it.
+    # 3, so the frontier across lengths leaves it out.
     g = parse_graph(cycle3_file.read_text())
     assert (4, 1, 1) in [p.profile() for p in idxloc.exhaustive_scalar_search(g, 2, 4)]
     assert text == (
@@ -555,7 +555,9 @@ def test_normalize_refuses_an_undecodable_code(cycle3_file, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_normalize_verifies_once(cycle5_file, tmp_path, monkeypatch):
+def test_normalize_writes_the_library_normal_form(cycle5_file, tmp_path, monkeypatch):
+    # The command is normalize_unique_columns after prune_queries: each
+    # verifies its own input, the loaded code and the pruned one.
     import idxloc.codes as codes
     from idxloc.constructions import cycle_vector_code
 
@@ -578,7 +580,7 @@ def test_normalize_verifies_once(cycle5_file, tmp_path, monkeypatch):
         ["normalize", "--graph", str(cycle5_file), "--code", str(src),
          "--out", str(out)]
     ) == EXIT_OK
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert out.read_bytes() == expected.read_bytes()
 
 
