@@ -1020,6 +1020,36 @@ def test_search_witnesses_decode():
         assert plan is not None
 
 
+def test_pareto_merge_removes_dominated():
+    # The 3-cycle's per-length frontiers at lengths 2, 3 and 4 are
+    # (2, 2, 4/3), (3, 1, 1) and (4, 1, 1); the last is dominated by
+    # (3, 1, 1), and the frontier across lengths leaves it out.
+    g = directed_cycle(3)
+    per_length = [exhaustive_scalar_search(g, 2, ell) for ell in (2, 3, 4)]
+    assert (Fraction(4), Fraction(1), Fraction(1)) in [p.profile() for p in per_length[2]]
+    profiles = [p.profile() for p in pareto_frontier(g, 2, 1, 4)]
+    assert profiles == [
+        (Fraction(2), Fraction(2), Fraction(4, 3)),
+        (Fraction(3), Fraction(1), Fraction(1)),
+    ]
+    for a in profiles:
+        for b in profiles:
+            if a != b:
+                assert not all(x <= y for x, y in zip(a, b))
+
+
+def test_pareto_merge_order_independent():
+    # The frontier across lengths, witnesses included, is the nondominated
+    # union of the per-length frontiers taken in either order, and lengths
+    # past M*N add nothing to it.
+    g = directed_cycle(3)
+    per_length = [exhaustive_scalar_search(g, 2, ell) for ell in (1, 2, 3)]
+    got = [(p.profile(), p.witness) for p in pareto_frontier(g, 2, 1, 3)]
+    for frontiers in (per_length, per_length[::-1]):
+        assert got == [(p.profile(), p.witness) for p in nondominated_union(frontiers)]
+    assert got == [(p.profile(), p.witness) for p in pareto_frontier(g, 2, 1, 6)]
+
+
 def test_pareto_frontier_is_the_nondominated_union_of_the_lengths():
     # Digraphs on n 2-4 vertices over F_2 and F_3 at M = 1, and on n <= 3
     # at M = 2, each with caps None, 1 and 2: the directed cycle, three
