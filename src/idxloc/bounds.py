@@ -27,13 +27,18 @@ from .codes import (
 from .graphs import (
     SideInformationGraph,
     _acyclic_sets,
+    _adjacency,
+    _bits,
+    _components,
+    _core,
+    _is_cycle,
+    _relabel,
     acyclic_sizer,
     has_directed_cycle,
     induced_subgraph,
     max_acyclic_induced,
     receiver_rows,
     shortest_directed_cycle,
-    strongly_connected_components,
 )
 from .linalg import (
     FqMatrix, null_space_basis, require_prime, span_coordinates, span_format,
@@ -77,7 +82,8 @@ def minrank_bruteforce(
     the entries between components keeps the rank minimal and lowers
     every column's counter, so the first min-rank matrix is block
     diagonal, and its blocks are each component's own first witness.
-    Each component is solved alone:
+    g's out- and in-neighbours are built once, as bitmasks, and the
+    components are split off them as bitmasks.  Each is solved alone:
 
     - a single vertex has min-rank 1 and the unit vector as its column;
     - a cycle, where every vertex has one out-neighbour in the component,
@@ -87,11 +93,12 @@ def minrank_bruteforce(
       entry to 1 but the one in the column of the highest vertex, which
       is (-1)^|C| mod q;
     - any other component runs ``_kernel.minrank_dfs`` on its own rows,
-      one pass per target rank from its MAIS, the largest induced
-      acyclic vertex set, up: a pass prunes a branch once the prefix
-      rank plus the MAIS of the rows the chosen columns leave zero
-      exceeds its target, and the first matrix a pass finds is the
-      component's witness.
+      relabelled in ascending order, with its free rows and its bitmask
+      adjacency read off g's masks, one pass per target rank from its
+      MAIS, the largest induced acyclic vertex set, up: a pass prunes a
+      branch once the prefix rank plus the MAIS of the rows the chosen
+      columns leave zero exceeds its target, and the first matrix a pass
+      finds is the component's witness.
 
     Refuses to start (BudgetExceededError) when the raw search space of
     the whole graph, q**(sum |K_i|), exceeds the budget, so a returned
@@ -111,33 +118,37 @@ def minrank_bruteforce(
     # component's own entries; entries between components stay 0.
     entries = [0] * (n * n)
     entries[:: n + 1] = [1] * n
-    value = 0
-    for comp in strongly_connected_components(g):
-        if len(comp) == 1:
+    # Components as bitmasks of g's one bitmask adjacency: each vertex off
+    # g's core lies on no cycle, so it is a component of its own.
+    succ, pred = _adjacency(g)
+    full = (1 << n) - 1
+    core = _core(succ, pred, full)
+    value = (full ^ core).bit_count()
+    for comp in _components(succ, pred, core):
+        if not comp & (comp - 1):
             value += 1
             continue
-        vertices = sorted(comp)
-        inside = [g.side[v - 1] & comp for v in vertices]
-        if all(len(out) == 1 for out in inside):
-            value += len(comp) - 1
+        vertices = list(_bits(comp))
+        if _is_cycle(succ, comp):
+            value += len(vertices) - 1
             # Every entry 1 but the last, in the highest vertex's column.
-            for v, (j,) in zip(vertices, inside):
-                entries[(j - 1) * n + v - 1] = 1
-            entries[(j - 1) * n + v - 1] = (-1) ** len(comp) % q
+            for v in vertices:
+                j = (succ[v] & comp).bit_length() - 1
+                entries[j * n + v] = 1
+            entries[j * n + v] = (-1) ** len(vertices) % q
             continue
-        # A component spanning every vertex is g itself, in g's labels.
-        h = g if len(comp) == n else induced_subgraph(g, vertices)[0]
-        free_rows = tuple([receiver_rows(h, 1, i)[1] for i in range(1, h.n + 1)])
+        free_rows, local_succ, local_pred = _relabel(succ, comp)
         # One sizer gives the first target and every floor, sharing one
         # adjacency and one memo of component values for this call.
-        mais = acyclic_sizer(h)
+        mais = acyclic_sizer(local_succ, local_pred)
         rank, columns = _kernel.minrank_dfs(
-            h.n, q, free_rows, mais((1 << h.n) - 1), mais
+            len(vertices), q, free_rows, mais((1 << len(vertices)) - 1), mais
         )
         value += rank
-        for v, col in zip(vertices, columns):
-            for u, d in zip(vertices, col):
-                entries[(u - 1) * n + v - 1] = d
+        # Off the diagonal a column is nonzero only on its free rows.
+        for v, col, rows in zip(vertices, columns, free_rows):
+            for t in rows:
+                entries[vertices[t] * n + v] = col[t]
     witness = FittingMatrix(FqMatrix(n, n, q, tuple(entries)))
     if not witness.fits(g):
         raise AssertionError("witness does not fit the graph")

@@ -30,10 +30,10 @@ from .bounds import (
 from .codes import (
     DecodingFailure,
     IndexCode,
-    LocalityProfile,
     load_code,
     locality_profile,
     normalize_unique_columns,
+    overall_locality,
     prune_queries,
     save_code,
     verify_decodable,
@@ -95,8 +95,9 @@ def _load_code(path: str) -> IndexCode:
         raise CliError(f"cannot load code file: {exc}") from exc
 
 
-def _profile_line(p: LocalityProfile) -> str:
-    return f"beta={p.beta} r={p.r} r_avg={p.r_avg}"
+def _profile_line(code: IndexCode) -> str:
+    r, r_avg = overall_locality(code)
+    return f"beta={code.beta} r={r} r_avg={r_avg}"
 
 
 def cmd_minrank(args: SimpleNamespace) -> int:
@@ -141,7 +142,7 @@ def cmd_construct(args: SimpleNamespace) -> int:
         except ValueError as exc:
             raise CliError(str(exc)) from exc
     save_code(code, args.out)
-    print(_profile_line(locality_profile(code)))
+    print(_profile_line(code))
     return EXIT_OK
 
 
@@ -158,7 +159,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
             print(f"undecodable receiver={i} symbol={j}")
         return EXIT_FAIL
     print("PASS")
-    print(_profile_line(locality_profile(code)))
+    print(_profile_line(code))
     sizes = " ".join(str(len(r)) for r in code.queries)
     print(f"queries_per_receiver={sizes}")
     report = converse_checks(g, code, result, args.budget)
@@ -177,9 +178,9 @@ def cmd_verify(args: SimpleNamespace) -> int:
 
 
 def cmd_profile(args: SimpleNamespace) -> int:
-    p = locality_profile(_load_code(args.code))
-    print(_profile_line(p))
-    print("r_i=" + " ".join(map(str, p.per_receiver)))
+    code = _load_code(args.code)
+    print(_profile_line(code))
+    print("r_i=" + " ".join(map(str, locality_profile(code).per_receiver)))
     return EXIT_OK
 
 
@@ -231,7 +232,7 @@ def cmd_normalize(args: SimpleNamespace) -> int:
     except ValueError as exc:
         raise CliError(f"normalize failed: {exc}") from exc
     save_code(normalized, args.out)
-    print(_profile_line(locality_profile(normalized)))
+    print(_profile_line(normalized))
     return EXIT_OK
 
 

@@ -403,10 +403,16 @@ def decode_receiver(
 
 
 def locality_profile(code: IndexCode) -> LocalityProfile:
-    sizes = [len(r) for r in code.queries]
-    per = tuple([Fraction(s, code.m) for s in sizes])
-    r, r_avg = Fraction(max(sizes), code.m), Fraction(sum(sizes), code.m * code.n)
+    per = tuple([Fraction(len(r), code.m) for r in code.queries])
+    r, r_avg = overall_locality(code)
     return LocalityProfile(per_receiver=per, r=r, r_avg=r_avg, beta=code.beta)
+
+
+def overall_locality(code: IndexCode) -> tuple[Fraction, Fraction]:
+    """(r, r_avg) of ``locality_profile``, the largest and the average
+    |R_i|/m, without its per-receiver list."""
+    sizes = [len(r) for r in code.queries]
+    return Fraction(max(sizes), code.m), Fraction(sum(sizes), code.m * code.n)
 
 
 def query_partition(code: IndexCode) -> QueryPartition:

@@ -114,14 +114,6 @@ def parse_graph(text: str) -> SideInformationGraph:
     return graph_from_side_info([side.get(i, set()) for i in range(1, n + 1)])
 
 
-def format_graph(g: SideInformationGraph) -> str:
-    lines = [f"N={g.n}"]
-    for i in range(1, g.n + 1):
-        members = " ".join(str(j) for j in sorted(g.side_info(i)))
-        lines.append(f"{i}: {members}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
 def induced_subgraph(
     g: SideInformationGraph, vertices: Iterable[int]
 ) -> tuple[SideInformationGraph, tuple[int, ...]]:
@@ -191,28 +183,44 @@ def shortest_directed_cycle(
 def max_acyclic_induced(g: SideInformationGraph) -> int:
     """Size of a largest induced acyclic vertex set (MAIS) of g.
 
-    Exact.  Vertices with no in- or out-neighbour left are dropped until
-    none is left to drop; each lies on no cycle and joins every largest
-    set, so the rest, the core, is all that needs a search.  It splits
-    into strongly connected components, whose values add up because
-    every cycle lies inside one component.  A nontrivial component
-    branches on the vertices of a shortest cycle through its lowest
-    vertex, one of which every acyclic set leaves out, and stops once one
-    deletion suffices.  Vertex sets are int bitmasks, and component values
-    are memoized on them.  The branching keeps its own stack, so its depth
-    is not bounded by the interpreter's recursion limit.
+    Exact.  Before any branching the graph is reduced by two rules, each
+    of which deletes vertices and adds no arc, until neither applies:
+
+    - a vertex with no in- or out-neighbour left lies on no cycle, so it
+      joins every largest set;
+    - the arc-free rule: a vertex v whose only in-neighbour u is also an
+      out-neighbour of v (or whose only out-neighbour u is also an
+      in-neighbour) joins the set, and u leaves the graph.  Every cycle
+      through v passes through u, and the 2-cycle on u and v keeps them
+      from being in one acyclic set.  So in any largest set S, swapping u
+      out for v (or adding v if neither is in S) leaves it acyclic and no
+      smaller, and some largest set holds v but not u: the MAIS is 1 plus
+      that of the graph less u and v.
+
+    These are contraction rules of Levy and Low ("A contraction algorithm
+    for finding small cycle cutsets", J. Algorithms 1988) that need no new
+    arc, so the values can be memoized on vertex masks of g; they alone
+    solve bidirected paths and trees.  What is left splits into strongly
+    connected components, whose values add up because every cycle lies
+    inside one component.  A cycle component is worth |C| - 1 without a
+    search.  Any other component branches on the vertices of a shortest
+    cycle through its lowest vertex, one of which every acyclic set leaves
+    out, and stops once one deletion suffices.  Vertex sets are int
+    bitmasks, and component values are memoized on them.  The branching
+    keeps its own stack, so its depth is not bounded by the interpreter's
+    recursion limit.
     """
-    return acyclic_sizer(g)((1 << g.n) - 1)
+    return acyclic_sizer(*_adjacency(g))((1 << g.n) - 1)
 
 
-def acyclic_sizer(g: SideInformationGraph) -> Callable[[int], int]:
-    """The function from a vertex set to the MAIS of the subgraph of g it
-    induces, the set an int bitmask (bit v - 1 for vertex v), for
-    many vertex sets of one graph: its calls share one bitmask adjacency
-    and one memo, since a component's value depends only on its vertices.
-    Each set is peeled to its own core by ``_mais``, so vertices on no
-    cycle cost no search."""
-    succ, pred = _adjacency(g)
+def acyclic_sizer(succ: list[int], pred: list[int]) -> Callable[[int], int]:
+    """The function from a vertex set to the MAIS of the subgraph it
+    induces, for a graph given as each vertex's out- and in-neighbours
+    (``succ`` and ``pred``, 0-based bitmasks) and a set as an int bitmask,
+    for many vertex sets of one graph: its calls share the adjacency and
+    one memo, since a component's value depends only on its vertices.
+    Each set is reduced on its own by ``_mais``, so vertices on no cycle
+    cost no search."""
     memo: dict[int, int] = {}
 
     def size(mask: int) -> int:
@@ -269,73 +277,149 @@ def _core(
 
 def _mais(succ: list[int], pred: list[int], mask: int, memo: dict[int, int]) -> int:
     """MAIS of the subgraph induced on the bitmask mask, given each
-    vertex's out- and in-neighbours as bitmasks.  Each call of
-    ``_mais_frame`` is one frame of the branching, kept on an explicit
-    stack: a frame yields the bitmask whose MAIS it needs and is sent
-    that value back."""
-    stack = [_mais_frame(succ, pred, mask, memo)]
-    value = None
+    vertex's out- and in-neighbours as bitmasks.  Every set asked for is
+    reduced first, and only what the rules leave gets a frame of the
+    branching, a call of ``_mais_frame`` kept on an explicit stack with
+    the count the reduction kept: a frame yields the bitmask whose MAIS
+    it needs and is sent that value back."""
+    stack = []
     while True:
-        try:
-            sub = stack[-1].send(value)
-        except StopIteration as done:
-            stack.pop()
-            if not stack:
-                return done.value
-            value = done.value
-        else:
-            stack.append(_mais_frame(succ, pred, sub, memo))
+        value, core = _reduce(succ, pred, mask)
+        if core:
+            stack.append((value, _mais_frame(succ, pred, core, memo)))
             value = None
+        while stack:
+            kept, frame = stack[-1]
+            try:
+                mask = frame.send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = kept + done.value
+            else:
+                break
+        else:
+            return value
 
 
 def _mais_frame(
-    succ: list[int], pred: list[int], mask: int, memo: dict[int, int]
+    succ: list[int], pred: list[int], core: int, memo: dict[int, int]
 ) -> Generator[int, int, int]:
-    """One frame of ``_mais``: the MAIS of mask, yielding each bitmask
-    whose MAIS it needs."""
-    core = _core(succ, pred, mask)
-    total = (mask ^ core).bit_count()
+    """One frame of ``_mais``: the MAIS of core, a set the reduction rules
+    leave unchanged, yielding each bitmask whose MAIS it needs."""
+    total = 0
     for comp in _components(succ, pred, core):
-        if comp.bit_count() == 1:
+        if not comp & (comp - 1):
             total += 1
             continue
         value = memo.get(comp)
         if value is None:
             size = comp.bit_count()
-            value = 0
-            v = (comp & -comp).bit_length() - 1
-            for u in _cycle_through(succ, v, comp):
-                value = max(value, (yield comp ^ (1 << u)))
-                if value == size - 1:
-                    break
+            if _is_cycle(succ, comp):
+                value = size - 1
+            else:
+                # Without the rest of the core the rules may fire inside
+                # the component.
+                kept, rest = _reduce(succ, pred, comp) if comp != core else (0, comp)
+                if rest != comp:
+                    value = kept + (yield rest)
+                else:
+                    value = 0
+                    v = (comp & -comp).bit_length() - 1
+                    for u in _cycle_through(succ, v, comp):
+                        value = max(value, (yield comp ^ (1 << u)))
+                        if value == size - 1:
+                            break
             memo[comp] = value
         total += value
     return total
 
 
-def strongly_connected_components(g: SideInformationGraph) -> list[frozenset[int]]:
-    """The vertex sets (1-based) of g's strongly connected components,
-    ordered by their lowest vertex.  Every vertex outside g's core lies
-    on no cycle, so it is a component of its own; only the core is
-    searched."""
-    succ, pred = _adjacency(g)
-    full = (1 << g.n) - 1
-    core = _core(succ, pred, full)
-    comps = [1 << v for v in _bits(full ^ core)]
-    comps += _components(succ, pred, core)
-    comps.sort(key=lambda comp: comp & -comp)
-    return [frozenset(v + 1 for v in _bits(comp)) for comp in comps]
+def _reduce(succ: list[int], pred: list[int], mask: int) -> tuple[int, int]:
+    """(kept, rest): the reduction rules of ``max_acyclic_induced`` applied
+    to the subgraph induced on the bitmask mask until neither applies.
+    kept counts the vertices that joined the acyclic set, and rest is the
+    bitmask of vertices left, so the MAIS of mask is kept plus the MAIS of
+    rest.  Only the neighbours of deleted vertices are looked at again."""
+    kept = 0
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        out = succ[v] & mask
+        into = pred[v] & mask
+        if out and into:
+            # The arc-free rule: v's one in- (or out-) neighbour leaves.
+            if not into & (into - 1) and into & out:
+                drop = into
+            elif not out & (out - 1) and out & into:
+                drop = out
+            else:
+                continue
+            mask ^= drop
+            u = drop.bit_length() - 1
+            todo |= succ[u] | pred[u]
+        kept += 1
+        mask ^= low
+        todo = (todo | out | into) & mask
+    return kept, mask
 
 
-def _components(succ: list[int], pred: list[int], mask: int) -> Iterator[int]:
+def _is_cycle(succ: list[int], comp: int) -> bool:
+    """True iff every vertex of the strongly connected bitmask comp has
+    one out-neighbour inside it, which makes comp one directed cycle."""
+    rest = comp
+    while rest:
+        low = rest & -rest
+        out = succ[low.bit_length() - 1] & comp
+        if out & (out - 1):
+            return False
+        rest ^= low
+    return True
+
+
+def _components(succ: list[int], pred: list[int], mask: int) -> list[int]:
     """The strongly connected components of the subgraph induced on the
     bitmask mask, as bitmasks, lowest vertex first: the component of a
-    vertex is what it reaches and is reached from inside mask."""
+    vertex is what it reaches and is reached from inside mask.  Every
+    vertex on a path from that component back to the vertex is reached
+    from the vertex too, so the backward search runs inside what the
+    forward one reached."""
+    comps = []
     while mask:
         low = mask & -mask
-        comp = _reach(succ, low, mask) & _reach(pred, low, mask)
+        comp = _reach(pred, low, _reach(succ, low, mask))
         mask ^= comp
-        yield comp
+        comps.append(comp)
+    return comps
+
+
+def _relabel(
+    succ: list[int], comp: int
+) -> tuple[tuple[tuple[int, ...], ...], list[int], list[int]]:
+    """The subgraph induced on the bitmask comp, its vertices relabelled
+    0, 1, ... in ascending order: each vertex's out-neighbours as an
+    ascending tuple, and each vertex's out- and in-neighbours as
+    bitmasks."""
+    vertices = list(_bits(comp))
+    pos = {v: t for t, v in enumerate(vertices)}
+    rows = []
+    out = []
+    into = [0] * len(vertices)
+    for t, v in enumerate(vertices):
+        row = []
+        mask = 0
+        rest = succ[v] & comp
+        while rest:
+            low = rest & -rest
+            u = pos[low.bit_length() - 1]
+            row.append(u)
+            mask |= 1 << u
+            into[u] |= 1 << t
+            rest ^= low
+        rows.append(tuple(row))
+        out.append(mask)
+    return tuple(rows), out, into
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -352,8 +436,10 @@ def _reach(adj: list[int], start: int, within: int) -> int:
     seen = frontier = start
     while frontier:
         step = 0
-        for u in _bits(frontier):
-            step |= adj[u]
+        while frontier:
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = step & within & ~seen
         seen |= frontier
     return seen

@@ -27,6 +27,15 @@ from idxloc.graphs import SideInformationGraph, graph_from_side_info, receiver_r
 from idxloc.linalg import FqMatrix
 
 
+def format_graph(g: SideInformationGraph) -> str:
+    """g in the graph file format that ``parse_graph`` reads."""
+    lines = [f"N={g.n}"]
+    for i in range(1, g.n + 1):
+        members = " ".join(str(j) for j in sorted(g.side_info(i)))
+        lines.append(f"{i}: {members}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
 def oracle_rank(m: FqMatrix) -> int:
     """Rank as log_q of the number of distinct row combinations."""
     q = m.q
@@ -236,6 +245,31 @@ def blocks_graph(
                     if rng.random() < 0.2:
                         side[a - 1].add(b)
     return graph_from_side_info(side), blocks
+
+
+def pendant_two_cycles(
+    rng: random.Random, g: SideInformationGraph, count: int
+) -> tuple[SideInformationGraph, list[int]]:
+    """g with count new vertices, each on a 2-cycle with a vertex u of g
+    and with random arcs to (or from) the other vertices of g only, so
+    that u is its only in-neighbour (or out-neighbour): the arc-free rule
+    of ``max_acyclic_induced`` applies to each new vertex.  Returns the
+    graph and the vertex u of each new vertex."""
+    side = [set(k) for k in g.side]
+    anchors = []
+    for _ in range(count):
+        w = len(side) + 1
+        u = rng.randint(1, g.n)
+        extra = {v for v in range(1, g.n + 1) if v != u and rng.random() < 0.3}
+        side[u - 1].add(w)
+        if rng.random() < 0.5:
+            side.append({u} | extra)
+        else:
+            side.append({u})
+            for v in extra:
+                side[v - 1].add(w)
+        anchors.append(u)
+    return graph_from_side_info(side), anchors
 
 
 def random_decodable_code(

@@ -36,9 +36,9 @@ from idxloc.codes import (
 from idxloc.constructions import cycle_scalar_code, minrank_deficit_code, uncoded
 from idxloc.graphs import (
     _acyclic_sets,
+    _adjacency,
     acyclic_sizer,
     directed_cycle,
-    format_graph,
     graph_from_side_info,
     has_directed_cycle,
     induced_subgraph,
@@ -49,8 +49,8 @@ from idxloc.linalg import FqMatrix, rank
 
 from corpus import full_corpus
 from helpers import (
-    _reference_pivots, all_digraphs_without_2cycles, blocks_graph, nondominated_union,
-    random_graph, random_matrix,
+    _reference_pivots, all_digraphs_without_2cycles, blocks_graph, format_graph, nondominated_union,
+    pendant_two_cycles, random_graph, random_matrix,
 )
 
 
@@ -417,19 +417,24 @@ def _whole_graph_search(g, q):
     """(min-rank, witness) of the search on all n columns at once, with
     the MAIS first target and floors of the whole graph."""
     free = tuple(tuple(sorted(j - 1 for j in k)) for k in g.side)
-    mais = acyclic_sizer(g)
+    mais = acyclic_sizer(*_adjacency(g))
     value, columns = _kernel.minrank_dfs(g.n, q, free, mais((1 << g.n) - 1), mais)
     return value, FqMatrix.from_columns(columns, g.n, q)
 
 
 def test_minrank_by_components_matches_the_whole_graph_search():
     # The witness assembled per component must be the first min-rank
-    # matrix of the search on the whole graph, entry for entry.
+    # matrix of the search on the whole graph, entry for entry.  From
+    # t = 90 on, pendant 2-cycles join some blocks, and the arc-free rule
+    # of the MAIS fires inside the components that the search runs on.
     rng = random.Random(19)
-    cycles = dense = 0
-    for t in range(90):
+    cycles = dense = fires = 0
+    for t in range(150):
         q = (2, 3, 5)[t % 3]
-        g, blocks = blocks_graph(rng, rng.randint(2, 7))
+        g, blocks = blocks_graph(rng, rng.randint(2, 7 if t < 90 else 6))
+        if t >= 90:
+            g, anchors = pendant_two_cycles(rng, g, rng.randint(1, 2))
+            fires += any(len(b) > 1 and u in b for b in blocks for u in anchors)
         value, witness = minrank_bruteforce(g, q, budget=q**40)
         assert (value, witness.matrix) == _whole_graph_search(g, q)
         inside = [[len(g.side[v - 1] & set(b)) for v in b] for b in blocks if len(b) > 1]
@@ -437,6 +442,7 @@ def test_minrank_by_components_matches_the_whole_graph_search():
         dense += any(max(outs) > 1 for outs in inside)
     assert cycles > 45
     assert dense > 25
+    assert fires > 18
 
 
 @pytest.mark.parametrize("q, most", [(3, 9), (5, 8), (7, 7)])

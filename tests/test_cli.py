@@ -21,10 +21,10 @@ from idxloc.codes import (
     IndexCode, code_to_json_dict, load_code, locality_profile, require_plan, save_code,
 )
 from idxloc.constructions import cycle_scalar_code
-from idxloc.graphs import directed_cycle, format_graph, graph_from_side_info, parse_graph
+from idxloc.graphs import directed_cycle, graph_from_side_info, parse_graph
 from idxloc.linalg import FqMatrix
 
-from helpers import malformed_code_docs
+from helpers import format_graph, malformed_code_docs
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

@@ -35,7 +35,6 @@ from idxloc.codes import (
 from idxloc.constructions import cycle_scalar_code, cycle_vector_code, uncoded
 from idxloc.graphs import (
     directed_cycle,
-    format_graph,
     graph_from_side_info,
     receiver_rows,
 )
@@ -47,6 +46,7 @@ from helpers import (
     _reference_pivots,
     _reference_rref,
     _reference_solve_each,
+    format_graph,
     malformed_code_docs,
     normalization_contract,
     oracle_solve_in_span,

@@ -11,10 +11,12 @@ import pytest
 from idxloc.graphs import (
     GraphParseError,
     _acyclic_sets,
+    _adjacency,
+    _components,
+    _cycle_through,
     acyclic_sizer,
     cycle_length_if_cycle,
     directed_cycle,
-    format_graph,
     graph_from_side_info,
     has_directed_cycle,
     induced_subgraph,
@@ -22,10 +24,12 @@ from idxloc.graphs import (
     parse_graph,
     receiver_rows,
     shortest_directed_cycle,
-    strongly_connected_components,
 )
 
-from helpers import blocks_graph, oracle_bfs_shortest_cycle, oracle_shortest_cycle, random_graph
+from helpers import (
+    blocks_graph, format_graph, oracle_bfs_shortest_cycle, oracle_shortest_cycle,
+    pendant_two_cycles, random_graph,
+)
 
 
 def test_parse_three_cycle():
@@ -240,7 +244,7 @@ def test_max_acyclic_induced_on_every_small_digraph():
         for g in _all_digraphs(n):
             graphs += 1
             everything = range(1, n + 1)
-            mais = acyclic_sizer(g)
+            mais = acyclic_sizer(*_adjacency(g))
             assert max_acyclic_induced(g) == mais(_mask(everything))
             assert mais(_mask(everything)) == _brute_mais(g, everything)
             some = [v for v in everything if rng.random() < 0.6]
@@ -281,7 +285,7 @@ def test_max_acyclic_induced_on_seeded_digraphs():
         else:
             g = random_graph(rng, n, edge_prob=rng.choice([0.15, 0.3, 0.5]))
         everything = range(1, n + 1)
-        mais = acyclic_sizer(g)
+        mais = acyclic_sizer(*_adjacency(g))
         assert max_acyclic_induced(g) == mais(_mask(everything))
         assert mais(_mask(everything)) == _brute_mais(g, everything)
         some = [v for v in everything if rng.random() < 0.7]
@@ -289,12 +293,79 @@ def test_max_acyclic_induced_on_seeded_digraphs():
     assert several > 40
 
 
+def test_max_acyclic_induced_with_pendant_two_cycles_matches_a_subset_scan():
+    # Each pendant vertex has one in-neighbour (or out-neighbour) u, on a
+    # 2-cycle with it, so the arc-free rule keeps it and drops u, also
+    # where u lies in a larger component.
+    rng = random.Random(45)
+    inside = 0
+    for t in range(120):
+        n = rng.randint(3, 6)
+        if t % 2:
+            g, _ = blocks_graph(rng, n)
+        else:
+            g = random_graph(rng, n, edge_prob=rng.choice([0.3, 0.5]))
+        g, anchors = pendant_two_cycles(rng, g, rng.randint(1, 3))
+        succ, pred = _adjacency(g)
+        comps = _components(succ, pred, (1 << g.n) - 1)
+        inside += any(
+            comp.bit_count() > 2 and comp >> (u - 1) & 1 for comp in comps for u in anchors
+        )
+        everything = range(1, g.n + 1)
+        mais = acyclic_sizer(succ, pred)
+        assert max_acyclic_induced(g) == mais(_mask(everything))
+        assert mais(_mask(everything)) == _brute_mais(g, everything)
+        some = [v for v in everything if rng.random() < 0.7]
+        assert mais(_mask(some)) == _brute_mais(g, some)
+    assert inside > 80
+
+
+def _bidirected(parents):
+    """The bidirected tree on vertices 1..len(parents) + 1 in which
+    vertex i + 2 is joined to vertex parents[i]."""
+    side = [set() for _ in range(len(parents) + 1)]
+    for child, parent in enumerate(parents, start=2):
+        side[child - 1].add(parent)
+        side[parent - 1].add(child)
+    return graph_from_side_info(side)
+
+
+def test_bidirected_paths_and_trees_need_no_branching(monkeypatch):
+    # Every arc is on a 2-cycle, so acyclic sets are independent sets,
+    # and a leaf's only neighbour is its in- and out-neighbour: the
+    # arc-free rule keeps the leaf and drops its neighbour until nothing
+    # is left, and no shortest cycle is ever searched for.
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return _cycle_through(*args)
+
+    monkeypatch.setattr("idxloc.graphs._cycle_through", counting)
+    rng = random.Random(46)
+    n = 2000
+    trees = [list(range(1, n)), [rng.randint(1, i) for i in range(1, n)]]
+    for parents in trees:
+        # Largest independent set, leaves first: with or without vertex v.
+        with_v, without_v = [1] * (n + 1), [0] * (n + 1)
+        for child in range(n, 1, -1):
+            parent = parents[child - 2]
+            with_v[parent] += without_v[child]
+            without_v[parent] += max(with_v[child], without_v[child])
+        assert max_acyclic_induced(_bidirected(parents)) == max(with_v[1], without_v[1])
+    assert max_acyclic_induced(_bidirected(trees[0])) == n // 2
+    assert calls == 0
+
+
 def test_strongly_connected_components_are_the_blocks():
     rng = random.Random(44)
     for _ in range(100):
         g, blocks = blocks_graph(rng, rng.randint(2, 9))
         expected = sorted((frozenset(b) for b in blocks), key=min)
-        assert strongly_connected_components(g) == expected
+        succ, pred = _adjacency(g)
+        comps = _components(succ, pred, (1 << g.n) - 1)
+        assert [frozenset(v + 1 for v in range(g.n) if comp >> v & 1) for comp in comps] == expected
 
 
 def test_max_acyclic_induced_keeps_its_own_stack():

@@ -11,7 +11,7 @@ import pytest
 
 from idxloc import _kernel
 from idxloc.bounds import _normalized_columns, exhaustive_scalar_search
-from idxloc.graphs import acyclic_sizer, directed_cycle, graph_from_side_info, receiver_rows
+from idxloc.graphs import _adjacency, acyclic_sizer, directed_cycle, graph_from_side_info, receiver_rows
 from idxloc.linalg import FqMatrix, unit_vector
 
 from helpers import _reference_solve_each, oracle_rank, random_graph
@@ -267,7 +267,7 @@ def test_minrank_dfs_floor_cuts_on_a_zero_free_entry(monkeypatch):
         return reduce(basis, v)
 
     monkeypatch.setattr(_kernel, "_bit_reduce", counting_reduce)
-    mais = acyclic_sizer(g)
+    mais = acyclic_sizer(*_adjacency(g))
     asked = {}
 
     def floor(untouched):
