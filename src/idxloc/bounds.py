@@ -21,7 +21,7 @@ from .codes import (
     FittingMatrix,
     IndexCode,
     fitting_matrix_from_plan,
-    locality_profile,
+    overall_locality,
     require_plan,
 )
 from .graphs import (
@@ -441,11 +441,11 @@ def _frontier(g, q, m, lengths, locality_cap, budget) -> list[ParetoPoint]:
         matrix = FqMatrix.from_columns([columns[k] for k in ks], mn, q)
         queries = tuple(frozenset(p + 1 for p in first) for first in firsts)
         witness = IndexCode(q=q, m=m, n=g.n, matrix=matrix, queries=queries)
-        profile = locality_profile(witness)
-        if (profile.r, profile.r_avg) != (Fraction(mx, m), Fraction(sm, m * g.n)):
+        r, r_avg = overall_locality(witness)
+        if (r, r_avg) != (Fraction(mx, m), Fraction(sm, m * g.n)):
             raise AssertionError("witness profile mismatch")
         require_plan(g, witness)
-        points.append(ParetoPoint(Fraction(ell, m), profile.r, profile.r_avg, witness))
+        points.append(ParetoPoint(Fraction(ell, m), r, r_avg, witness))
     points.sort(key=lambda p: p.profile())
     return points
 

@@ -30,6 +30,8 @@ from .bounds import (
 from .codes import (
     DecodingFailure,
     IndexCode,
+    _read_text,
+    _write_text,
     load_code,
     locality_profile,
     normalize_unique_columns,
@@ -79,7 +81,7 @@ def parse_frac(text: str) -> Fraction:
 
 def _load_graph(path: str) -> SideInformationGraph:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = _read_text(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read graph file: {exc}") from exc
     try:
@@ -111,7 +113,7 @@ def cmd_minrank(args: SimpleNamespace) -> int:
         "N": g.n,
         "A": [list(witness.matrix.row(i)) for i in range(g.n)],
     }
-    Path(out).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(out, json.dumps(doc, sort_keys=True) + "\n")
     print(f"minrank={value}")
     print(f"witness={out}")
     return EXIT_OK
@@ -200,7 +202,7 @@ def cmd_tradeoff(args: SimpleNamespace) -> int:
         r += step
     text = "\n".join(lines) + "\n"
     if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -218,7 +220,7 @@ def cmd_oracle(args: SimpleNamespace) -> int:
         witness_file = out_path.with_name(f"{out_path.stem}_witness_{idx}.json")
         save_code(point.witness, witness_file)
         lines.append(f"{point.beta},{point.r},{point.r_avg},{witness_file.name}")
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(args.out, "\n".join(lines) + "\n")
     for line in lines:
         print(line)
     return EXIT_OK

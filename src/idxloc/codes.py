@@ -34,6 +34,7 @@ coordinates are 0-based.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -597,11 +598,44 @@ def code_from_json_dict(doc: dict) -> IndexCode:
     )
 
 
+def _read_text(path: str | Path) -> str:
+    r"""The UTF-8 text of the file at path, read as bytes, with "\r\n" and
+    a lone "\r" turned into "\n" as text mode does.  A path that open
+    refuses is read by pathlib instead, so an error names the path as
+    pathlib spells it and a path that pathlib normalizes (a trailing
+    "/" dropped) is read as before."""
+    try:
+        f = open(path, "rb")
+    except OSError:
+        return Path(path).read_text(encoding="utf-8")
+    with f:
+        text = f.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    r"""Write text to the file at path, created or truncated, as UTF-8
+    bytes with each "\n" written as os.linesep.  A path that open refuses
+    is written by pathlib instead, with the same fallback as
+    ``_read_text``."""
+    try:
+        f = open(path, "wb")
+    except OSError:
+        Path(path).write_text(text, encoding="utf-8")
+        return
+    with f:
+        if os.linesep != "\n":
+            text = text.replace("\n", os.linesep)
+        f.write(text.encode("utf-8"))
+
+
 def save_code(code: IndexCode, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(code_to_json_dict(code), sort_keys=True) + "\n", encoding="utf-8"
-    )
+    """Write code's JSON document to path through ``_write_text``."""
+    _write_text(path, json.dumps(code_to_json_dict(code), sort_keys=True) + "\n")
 
 
 def load_code(path: str | Path) -> IndexCode:
-    return code_from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The code whose JSON document ``_read_text`` reads from path."""
+    return code_from_json_dict(json.loads(_read_text(path)))

@@ -20,7 +20,7 @@ from idxloc.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
 from idxloc.codes import (
     IndexCode, code_to_json_dict, load_code, locality_profile, require_plan, save_code,
 )
-from idxloc.constructions import cycle_scalar_code
+from idxloc.constructions import cycle_scalar_code, cycle_vector_code
 from idxloc.graphs import directed_cycle, graph_from_side_info, parse_graph
 from idxloc.linalg import FqMatrix
 
@@ -707,6 +707,157 @@ def test_graph_file_not_utf8_is_input_error(command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot read graph file: ")
+
+
+# Every command that reads a graph or a code file, on g.txt and c.json,
+# with its outputs named in the working directory.
+_FILE_COMMANDS = [
+    ["minrank", "--graph", "g.txt", "--out", "w.json"],
+    ["construct", "--graph", "g.txt", "--scheme", "deficit", "--out", "d.json"],
+    ["verify", "--graph", "g.txt", "--code", "c.json"],
+    ["profile", "--code", "c.json"],
+    ["normalize", "--graph", "g.txt", "--code", "c.json", "--out", "n.json"],
+    ["tradeoff", "--graph", "g.txt", "--out", "t.csv"],
+    ["oracle", "--graph", "g.txt", "--ell", "4", "--out", "p.csv"],
+]
+
+
+def _run_file_commands(workdir: Path, capsys):
+    """Each command's exit code and output, then the bytes of every file
+    in workdir but the inputs."""
+    runs = []
+    for argv in _FILE_COMMANDS:
+        runs.append((main(argv), capsys.readouterr()))
+    files = {
+        p.name: p.read_bytes()
+        for p in sorted(workdir.iterdir())
+        if p.name not in ("g.txt", "c.json")
+    }
+    return runs, files
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_ends_read_like_lf(newline, tmp_path, monkeypatch, capsys):
+    # Text mode reads "\r\n" and a lone "\r" as "\n"; the graph keeps a
+    # comment line and the code is indented JSON, so both span lines.
+    graph = "# the directed 4-cycle\n" + format_graph(directed_cycle(4))
+    code = json.dumps(code_to_json_dict(cycle_vector_code(4, 2, 2)), indent=1) + "\n"
+    results = {}
+    for name, nl in (("lf", "\n"), ("other", newline)):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        Path("g.txt").write_bytes(graph.replace("\n", nl).encode())
+        Path("c.json").write_bytes(code.replace("\n", nl).encode())
+        results[name] = _run_file_commands(workdir, capsys)
+    runs, files = results["lf"]
+    assert [exit_code for exit_code, _ in runs] == [EXIT_OK] * len(_FILE_COMMANDS)
+    assert b"\r" not in b"".join(files.values())
+    assert results["other"] == results["lf"]
+
+
+def test_rewriting_a_longer_output_leaves_only_the_new_bytes(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    Path("g.txt").write_text(format_graph(directed_cycle(4)), encoding="utf-8")
+    save_code(cycle_vector_code(4, 2, 2), "c.json")
+    fresh = _run_file_commands(tmp_path, capsys)
+    assert {exit_code for exit_code, _ in fresh[0]} == {EXIT_OK}
+    assert len(fresh[1]) == 7  # five outputs and two oracle witnesses
+    for name, data in fresh[1].items():
+        Path(name).write_bytes(b"x" * 4096 + data)
+    assert _run_file_commands(tmp_path, capsys) == fresh
+
+
+@pytest.mark.parametrize("spelling, witness", [
+    ("./g.txt", "g_minrank_witness.json"),
+    ("d//g.txt", "d/g_minrank_witness.json"),
+])
+def test_graph_path_spellings_read_the_file(
+    spelling, witness, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    for name in ("g.txt", "d/g.txt"):
+        Path(name).write_text(format_graph(directed_cycle(4)), encoding="utf-8")
+    save_code(cycle_vector_code(4, 2, 2), "c.json")
+    assert main(["minrank", "--graph", spelling]) == EXIT_OK
+    assert capsys.readouterr().out == f"minrank=3\nwitness={witness}\n"
+    assert json.loads(Path(witness).read_text())["N"] == 4
+    assert main(["verify", "--graph", spelling, "--code", "c.json"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[:2] == ["PASS", "beta=3 r=3/2 r_avg=3/2"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("minrank", []),
+    ("construct", ["--scheme", "uncoded"]),
+    ("tradeoff", []),
+    ("normalize", ["--code", "c.json"]),
+    ("oracle", ["--ell", "2"]),
+])
+def test_out_with_a_trailing_slash_writes_the_file(
+    command, flags, cycle3_file, tmp_path, monkeypatch, capsys
+):
+    # pathlib drops the trailing "/", so "d/x.json/" names the file d/x.json;
+    # the same command with "e/x.json" writes the same files under e.
+    monkeypatch.chdir(tmp_path)
+    save_code(cycle_scalar_code(3, 2, 1), "c.json")
+    for out in ("d/x.json/", "e/x.json"):
+        Path(out).parent.mkdir()
+        argv = [command, "--graph", str(cycle3_file), *flags, "--out", out]
+        assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    written = {
+        d: {p.name: p.read_bytes() for p in sorted((tmp_path / d).iterdir())}
+        for d in ("d", "e")
+    }
+    assert "x.json" in written["d"]
+    assert written["d"] == written["e"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--graph", "./missing//g.txt", "--code", "c.json"],
+     "cannot read graph file: [Errno 2] No such file or directory: 'missing/g.txt'"),
+    (["profile", "--code", "./missing//c.json"],
+     "cannot load code file: [Errno 2] No such file or directory: 'missing/c.json'"),
+])
+def test_missing_file_is_named_as_pathlib_spells_it(
+    argv, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    save_code(cycle_scalar_code(3, 2, 1), "c.json")
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "profile", "normalize"])
+@pytest.mark.parametrize("data, reason", [
+    (b'\xff{"q": 2}', "can't decode byte 0xff in position 0: invalid start byte"),
+    (b'{"q": 2, "L": "\xc3',
+     "can't decode byte 0xc3 in position 15: unexpected end of data"),
+    # Positions count the bytes before any "\r\n" or "\r" is read as "\n".
+    (b'{\r\n "q": 2,\r\n \xe9}',
+     "can't decode byte 0xe9 in position 14: invalid continuation byte"),
+    (b'{\r"q": 2,\r\xe9\xff}',
+     "can't decode byte 0xe9 in position 10: invalid continuation byte"),
+])
+def test_code_file_not_utf8_is_input_error(
+    command, data, reason, cycle3_file, tmp_path, capsys
+):
+    code_path = tmp_path / "c.json"
+    code_path.write_bytes(data)
+    argv = {
+        "verify": ["verify", "--graph", str(cycle3_file), "--code", str(code_path)],
+        "profile": ["profile", "--code", str(code_path)],
+        "normalize": ["normalize", "--graph", str(cycle3_file), "--code",
+                      str(code_path), "--out", str(tmp_path / "n.json")],
+    }[command]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == (
+        "", f"error: cannot load code file: 'utf-8' codec {reason}\n"
+    )
+    assert not (tmp_path / "n.json").exists()
 
 
 def test_usage_error_is_input_exit():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -1251,6 +1252,47 @@ def test_fitting_matrix_soundness_random():
         (check,) = report.by_name("fitting_column_space")
         assert (check.status, check.lhs, check.rhs) == ("ok", 0, 0)
         produced += 1
+
+
+def _text_mode_outcome(action, path, *args):
+    """What action(path, *args) returns, or the type and text of the
+    Unicode error it raises."""
+    try:
+        return action(path, *args)
+    except UnicodeError as exc:
+        return type(exc), str(exc)
+
+
+_LINE_END_BYTES = st.lists(
+    st.sampled_from([b"\r", b"\n", b"\r\n", b"a", b"\xc3\xa9", b"\xe9", b"\xff"]),
+    max_size=12,
+).map(b"".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=24) | _LINE_END_BYTES)
+def test_read_text_reads_as_text_mode_does(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("read") / "f"
+    path.write_bytes(data)
+    assert _text_mode_outcome(codes_module._read_text, path) == _text_mode_outcome(
+        Path.read_text, path, "utf-8"
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=24) | st.text("\r\na\xe9\ud800", max_size=12))
+def test_write_text_writes_as_text_mode_does(tmp_path_factory, text):
+    # Each file first holds longer bytes, so a write that does not
+    # truncate leaves a tail; a lone surrogate fails after the truncation.
+    def pathlib_write(path, text):
+        path.write_text(text, encoding="utf-8")
+
+    written = []
+    for action in (codes_module._write_text, pathlib_write):
+        path = tmp_path_factory.mktemp("write") / "f"
+        path.write_bytes(b"x" * 100)
+        written.append((_text_mode_outcome(action, path, text), path.read_bytes()))
+    assert written[0] == written[1]
 
 
 def test_json_round_trip():
