@@ -7,12 +7,12 @@ accepts only the flags it reads (see COMMANDS), and any other token is
 an input error.  All rationals are printed as "p/q" in lowest terms so
 output is exact and byte-stable across runs.
 
-Each command's handler returns its exit code and its stdout text, which
-main writes once, when the command ends.
+Each command's handler returns its exit code and its stdout text; main
+writes that text, the help or a refusal once, when the command ends.
 
 Exit codes: 0 success / verification PASS, 2 verification FAIL,
 3 input error (files, arguments, structural mismatches, an unwritable
-output), 4 search budget exceeded.  A closed stdout is not an error.
+output), 4 search budget exceeded.  A closed stream is not an error.
 """
 
 from __future__ import annotations
@@ -277,19 +277,16 @@ def _usage(command: str) -> str:
     return " ".join(parts)
 
 
-def _show_help(command: str | None) -> None:
-    """Print the usage of idxloc, or of one command, and exit 0."""
+def _show_help(command: str | None) -> str:
+    """The usage of idxloc, or of one command."""
     if command is None:
         usages = "".join(f"  {_usage(name)}\n" for name in COMMANDS)
-        text = (
+        return (
             f"usage: idxloc [-h] {{{','.join(COMMANDS)}}} ...\n\n"
             "Locally decodable index codes: construct, verify, bound.\n\n"
             f"{usages}\n{_SYNTAX}"
         )
-    else:
-        text = f"usage: {_usage(command)}\n\n{_SYNTAX}"
-    sys.stdout.write(text)
-    raise SystemExit(EXIT_OK)
+    return f"usage: {_usage(command)}\n\n{_SYNTAX}"
 
 
 def _convert(flag: str, text: str) -> int | str:
@@ -319,12 +316,12 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     by its value, which may not be another of those names or -h/--help.
     The last of a repeated flag wins.  Refusals raise CliError in token
     order; any other token is refused only once every required flag is
-    found."""
+    found.  -h/--help gives command=None and the usage as help."""
     if not argv:
         raise CliError("the following arguments are required: command")
     command = argv[0]
     if command in _HELP:
-        _show_help(None)
+        return SimpleNamespace(command=None, help=_show_help(None))
     if command not in COMMANDS:
         raise _invalid_choice("command", command, COMMANDS)
     _, required, optional = COMMANDS[command]
@@ -336,7 +333,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         token = argv[k]
         k += 1
         if token in _HELP:
-            _show_help(command)
+            return SimpleNamespace(command=None, help=_show_help(command))
         flag, eq, text = token.partition("=")
         if flag not in flags:
             unread.append(token)
@@ -379,45 +376,47 @@ def _check_values(args: SimpleNamespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command and return its exit code.
+    """Run one command, or show the help, and return the exit code.
 
-    The command's stdout is written once, when it has finished, by one
-    sys.stdout.write and a flush.  A closed stdout (a reader such as
-    ``| head`` that has gone) is no error: the text is dropped, stdout's
-    descriptor is pointed at os.devnull so that the flush at exit raises
-    nothing either, and the command's own exit code is returned.  Any
-    other OSError on a write, an --out file's included, exits 3 with
-    "error: cannot write output"."""
+    A command's text or the help goes to stdout, a refusal to stderr as
+    one "error: ..." line (exit 3 or 4), each by one _write at the end.
+    An OSError raised by _write or an --out file's write exits 3."""
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        _check_values(args)
-        exit_code, text = COMMANDS[args.command][0](args)
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            _drop_stdout()
-        return exit_code
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except OSError as exc:  # reads are reported where they happen
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if args.command is None:
+            exit_code, text = EXIT_OK, args.help
+        else:
+            _check_values(args)
+            exit_code, text = COMMANDS[args.command][0](args)
+        _write(sys.stdout, text)
+    except (CliError, BudgetExceededError, OSError) as exc:
+        exit_code, prefix = getattr(exc, "exit_code", EXIT_BUDGET), ""
+        if isinstance(exc, OSError):  # reads are reported where they happen
+            exit_code, prefix = EXIT_INPUT, "cannot write output: "
+        _write(sys.stderr, f"error: {prefix}{exc}\n")
+    return exit_code
 
 
-def _drop_stdout() -> None:
-    """Point stdout's descriptor, if it has one, at os.devnull."""
-    try:
-        fd = sys.stdout.fileno()
-    except (OSError, ValueError):
+def _write(stream, text: str) -> None:
+    """Write text to stream and flush it.  The text is dropped, with the
+    exit code kept, if the stream is None (closed at start-up), if its
+    reader has gone (``| head``), or on any OSError on stderr, where no
+    error can be reported; the stream's descriptor then points at
+    os.devnull, so that the flush at exit raises nothing either."""
+    if stream is None:
         return
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        if stream is sys.stdout and not isinstance(exc, BrokenPipeError):
+            raise
+        try:
+            fd = stream.fileno()
+        except (OSError, ValueError):
+            return
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), fd)
 
 
 def main_entry() -> None:

@@ -348,8 +348,9 @@ def all_digraphs_without_2cycles(n: int):
 def malformed_code_docs() -> list[tuple[str, dict, str]]:
     """(name, document, message) triples a code loader must refuse with
     ValueError(message): the document of the scalar 4-cycle code over F_2
-    with one field of the wrong JSON type or value, or with M = 0 and so
-    no encoder rows.  Truncating the floats, or reducing the entries of L
+    with one field of the wrong JSON type or value, with M = 0 and so no
+    encoder rows, or with queries that do not fit its N = 4 receivers or
+    its ell = 3 columns.  Truncating the floats, or reducing the entries of L
     mod q, would give back a code the document does not hold.  When a
     document breaks several rules, the first message in the loader's
     order wins: a field's type, then L's entries' range, then L's
@@ -390,4 +391,10 @@ def malformed_code_docs() -> list[tuple[str, dict, str]]:
         ("q-bool", dict(doc, q=True), malformed + "q must be an integer, got True"),
         ("q-zero", dict(doc, q=0), "field modulus must be prime, got 0"),
         ("M-zero", dict(doc, M=0, L=[]), "m and n must be positive"),
+        ("queries-three", dict(doc, queries=queries[:3]),
+         "one query set per receiver required"),
+        ("query-column-ell-plus-1", dict(doc, queries=[[4], *queries[1:]]),
+         "receiver 1 queries out-of-range column 4"),
+        ("query-column-0", dict(doc, queries=[[0], *queries[1:]]),
+         "receiver 1 queries out-of-range column 0"),
     ]

@@ -315,6 +315,16 @@ def test_minrank_disjoint_two_cycles_at_the_budget():
     assert rank(witness.matrix) == 12
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_minrank_two_cycles_through_one_vertex(q):
+    # The lone vertex 4 between the cycles adds 1 to the MAIS and to the
+    # min-rank, each 3-cycle 2.
+    g = graph_from_side_info([{2}, {3}, {1, 4}, {5}, {6}, {7}, {5}])
+    value, witness = minrank_bruteforce(g, q)
+    assert value == 5
+    assert (value, witness.matrix) == _first_min_rank_fill(g, q)
+
+
 def test_minrank_long_cycle_over_f2():
     # A free entry set to 0 leaves a path of rows untouched, whose MAIS
     # cuts its branch, so past the first matrix only the all-ones fill

@@ -851,6 +851,15 @@ def test_directory_as_input_is_named(argv, message, tmp_path, monkeypatch, capsy
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_graph_parse_error_is_input_error(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("N=2\n1 2\n", encoding="utf-8")
+    assert main(["minrank", "--graph", str(graph)]) == EXIT_INPUT
+    assert capsys.readouterr() == (
+        "", "error: graph parse error: line 2: expected '<receiver>: ...'\n"
+    )
+
+
 def _feed_fifo(path: str, data: bytes) -> threading.Thread:
     """A started thread that writes data into the FIFO at path in 1 KiB
     chunks, once a reader opens it."""
@@ -906,11 +915,18 @@ def test_graph_read_through_a_fifo(
     assert runs[1] == runs[0]
 
 
-class _ClosedStdout(io.StringIO):
-    """A stdout whose reader has gone."""
+class _ClosedPipe(io.StringIO):
+    """A stream whose reader has gone."""
 
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
+
+
+class _FullDevice(io.StringIO):
+    """A stream on a device with no space left."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
 
 
 class _CountingStdout(io.StringIO):
@@ -936,12 +952,17 @@ def test_closed_stdout_is_no_error(cycle4_file, tmp_path, monkeypatch, capsys):
     want = witness.read_bytes()
     witness.unlink()
     capsys.readouterr()
-    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
-    assert main(minrank) == EXIT_OK
-    assert main(["verify", "--graph", str(cycle4_file), "--code", str(broken)]) == EXIT_FAIL
-    monkeypatch.undo()
-    assert capsys.readouterr() == ("", "")
-    assert witness.read_bytes() == want
+    # sys.stdout is None when descriptor 1 was closed at start-up (">&-").
+    for stdout in (_ClosedPipe(), None):
+        witness.unlink(missing_ok=True)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(minrank) == EXIT_OK
+        assert main(["verify", "--graph", str(cycle4_file), "--code", str(broken)]) == EXIT_FAIL
+        assert main(["--help"]) == EXIT_OK
+        assert main(["minrank", "--help"]) == EXIT_OK
+        monkeypatch.undo()
+        assert capsys.readouterr() == ("", "")
+        assert witness.read_bytes() == want
 
 
 def test_closed_stdout_pipe_is_no_error_in_a_fresh_process(cycle4_file, tmp_path):
@@ -967,6 +988,58 @@ def test_closed_stdout_pipe_is_no_error_in_a_fresh_process(cycle4_file, tmp_path
     assert json.loads(witness.read_text())["A"] == [
         [1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]
     ]
+
+
+def test_closed_pipe_on_both_streams_in_a_fresh_process(tmp_path):
+    # As "idxloc minrank --graph missing.txt 2>&1 | true" once the reader
+    # has gone: the refusal is dropped and its exit code kept.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        got = _fresh_process(["minrank", "--graph", str(tmp_path / "missing.txt")],
+                             timeout=60, stdout=write_end, stderr=write_end)
+    finally:
+        os.close(write_end)
+    assert got == (EXIT_INPUT, None)
+
+
+@pytest.mark.parametrize("stderr", [None, _ClosedPipe(), _FullDevice()],
+                         ids=["missing", "closed-pipe", "full-device"])
+@pytest.mark.parametrize("argv, exit_code", [
+    (["minrank", "--graph", "missing.txt"], EXIT_INPUT),
+    (["minrank", "--graph", "g.txt", "--q", "4"], EXIT_INPUT),
+    (["minrank", "--graph", "g.txt", "--budget", "1", "--out", "w.json"], EXIT_BUDGET),
+    (["profile", "--code", "bad.json"], EXIT_INPUT),
+    (["minrank", "--graph", "g.txt", "--out", "d"], EXIT_INPUT),
+], ids=["missing-graph", "bad-q", "budget", "bad-code", "unwritable-out"])
+def test_refusal_keeps_its_exit_code_without_stderr(
+    argv, exit_code, stderr, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    Path("g.txt").write_text(format_graph(directed_cycle(3)), encoding="utf-8")
+    Path("bad.json").write_text('{"q": 2}', encoding="utf-8")
+    Path("d").mkdir()
+    assert main(argv) == exit_code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(argv) == exit_code
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
+
+
+def test_full_stdout_is_unwritable_output(cycle4_file, tmp_path, monkeypatch, capsys):
+    # As "> /dev/full": the refusal goes to stderr, and is dropped with its
+    # exit code kept if stderr is full too.
+    minrank = ["minrank", "--graph", str(cycle4_file), "--out", str(tmp_path / "w.json")]
+    monkeypatch.setattr(sys, "stdout", _FullDevice())
+    assert main(minrank) == EXIT_INPUT
+    assert main(["--help"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: cannot write output: [Errno 28] No space left on device\n" * 2
+    )
+    monkeypatch.setattr(sys, "stderr", _FullDevice())
+    assert main(minrank) == EXIT_INPUT
 
 
 def test_broken_pipe_on_out_is_unwritable_output(cycle4_file, tmp_path, monkeypatch, capsys):
@@ -1014,14 +1087,16 @@ def test_usage_error_is_input_exit():
     assert main(["bogus-command"]) == EXIT_INPUT
 
 
-def _fresh_process(argv, timeout=None):
-    """Exit code and stderr of the same command in a new interpreter."""
+def _fresh_process(argv, timeout=None, **streams):
+    """Exit code and stderr of the same command in a new interpreter;
+    streams may give its stdout and stderr, each a pipe by default."""
     env = dict(os.environ)
     src = str(Path(idxloc.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "idxloc.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams},
+        text=True, env=env, timeout=timeout,
     )
     return proc.returncode, proc.stderr
 
@@ -1099,9 +1174,7 @@ def test_missing_required_flag_is_input_error(capsys):
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
 def test_help_lists_exactly_the_declared_flags(command, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--help"])
-    assert exc.value.code == 0
+    assert main([command, "--help"]) == EXIT_OK
     text = capsys.readouterr().out
     usage = text.split("\n\n", 1)[0]
     required, optional = SUBCOMMAND_FLAGS[command]
@@ -1112,9 +1185,7 @@ def test_help_lists_exactly_the_declared_flags(command, capsys):
 def test_top_level_help_lists_every_command(capsys):
     texts = []
     for argv in (["--help"], ["-h"], ["-h", "bogus"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 0
+        assert main(argv) == EXIT_OK
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1] == texts[2]
     lines = {
@@ -1275,9 +1346,7 @@ def test_parser_refuses_with_its_message(argv, message, capsys):
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
 def test_help_after_flags_prints_the_usage(command, capsys):
     for tail in (["-h"], ["--help"], ["--graph", "g.txt", "stray", "-h"]):
-        with pytest.raises(SystemExit) as exc:
-            main([command, *tail])
-        assert exc.value.code == 0
+        assert main([command, *tail]) == EXIT_OK
         assert capsys.readouterr().out.startswith(f"usage: idxloc {command} [-h]")
 
 

@@ -60,6 +60,21 @@ def test_parse_rejects_out_of_range():
         parse_graph("N=2\n1: 5\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# no header\n\n", "missing 'N=<int>' header"),
+    ("N=x\n", "line 1: bad receiver count 'x'"),
+    ("N=0\n", "line 1: receiver count must be positive"),
+    ("N=2\n1 2\n", "line 2: expected '<receiver>: ...'"),
+    ("N=2\nx: 2\n", "line 2: bad receiver id 'x'"),
+    ("N=2\n3: 1\n", "line 2: receiver 3 out of range [1, 2]"),
+    ("N=2\n1: y\n", "line 2: bad vertex 'y'"),
+])
+def test_parse_refuses_with_its_message(text, message):
+    with pytest.raises(GraphParseError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
 def test_parse_header_key_is_exactly_n():
     assert parse_graph("N = 2\n1: 2\n") == parse_graph("N=2\n1: 2\n")
     for header in ("Nodes=2", "Nx = 2", "n=2", "M=2"):
@@ -291,6 +306,16 @@ def test_max_acyclic_induced_on_seeded_digraphs():
         some = [v for v in everything if rng.random() < 0.7]
         assert mais(_mask(some)) == _brute_mais(g, some)
     assert several > 40
+
+
+def test_max_acyclic_induced_counts_a_lone_vertex_between_two_cycles():
+    # Two directed 3-cycles joined by 3 -> 4 -> 5: vertex 4 has an in- and
+    # an out-neighbour, so the rules leave it in the core, where it is a
+    # component of its own.
+    g = graph_from_side_info([{2}, {3}, {1, 4}, {5}, {6}, {7}, {5}])
+    succ, pred = _adjacency(g)
+    assert sorted(_components(succ, pred, (1 << 7) - 1)) == [0b111, 0b1000, 0b1110000]
+    assert max_acyclic_induced(g) == _brute_mais(g, range(1, 8)) == 5
 
 
 def test_max_acyclic_induced_with_pendant_two_cycles_matches_a_subset_scan():
