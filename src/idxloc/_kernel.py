@@ -33,17 +33,18 @@ receivers' tables alone.
 
 ``minrank_dfs`` fills fitting matrices column by column, reducing each
 column against the prefix's reduced columns, a list cut back on
-backtracking.  It makes one depth-first pass per target rank t, from a
-lower bound given by the caller up, and returns the first matrix that a
-pass completes.  It keeps the mask of rows that some chosen column
-touches, and descends into a column only while the prefix rank plus a
-floor on the untouched rows, a bound from the caller on the rank of the
-later columns there, is at most t: the chosen columns vanish on those
-rows, so the matrix is block triangular there and has at least the rank
-of both diagonal blocks together.
+backtracking.  It makes one depth-first pass per target rank t, from the
+caller's floor of all rows up, and returns the first matrix that a pass
+completes.  It keeps the mask of rows that some chosen column touches,
+and descends into a column only while the prefix rank plus a floor on
+the untouched rows, a bound from the caller on the rank of the later
+columns there, is at most t: the chosen columns vanish on those rows,
+so the matrix is block triangular there and has at least the rank of
+both diagonal blocks together.
 ``bounds.minrank_bruteforce`` calls it once per strongly connected
 component that is neither a single vertex nor a cycle, on that
-component's rows alone.  The witness stays the first min-rank matrix of
+component's rows alone, each column's free rows one bitmask, its
+out-neighbours relabelled in the component.  The witness stays the first min-rank matrix of
 the whole graph in counter order: that matrix is block diagonal by
 component, since zeroing the entries between components keeps the rank
 minimal and lowers every column's counter, and a column's counter over
@@ -312,19 +313,22 @@ def first_query_set(table, ks, max_size):
     return None
 
 
-def minrank_dfs(n: int, q: int, free_rows, stop: int, floor):
+def minrank_dfs(q: int, free, floor):
     """Minimum rank over all matrices with unit diagonal and free entries
     confined to the given rows per column; everything else is zero.
 
-    free_rows: per column i (0-based), sorted 0-based row indices that may
-    take arbitrary values.  Columns are filled in ascending order, each
-    column's free digits enumerated as an ascending base-q counter with
-    the smallest free row in the least significant digit.
+    free: per column i (0-based), the int bitmask of the 0-based rows
+    that may take arbitrary values; the matrix is len(free) square.
+    Columns are filled in ascending order, each column's free digits
+    enumerated as an ascending base-q counter with the smallest free row
+    in the least significant digit.
 
-    Target passes: stop is a lower bound on the minimum, and the search
-    makes one depth-first pass per target rank t = stop, stop + 1, ...,
-    each cutting only subtrees that hold no matrix of rank at most t and
-    returning the first matrix it completes.  So pass t completes the
+    Target passes: the floor of all rows (see the depth bound below), a
+    lower bound on the rank of every fill, is one on the minimum, and
+    the search makes one depth-first pass per target rank t from it (or
+    from 1, if it is 0) up, each cutting only subtrees that hold no
+    matrix of rank at most t and returning the first matrix it
+    completes.  So pass t completes the
     first matrix of rank at most t in counter order, if there is one.  A
     pass that completes none proves the minimum above t, so the first
     pass that completes one runs at t = minimum and returns the first
@@ -339,17 +343,18 @@ def minrank_dfs(n: int, q: int, free_rows, stop: int, floor):
     chosen columns vanish on those rows, so the matrix is block
     triangular there and its rank is at least that sum.  floor is called
     at most once per mask, and its values are kept across the passes of
-    this call only.  For any valid stop and floor the result is the
-    first minimum-rank matrix in counter order; stop 1 and a floor of 0
-    cut only on the prefix rank.
+    this call only.  For any valid floor the result is the first
+    minimum-rank matrix in counter order; a floor of 0 starts at 1 and
+    cuts only on the prefix rank.
 
-    Cost: when the minimum equals stop, as on most small graphs, the
-    one pass cuts from the first column on every branch whose prefix
-    rank plus floor exceeds the minimum.  A single pass that starts from
-    rank n + 1 and lowers its bound to each better matrix it finds
-    visits every node that any pass here visits, so a minimum g above
-    stop costs at most g + 1 times the nodes of that search.  A floor
-    that exceeds the rank of every fill raises ValueError.
+    Cost: when the minimum equals the floor of all rows, as on most
+    small graphs, the one pass cuts from the first column on every
+    branch whose prefix rank plus floor exceeds the minimum.  A single
+    pass that starts from rank n + 1 and lowers its bound to each better
+    matrix it finds visits every node that any pass here visits, so a
+    minimum g above that floor costs at most g + 1 times the nodes of
+    that search.  A floor that exceeds the rank of every fill raises
+    ValueError.
 
     The prefix's rank is kept as a plain list of its reduced columns,
     each pivoting on its lowest nonzero row: a column is reduced against
@@ -359,6 +364,7 @@ def minrank_dfs(n: int, q: int, free_rows, stop: int, floor):
 
     Returns (minrank, witness columns as digit tuples).
     """
+    n = len(free)
     cols = [None] * n
     full = (1 << n) - 1
     floors = {}  # untouched mask -> floor(mask)
@@ -375,10 +381,10 @@ def minrank_dfs(n: int, q: int, free_rows, stop: int, floor):
     values = [tuple(entry(r, d) for d in range(q)) for r in range(n)]
     factors = [
         [
-            values[r] if r in free else (values[r][int(r == i)],)
+            values[r] if rows >> r & 1 else (values[r][int(r == i)],)
             for r in reversed(range(n))
         ]
-        for i, free in enumerate(free_rows)
+        for i, rows in enumerate(free)
     ]
     # The rows a column touches: for q = 2 the column itself, otherwise
     # the support of its digits.
@@ -392,7 +398,7 @@ def minrank_dfs(n: int, q: int, free_rows, stop: int, floor):
 
     # The floors do not depend on the target, so one memo serves every
     # pass.
-    for target in range(stop, n + 1):
+    for target in range(max(1, floor(full)), n + 1):
         # Without recursion, so n is not bounded by the interpreter's
         # recursion limit: each open depth above the current one keeps
         # its candidate iterator, the rows its prefix touches and its

@@ -93,9 +93,9 @@ def minrank_bruteforce(
       entry to 1 but the one in the column of the highest vertex, which
       is (-1)^|C| mod q;
     - any other component runs ``_kernel.minrank_dfs`` on its own rows,
-      relabelled in ascending order, with its free rows and its bitmask
-      adjacency read off g's masks, one pass per target rank from its
-      MAIS, the largest induced acyclic vertex set, up: a pass prunes a
+      relabelled in ascending order, with its out-neighbour bitmasks,
+      read off g's masks, as its free rows, one pass per target rank from
+      its MAIS, the largest induced acyclic vertex set, up: a pass prunes a
       branch once the prefix rank plus the MAIS of the rows the chosen
       columns leave zero exceeds its target, and the first matrix a pass
       finds is the component's witness.
@@ -137,17 +137,16 @@ def minrank_bruteforce(
                 entries[j * n + v] = 1
             entries[j * n + v] = (-1) ** len(vertices) % q
             continue
-        free_rows, local_succ, local_pred = _relabel(succ, comp)
+        local_succ, local_pred = _relabel(succ, comp)
         # One sizer gives the first target and every floor, sharing one
         # adjacency and one memo of component values for this call.
-        mais = acyclic_sizer(local_succ, local_pred)
         rank, columns = _kernel.minrank_dfs(
-            len(vertices), q, free_rows, mais((1 << len(vertices)) - 1), mais
+            q, local_succ, acyclic_sizer(local_succ, local_pred)
         )
         value += rank
         # Off the diagonal a column is nonzero only on its free rows.
-        for v, col, rows in zip(vertices, columns, free_rows):
-            for t in rows:
+        for v, col, rows in zip(vertices, columns, local_succ):
+            for t in _bits(rows):
                 entries[vertices[t] * n + v] = col[t]
     witness = FittingMatrix(FqMatrix(n, n, q, tuple(entries)))
     if not witness.fits(g):

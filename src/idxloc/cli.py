@@ -68,9 +68,7 @@ SCHEMES = ("uncoded", "cycle-scalar", "cycle-vector", "deficit")
 
 
 class CliError(Exception):
-    def __init__(self, message: str, exit_code: int = EXIT_INPUT):
-        super().__init__(message)
-        self.exit_code = exit_code
+    """An input error: exit 3 with its message."""
 
 
 def parse_frac(text: str) -> Fraction:
@@ -97,7 +95,7 @@ def _load_graph(path: str) -> SideInformationGraph:
 def _load_code(path: str) -> IndexCode:
     try:
         return load_code(path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot load code file: {exc}") from exc
 
 
@@ -390,9 +388,11 @@ def main(argv: list[str] | None = None) -> int:
             exit_code, text = COMMANDS[args.command][0](args)
         _write(sys.stdout, text)
     except (CliError, BudgetExceededError, OSError) as exc:
-        exit_code, prefix = getattr(exc, "exit_code", EXIT_BUDGET), ""
-        if isinstance(exc, OSError):  # reads are reported where they happen
-            exit_code, prefix = EXIT_INPUT, "cannot write output: "
+        exit_code, prefix = EXIT_INPUT, ""
+        if isinstance(exc, BudgetExceededError):
+            exit_code = EXIT_BUDGET
+        elif isinstance(exc, OSError):  # reads are reported where they happen
+            prefix = "cannot write output: "
         _write(sys.stderr, f"error: {prefix}{exc}\n")
     return exit_code
 

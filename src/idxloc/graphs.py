@@ -394,32 +394,22 @@ def _components(succ: list[int], pred: list[int], mask: int) -> list[int]:
     return comps
 
 
-def _relabel(
-    succ: list[int], comp: int
-) -> tuple[tuple[tuple[int, ...], ...], list[int], list[int]]:
+def _relabel(succ: list[int], comp: int) -> tuple[list[int], list[int]]:
     """The subgraph induced on the bitmask comp, its vertices relabelled
-    0, 1, ... in ascending order: each vertex's out-neighbours as an
-    ascending tuple, and each vertex's out- and in-neighbours as
+    0, 1, ... in ascending order: each vertex's out- and in-neighbours as
     bitmasks."""
     vertices = list(_bits(comp))
     pos = {v: t for t, v in enumerate(vertices)}
-    rows = []
     out = []
     into = [0] * len(vertices)
     for t, v in enumerate(vertices):
-        row = []
         mask = 0
-        rest = succ[v] & comp
-        while rest:
-            low = rest & -rest
-            u = pos[low.bit_length() - 1]
-            row.append(u)
+        for w in _bits(succ[v] & comp):
+            u = pos[w]
             mask |= 1 << u
             into[u] |= 1 << t
-            rest ^= low
-        rows.append(tuple(row))
         out.append(mask)
-    return tuple(rows), out, into
+    return out, into
 
 
 def _bits(mask: int) -> Iterator[int]:

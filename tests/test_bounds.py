@@ -221,8 +221,8 @@ def test_minrank_witness_is_pinned(q, side, value, rows):
 def test_minrank_floors_change_no_answer():
     # Starting at the MAIS and cutting on its floors may only skip
     # subtrees holding no matrix of rank at most the target, so the
-    # search must end on the value and witness of the stop 1 and the
-    # floor 0, whose passes cut only on the prefix rank.
+    # search must end on the value and witness of the floor 0, whose
+    # passes start at 1 and cut only on the prefix rank.
     rng = random.Random(12)
     most_edges = {2: 12, 3: 8, 5: 6}
     below_n = 0
@@ -235,8 +235,7 @@ def test_minrank_floors_change_no_answer():
         for i, j in rng.sample(arcs, min(len(arcs), edges)):
             side[i].add(j + 1)
         g = graph_from_side_info(side)
-        free = tuple(tuple(sorted(j - 1 for j in k)) for k in side)
-        value, columns = _kernel.minrank_dfs(n, q, free, 1, lambda untouched: 0)
+        value, columns = _kernel.minrank_dfs(q, _adjacency(g)[0], lambda untouched: 0)
         got_value, witness = minrank_bruteforce(g, q)
         assert got_value == value
         assert witness.matrix == FqMatrix.from_columns(columns, n, q)
@@ -426,9 +425,8 @@ def test_minrank_budget_counts_the_whole_graph():
 def _whole_graph_search(g, q):
     """(min-rank, witness) of the search on all n columns at once, with
     the MAIS first target and floors of the whole graph."""
-    free = tuple(tuple(sorted(j - 1 for j in k)) for k in g.side)
-    mais = acyclic_sizer(*_adjacency(g))
-    value, columns = _kernel.minrank_dfs(g.n, q, free, mais((1 << g.n) - 1), mais)
+    succ, pred = _adjacency(g)
+    value, columns = _kernel.minrank_dfs(q, succ, acyclic_sizer(succ, pred))
     return value, FqMatrix.from_columns(columns, g.n, q)
 
 
@@ -520,6 +518,27 @@ def test_scalar_bounds_rejects_two_cycle_and_dag():
     g = graph_from_side_info([{2, 3}, {1, 3}, {1, 2}])
     with pytest.raises(ValueError):
         scalar_bounds_minrank_deficit(g, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cycle_tradeoff(2, 1), "the closed form needs n >= 3"),
+    (lambda: min_message_length(2), "needs n >= 3"),
+    (lambda: optimal_cycle_locality_for_m(2, 1), "needs n >= 3"),
+    (lambda: optimal_cycle_locality_for_m(3, 0), "message length must be at least 1"),
+    # Two disjoint directed 3-cycles: girth 3, but min-rank 2 + 2.
+    (lambda: scalar_bounds_minrank_deficit(
+        graph_from_side_info([{2}, {3}, {1}, {5}, {6}, {4}]), 2
+    ), "min-rank is 4, not n-1 = 5"),
+    (lambda: exhaustive_vector_search(directed_cycle(3), 2, 0, 1),
+     "m and ell must be positive"),
+    (lambda: pareto_frontier(directed_cycle(3), 2, 1, 0), "m and ell must be positive"),
+    (lambda: exhaustive_vector_search(directed_cycle(3), 2, 1, 2, Fraction(1, 2)),
+     "locality cap below 1 admits no code"),
+], ids=["tradeoff-n", "min-length-n", "locality-n", "locality-m", "deficit-minrank",
+        "search-m", "frontier-ell", "search-cap"])
+def test_bounds_refuses_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_converse_checks_cycle3_sum_locality_tight():

@@ -1003,6 +1003,24 @@ def test_closed_pipe_on_both_streams_in_a_fresh_process(tmp_path):
     assert got == (EXIT_INPUT, None)
 
 
+def test_closed_pipe_on_stderr_is_pointed_at_devnull(tmp_path, monkeypatch):
+    # In process: stderr's descriptor is a pipe with no reader, so the
+    # refusal's flush fails with EPIPE; the text is dropped, the exit code
+    # kept, and the descriptor then points at os.devnull.
+    monkeypatch.chdir(tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stderr = open(write_end, "w", encoding="utf-8")
+    try:
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(["minrank", "--graph", "missing.txt"]) == EXIT_INPUT
+        monkeypatch.undo()
+        assert os.fstat(write_end).st_rdev == os.stat(os.devnull).st_rdev
+    finally:
+        monkeypatch.undo()
+        stderr.close()
+
+
 @pytest.mark.parametrize("stderr", [None, _ClosedPipe(), _FullDevice()],
                          ids=["missing", "closed-pipe", "full-device"])
 @pytest.mark.parametrize("argv, exit_code", [

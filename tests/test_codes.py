@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -421,6 +422,29 @@ def test_plan_shape_is_validated():
             ValueError, match="^one tuple of entries per receiver required$"
         ):
             DecodingPlan(q=2, m=1, n=4, receivers=receivers, side=g.side)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: IndexCode(q=2, m=1, n=2, matrix=FqMatrix.identity(2, 3),
+                       queries=(frozenset({1}), frozenset({2}))),
+     "matrix field does not match code field"),
+    (lambda: IndexCode(q=2, m=1, n=2, matrix=FqMatrix.identity(3, 2),
+                       queries=(frozenset({1}), frozenset({2}))),
+     "encoder must have m*n rows"),
+    (lambda: FittingMatrix(FqMatrix(2, 3, 2, (1, 0, 0, 0, 1, 0))),
+     "fitting matrix must be square"),
+    (lambda: FittingMatrix(FqMatrix(2, 2, 2, (1, 0, 0, 0))),
+     "fitting matrix needs a unit diagonal"),
+    # A plan over F_2 for a code over F_3 on the same 3-cycle.
+    (lambda: fitting_matrix_from_plan(
+        directed_cycle(3), cycle_scalar_code(3, 3),
+        require_plan(directed_cycle(3), cycle_scalar_code(3, 2)),
+    ), "plan does not belong to this code"),
+], ids=["matrix-field", "encoder-rows", "fitting-square", "fitting-diagonal",
+        "plan-field"])
+def test_codes_refuse_with_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_plan_construction_refuses_malformed_entries():

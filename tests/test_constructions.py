@@ -1,5 +1,6 @@
 """Achievability schemes and their exact locality profiles."""
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -157,6 +158,21 @@ def test_time_share_rejects_mixed_fields():
     g = directed_cycle(3)
     with pytest.raises(ValueError):
         time_share(g, [cycle_scalar_code(3, 2, 1), cycle_scalar_code(3, 3, 1)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cycle_scalar_code(4, 2, anchor=5), "anchor must lie in [1, 4]"),
+    (lambda: cycle_scalar_code(4, 2, anchor=0), "anchor must lie in [1, 4]"),
+    (lambda: time_share(directed_cycle(3), []), "time_share needs at least one code"),
+    (lambda: time_share(directed_cycle(4), [cycle_scalar_code(3, 2)]),
+     "codes must share the instance's receiver count"),
+    (lambda: plan_rotation_schedule(2, 1), "cycle schedules need n >= 3"),
+    (lambda: plan_rotation_schedule(4, 0), "message length must be at least 1"),
+], ids=["anchor-high", "anchor-low", "no-codes", "receiver-count", "schedule-n",
+        "schedule-m"])
+def test_constructions_refuse_with_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def schedule_cases():

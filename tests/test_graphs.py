@@ -2,6 +2,7 @@
 
 import inspect
 import random
+import re
 import sys
 from itertools import combinations, product
 from math import factorial
@@ -10,6 +11,7 @@ import pytest
 
 from idxloc.graphs import (
     GraphParseError,
+    SideInformationGraph,
     _acyclic_sets,
     _adjacency,
     _components,
@@ -113,6 +115,18 @@ def test_receiver_index_out_of_range_is_refused():
 def test_graph_rejects_self_side_info():
     with pytest.raises(ValueError):
         graph_from_side_info([{1}])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SideInformationGraph(0, ()), "graph needs at least one receiver"),
+    (lambda: SideInformationGraph(2, (frozenset(),)),
+     "side-information list length must equal n"),
+    (lambda: graph_from_side_info([{3}, set()]), "receiver 1 lists out-of-range vertex 3"),
+    (lambda: directed_cycle(1), "a directed cycle needs at least 2 vertices"),
+], ids=["no-receiver", "side-length", "out-of-range", "short-cycle"])
+def test_graph_refuses_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_induced_full_set_is_identity():

@@ -239,25 +239,26 @@ def test_minrank_dfs_witness_rank_matches():
         n = rng.randint(1, 5)
         q = rng.choice([2, 3])
         g = random_graph(rng, n)
-        free = tuple(receiver_rows(g, 1, i)[1] for i in range(1, n + 1))
-        value, columns = _kernel.minrank_dfs(n, q, free, 1, lambda untouched: 0)
+        value, columns = _kernel.minrank_dfs(q, _adjacency(g)[0], lambda untouched: 0)
         witness = FqMatrix.from_columns(columns, n, q)
         assert oracle_rank(witness) == value
 
 
 def test_minrank_dfs_floor_cuts_on_a_zero_free_entry(monkeypatch):
-    # On the 4-cycle over F_2 the stop 3 is the min-rank, so the one pass
-    # runs at target 3.  Column d < 3 with its free entry (row d + 1) set to
-    # 0 leaves rows d + 1 to 3 untouched, a path with floor 3 - d, and
-    # the prefix rank d + 1 plus that floor is 4 > 3, so the branch is
-    # cut; with the entry 1 the floor is 2 - d and the search descends.
+    # On the 4-cycle over F_2 the floor of all rows, 3, is the min-rank,
+    # so the one pass runs at target 3.  Column d < 3 with its free entry
+    # (row d + 1) set to 0 leaves rows d + 1 to 3 untouched, a path with
+    # floor 3 - d, and the prefix rank d + 1 plus that floor is 4 > 3, so
+    # the branch is cut; with the entry 1 the floor is 2 - d and the
+    # search descends.
     # Column 3 with entry 0 has rank 4 and with entry 1 completes the
     # first matrix, so the floor makes 2 reductions per column, 8 in all.
-    # The floor 0 cuts nothing before the last column and reaches that
+    # A floor that reads 3 on all rows and 0 elsewhere runs the same one
+    # pass but cuts nothing before the last column, and reaches that
     # matrix, the last fill in counter order, after all 2 + 4 + 8 + 16
     # reductions.
     g = directed_cycle(4)
-    free = tuple(receiver_rows(g, 1, i)[1] for i in range(1, 5))
+    free = _adjacency(g)[0]
     reductions = 0
     reduce = _kernel._bit_reduce
 
@@ -274,9 +275,11 @@ def test_minrank_dfs_floor_cuts_on_a_zero_free_entry(monkeypatch):
         asked[untouched] = asked.get(untouched, 0) + 1
         return mais(untouched)
 
-    value, columns = _kernel.minrank_dfs(4, 2, free, 3, floor)
+    value, columns = _kernel.minrank_dfs(2, free, floor)
     cut_reductions, reductions = reductions, 0
-    assert (value, columns) == _kernel.minrank_dfs(4, 2, free, 3, lambda untouched: 0)
+    assert (value, columns) == _kernel.minrank_dfs(
+        2, free, lambda untouched: 3 if untouched == 0b1111 else 0
+    )
     assert value == 3
     assert columns == ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))
     assert (cut_reductions, reductions) == (8, 30)
@@ -289,4 +292,4 @@ def test_minrank_dfs_floor_cuts_on_a_zero_free_entry(monkeypatch):
 def test_minrank_dfs_refuses_a_floor_above_every_fill():
     # The 2-cycle's fills have rank 1 or 2, but this floor says 3.
     with pytest.raises(ValueError, match="^floor exceeds the rank of every fill$"):
-        _kernel.minrank_dfs(2, 2, ((1,), (0,)), 1, lambda untouched: 3)
+        _kernel.minrank_dfs(2, [0b10, 0b01], lambda untouched: 3)

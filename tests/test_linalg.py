@@ -1,6 +1,7 @@
 """Field and matrix kernel, checked against enumeration oracles."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from idxloc.linalg import (
     span_coordinates,
     span_format,
     unit_vector,
+    vector_matrix,
 )
 
 from helpers import (
@@ -100,6 +102,17 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         FqMatrix(1, 2, 3, (-1, 0))  # negative entry
     assert FqMatrix(0, 0, 3, ()).entries == ()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FqMatrix(-1, 0, 2, ()), "matrix dimensions must be nonnegative"),
+    (lambda: FqMatrix.from_rows([[1], [1, 0]], 2), "ragged rows"),
+    (lambda: FqMatrix.from_columns([(1, 0)], 3, 2), "column length mismatch"),
+    (lambda: vector_matrix((1,), FqMatrix.identity(2, 2)), "vector length mismatch"),
+], ids=["negative-rows", "ragged", "column-length", "vector-length"])
+def test_matrix_refuses_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_unit_vector():
